@@ -21,8 +21,12 @@ from .gauge import gauge_report
 from .graded import format_monomial
 from .homotopy import fibre_truncation_dims, hurewicz_homology, loopspace_shift
 from .specseq import (
+    ADMISSIBLE,
+    BASE_ZERO,
+    NEGATIVE_FIBRE,
     FibrationSpec,
     build_e2,
+    classify_arrows,
     resolve_assignment,
     run_to_einfty,
     sweep_unknowns,
@@ -66,10 +70,6 @@ def _csv(rows: Sequence[Sequence[object]]) -> str:
 # ------------------------------------------------------------- constraints
 
 
-REASON_NEGATIVE = "negative_fibre_degree"
-REASON_BASE = "base_zero"
-REASON_FIBRE = "fibre_zero"
-REASON_WINDOW = "window_exceeded"
 STATUS_ADMISSIBLE = "admissible"
 STATUS_REJECTED = "rejected"
 
@@ -77,28 +77,17 @@ STATUS_REJECTED = "rejected"
 def constraint_rows(spec: FibrationSpec):
     """Admit/reject every (page, source) pair with a machine-checkable reason.
 
-    Sources are the nonzero starting-page groups of positive fibre
-    degree inside the window; pages above fibre degree + 1 are
-    summarized in one negative-fibre row per source.
+    One CSV row per verdict of ``classify_arrows``; the negative-fibre
+    row of each source is labelled ``>=`` its first page.
     """
     rows = []
-    for t in spec.fibre_degrees():
-        if t < 1:
-            continue
-        for s in range(spec.degree_bound - t + 1):
-            if spec.e2_dim(s, t) == 0:
-                continue
-            for r in range(2, t + 2):
-                tgt = (s + r, t - r + 1)
-                if sum(tgt) > spec.degree_bound + 1:
-                    rows.append((str(r), s, t, tgt[0], tgt[1], STATUS_REJECTED, REASON_WINDOW))
-                elif spec.base_dim(tgt[0]) == 0:
-                    rows.append((str(r), s, t, tgt[0], tgt[1], STATUS_REJECTED, REASON_BASE))
-                elif spec.fibre_dim(tgt[1]) == 0:
-                    rows.append((str(r), s, t, tgt[0], tgt[1], STATUS_REJECTED, REASON_FIBRE))
-                else:
-                    rows.append((str(r), s, t, tgt[0], tgt[1], STATUS_ADMISSIBLE, ""))
-            rows.append((f">={t + 2}", s, t, "", "", STATUS_REJECTED, REASON_NEGATIVE))
+    for r, (s, t), target, verdict in classify_arrows(spec):
+        if target is None:
+            rows.append((f">={r}", s, t, "", "", STATUS_REJECTED, verdict))
+        elif verdict == ADMISSIBLE:
+            rows.append((str(r), s, t, *target, STATUS_ADMISSIBLE, ""))
+        else:
+            rows.append((str(r), s, t, *target, STATUS_REJECTED, verdict))
     return rows
 
 
@@ -117,14 +106,12 @@ def _constraints_log(spec: FibrationSpec) -> str:
             lines.append(f"source ({s},{t}):")
         if status == STATUS_ADMISSIBLE:
             lines.append(f"  r={page}: target ({ts},{tt}) admissible")
-        elif reason == REASON_NEGATIVE:
+        elif reason == NEGATIVE_FIBRE:
             lines.append(f"  r{page}: negative fibre degree, no target")
-        elif reason == REASON_BASE:
+        elif reason == BASE_ZERO:
             lines.append(f"  r={page}: target ({ts},{tt}) vanishes, base degree {ts} is zero")
-        elif reason == REASON_FIBRE:
-            lines.append(f"  r={page}: target ({ts},{tt}) vanishes, fibre degree {tt} is zero")
         else:
-            lines.append(f"  r={page}: target ({ts},{tt}) beyond the window")
+            lines.append(f"  r={page}: target ({ts},{tt}) vanishes, fibre degree {tt} is zero")
     admitted = [row for row in rows if row[5] == STATUS_ADMISSIBLE]
     lines.append("")
     lines.append(f"admissible arrows: {len(admitted)}")

@@ -147,10 +147,6 @@ def parse_group(text: str) -> FGAbelianGroup:
     return FGAbelianGroup(rank, tuple(torsion))
 
 
-def format_group(g: FGAbelianGroup) -> str:
-    return str(g)
-
-
 # ------------------------------------------------------------- text parse
 
 
@@ -263,7 +259,7 @@ def parse_config(text: str) -> WorkbenchConfig:
             err(line_no, str(exc))
             continue
         entries[degree] = TableEntry(group, exact, citation)
-        homotopy_lines.append((degree, ("contains " if not exact else "") + format_group(group), citation))
+        homotopy_lines.append((degree, ("contains " if not exact else "") + str(group), citation))
     if entries:
         homotopy = HomotopyTable(entries)
     homotopy_lines.sort()

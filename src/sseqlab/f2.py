@@ -65,11 +65,6 @@ class F2Vector:
             raise UsageError("vector length mismatch")
         return F2Vector(self.length, self.bits ^ other.bits)
 
-    def dot(self, other: "F2Vector") -> int:
-        if self.length != other.length:
-            raise UsageError("vector length mismatch")
-        return _parity(self.bits & other.bits)
-
     def __str__(self) -> str:
         return "".join(str(self.bits >> i & 1) for i in range(self.length))
 

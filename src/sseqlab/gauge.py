@@ -8,18 +8,12 @@ reports the limit page per residue branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .errors import ValidationError
 from .graded import PolyAlgebraSpec
-from .homotopy import (
-    FGAbelianGroup,
-    HomotopyTable,
-    TableEntry,
-    fibre_truncation_dims,
-    loopspace_shift,
-)
+from .homotopy import FGAbelianGroup, HomotopyTable, TableEntry
 from .specseq import (
     Bidegree,
     FibrationSpec,
@@ -136,29 +130,32 @@ def g2_fibration_spec(
     table: Optional[HomotopyTable] = None,
     extra_fibre: Optional[Mapping[int, tuple[str, ...]]] = None,
 ) -> FibrationSpec:
-    """Fibration data: polynomial base, derived fibre truncation, unknown eps."""
-    if table is None:
-        table = g2_homotopy_table()
-    dims = fibre_truncation_dims(loopspace_shift(table, 3))
-    fibre: dict[int, tuple[str, ...]] = {0: (UNIT_GEN,)}
-    for degree, entry in dims.items():
-        if degree == 0:
-            continue
-        if entry.value == 0 and entry.exact:
-            continue
-        if degree != 5:
-            raise ValidationError(
-                f"unexpected fibre dimension in degree {degree}: {entry}"
-            )
-        fibre[5] = ("u_5",)
-    if 5 not in fibre:
-        raise ValidationError("fibre truncation lost its degree-5 class")
-    for degree, gens in (extra_fibre or {}).items():
-        if degree <= 5:
-            raise ValidationError("extra fibre generators must sit in degrees >= 6")
-        fibre[degree] = tuple(gens)
-    eps = UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6"))
-    return FibrationSpec(G2_BASE, fibre, degree_bound, (eps,))
+    """Fibration data: polynomial base, derived fibre truncation, unknown eps.
+
+    The fibre is derived by ``WorkbenchConfig.fibration_spec``, the one
+    derivation path; this function adds only the g2 guards.
+    """
+    from .config import WorkbenchConfig  # config imports this module
+
+    derived = WorkbenchConfig(
+        G2_BASE,
+        degree_bound,
+        homotopy=g2_homotopy_table() if table is None else table,
+        fibre_derive=True,
+    ).fibration_spec()
+    if derived.fibre_gens != {0: (UNIT_GEN,), 5: ("u_5",)}:
+        dims = {d: len(gens) for d, gens in sorted(derived.fibre_gens.items()) if d}
+        raise ValidationError(
+            f"the g2 fibre truncation must derive one class, in degree 5; got dims {dims}"
+        )
+    extra = extra_fibre or {}
+    if any(degree <= 5 for degree in extra):
+        raise ValidationError("extra fibre generators must sit in degrees >= 6")
+    return replace(
+        derived,
+        fibre_gens={**derived.fibre_gens, **extra},
+        unknowns=(UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6")),),
+    )
 
 
 @dataclass(frozen=True)

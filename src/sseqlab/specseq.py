@@ -175,17 +175,25 @@ def build_e2(spec: FibrationSpec, *, total_bound: Optional[int] = None) -> Bigra
     return BigradedBasis(bound, groups)
 
 
-def admissible_differentials(
-    spec: FibrationSpec,
-) -> list[tuple[int, Bidegree, Bidegree]]:
-    """All bidegree-admissible (r, source, target) triples in the window.
+ADMISSIBLE = "admissible"
+BASE_ZERO = "base_zero"
+FIBRE_ZERO = "fibre_zero"
+NEGATIVE_FIBRE = "negative_fibre_degree"
 
-    Purely combinatorial: a triple is listed when both groups are
-    nonzero on the starting page, the source total degree is within the
-    window, and the target total degree is within window + 1.  No
-    differential values are consulted.
+Arrow = tuple[int, Bidegree, Optional[Bidegree], str]
+
+
+def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
+    """Every (r, source, target) triple out of the window, with its verdict.
+
+    Sources are the nonzero starting-page groups of positive fibre degree
+    and total degree <= N, so every target has total degree <= N + 1.
+    Pages 2..t+1 are ADMISSIBLE when the target group is nonzero on the
+    starting page, else BASE_ZERO or FIBRE_ZERO after the factor that
+    vanishes; one NEGATIVE_FIBRE row at page t + 2, with no target,
+    stands for all higher pages.  No differential values are consulted.
     """
-    out = []
+    out: list[Arrow] = []
     for t in spec.fibre_degrees():
         if t < 1:
             continue
@@ -193,10 +201,27 @@ def admissible_differentials(
             if spec.e2_dim(s, t) == 0:
                 continue
             for r in range(2, t + 2):
-                if spec.e2_dim(s + r, t - r + 1) > 0:
-                    out.append((r, (s, t), (s + r, t - r + 1)))
-    out.sort()
+                target = (s + r, t - r + 1)
+                if spec.base_dim(target[0]) == 0:
+                    verdict = BASE_ZERO
+                elif spec.fibre_dim(target[1]) == 0:
+                    verdict = FIBRE_ZERO
+                else:
+                    verdict = ADMISSIBLE
+                out.append((r, (s, t), target, verdict))
+            out.append((t + 2, (s, t), None, NEGATIVE_FIBRE))
     return out
+
+
+def admissible_differentials(
+    spec: FibrationSpec,
+) -> list[tuple[int, Bidegree, Bidegree]]:
+    """The admissible triples of ``classify_arrows``, sorted."""
+    return sorted(
+        (r, source, target)
+        for r, source, target, verdict in classify_arrows(spec)
+        if verdict == ADMISSIBLE
+    )
 
 
 @dataclass(frozen=True)
@@ -240,22 +265,45 @@ def resolve_assignment(
             u.target if values[u.name] else Polynomial.zero()
         )
     for (gen, r), poly in (extra_images or {}).items():
+        if (gen, r) in images and images[(gen, r)] != poly:
+            raise UsageError(f"conflicting image for d_{r}({gen})")
+        images[(gen, r)] = poly
+    assignment = DifferentialAssignment(dict(values), images)
+    check_images(spec, assignment)
+    return assignment
+
+
+def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
+    """Validate an assignment's generator images against the spec.
+
+    Every image must sit on page >= 2, and a nonzero one must be a
+    transgression onto the base row, homogeneous of its page's degree.
+    Every generator that supports an admissible transgression needs a
+    declared image (possibly zero).
+    """
+    for (gen, r), poly in assignment.generator_images.items():
         t = spec.fibre_degree_of(gen)
         if r < 2:
             raise ValidationError(f"differential page must be >= 2, got {r}")
-        if (gen, r) in images and images[(gen, r)] != poly:
-            raise UsageError(f"conflicting image for d_{r}({gen})")
-        if not poly.is_zero():
-            if r != t + 1:
-                raise ValidationError(
-                    f"nonzero image of {gen} lands on the base row only at page {t + 1}"
+        if poly.is_zero():
+            continue
+        if r != t + 1:
+            raise ValidationError(
+                f"nonzero image of d_{r}({gen}) cannot land on the base row "
+                f"(transgression page is {t + 1})"
+            )
+        if poly.homogeneous_degree(spec.base) != r:
+            raise ValidationError(
+                f"image of d_{r}({gen}) must be homogeneous of degree {r}"
+            )
+    for r, (s, t), _target in admissible_differentials(spec):
+        if s != 0:
+            continue
+        for gen in spec.fibre_gens[t]:
+            if assignment.image_of(gen, r) is None:
+                raise UsageError(
+                    f"no image declared for d_{r}({gen}); declare it (possibly zero)"
                 )
-            if poly.homogeneous_degree(spec.base) != r:
-                raise ValidationError(
-                    f"image of d_{r}({gen}) must be homogeneous of degree {r}"
-                )
-        images[(gen, r)] = poly
-    return DifferentialAssignment(dict(values), images)
 
 
 # ------------------------------------------------------------------ pages
@@ -303,10 +351,6 @@ class Page:
         group = self.groups.get((s, t))
         return group.dim if group else 0
 
-    def basis_reps(self, s: int, t: int) -> list[F2Vector]:
-        group = self.groups.get((s, t))
-        return group.quotient_basis() if group else []
-
     def describe(self, s: int, t: int) -> list[str]:
         group = self.groups.get((s, t))
         if group is None:
@@ -327,35 +371,6 @@ class Page:
             for bd, group in self.groups.items()
             if sum(bd) <= self.spec.degree_bound and group.dim > 0
         )
-
-
-def _required_images_defined(spec: FibrationSpec, assignment: DifferentialAssignment, r: int) -> None:
-    admissible = admissible_differentials(spec)
-    for page, (s, t), _target in admissible:
-        if page != r or s != 0:
-            continue
-        for gen in spec.fibre_gens[t]:
-            if assignment.image_of(gen, r) is None:
-                raise UsageError(
-                    f"no image declared for d_{r}({gen}); declare it (possibly zero)"
-                )
-
-
-def _validate_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
-    """Nonzero images must be transgressive onto the base row."""
-    for (gen, r), poly in assignment.generator_images.items():
-        t = spec.fibre_degree_of(gen)
-        if poly.is_zero():
-            continue
-        if r != t + 1:
-            raise ValidationError(
-                f"nonzero image of d_{r}({gen}) cannot land on the base row "
-                f"(transgression page is {t + 1})"
-            )
-        if poly.homogeneous_degree(spec.base) != r:
-            raise ValidationError(
-                f"image of d_{r}({gen}) must be homogeneous of degree {r}"
-            )
 
 
 def _label_image(
@@ -380,8 +395,6 @@ def _page_differentials(
     r: int,
     groups: Mapping[Bidegree, PageGroup],
 ) -> tuple[dict[Bidegree, F2Matrix], list[tuple[int, Bidegree, Bidegree]]]:
-    _validate_images(spec, assignment)
-    _required_images_defined(spec, assignment, r)
     matrices: dict[Bidegree, F2Matrix] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
     for (s, t), group in sorted(groups.items()):
@@ -438,6 +451,7 @@ def _page_differentials(
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:
     """The starting page (r = 2), tracked through total degree N + 1."""
+    check_images(spec, assignment)
     basis = build_e2(spec, total_bound=spec.degree_bound + 1)
     groups = {}
     for bd in basis.bidegrees():
@@ -459,8 +473,11 @@ def leibniz_extend(
     With no page given the matrices act on the starting-page tensor
     bases; otherwise on the given page's surviving bases.
     """
-    groups = page.groups if page is not None else initial_page(spec, assignment).groups
-    matrices, _ = _page_differentials(spec, assignment, r, groups)
+    if page is None:
+        page = initial_page(spec, assignment)
+    else:
+        check_images(spec, assignment)
+    matrices, _ = _page_differentials(spec, assignment, r, page.groups)
     return matrices
 
 

@@ -154,6 +154,22 @@ def test_einfty_collapse_branch():
     assert "all admissible differentials evaluated" in out
 
 
+def test_extra_fibre_class_without_declarable_image(tmp_path):
+    # d_4 (0,8) -> (4,5) is admissible, and no config syntax declares it
+    cfg = tmp_path / "w8.cfg"
+    cfg.write_text(
+        (ROOT / "g2.cfg").read_text().replace("derive = homotopy", "derive = homotopy\n8 = w_8")
+    )
+    for argv in (("einfty", "--set", "eps=1"), ("sweep",), ("gauge", "--k", "5")):
+        code, _, err = run_cli("--config", str(cfg), *argv)
+        assert code == 1, argv
+        assert "no image declared for d_4(w_8)" in err
+        assert "Traceback" not in err
+    for argv in (("constraints",), ("chart", "--page", "4", "--format", "svg")):
+        code, _, err = run_cli("--config", str(cfg), *argv)
+        assert code == 0 and not err, argv
+
+
 def test_hit_without_steenrod_section_exits_one():
     code, _, err = run_cli("--config", G2, "hit", "--bound", "8")
     assert code == 1

@@ -1,5 +1,6 @@
 """Every demo script must run clean from a fresh interpreter."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script, tmp_path):
+    # the child runs from tmp_path, so the package path must be absolute
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
-        cwd=tmp_path if "chart" not in script.name else ROOT / "demos",
+        cwd=tmp_path,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout  # every demo narrates something

@@ -142,6 +142,14 @@ def test_hand_built_assignment_with_bad_page_rejected():
         initial_page(SPEC, bad)
 
 
+def test_initial_page_checks_images_for_every_page_up_front():
+    from sseqlab.specseq import DifferentialAssignment
+
+    # the missing image is the page-6 transgression, not a page-2 one
+    with pytest.raises(UsageError):
+        initial_page(SPEC, DifferentialAssignment({"eps": 0}, {}))
+
+
 def test_transgression_image_killed_earlier_gives_zero_differential():
     # a rank-one transgression on page 3 kills the target of the later
     # page-6 transgression; the induced page-6 map is then zero and the
