@@ -244,18 +244,15 @@ def cmd_uct(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
     if cfg.homotopy is None:
         raise ValidationError("the uct command needs a homotopy section")
     rows = [["step", "degree", "value", "provenance"]]
-    for degree, entry in cfg.homotopy.items():
-        text = ("contains " if not entry.exact else "") + str(entry.group)
-        rows.append(["input", degree, text, entry.citation])
     shifted = loopspace_shift(cfg.homotopy, 3)
-    for degree, entry in shifted.items():
-        text = ("contains " if not entry.exact else "") + str(entry.group)
-        rows.append(["shifted", degree, text, entry.citation])
     homology = hurewicz_homology(shifted, 5)
-    for degree in sorted(homology):
-        entry = homology[degree]
-        text = ("contains " if not entry.exact else "") + str(entry.group)
-        rows.append(["homology", degree, text, entry.citation])
+    for step, entries in (
+        ("input", cfg.homotopy.items()),
+        ("shifted", shifted.items()),
+        ("homology", sorted(homology.items())),
+    ):
+        for degree, entry in entries:
+            rows.append([step, degree, str(entry), entry.citation])
     dims = fibre_truncation_dims(shifted)
     for degree, entry in dims.items():
         if degree == 0:

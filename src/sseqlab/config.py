@@ -69,7 +69,6 @@ class WorkbenchConfig:
     base: PolyAlgebraSpec
     degree_bound: int = 10
     homotopy: Optional[HomotopyTable] = None
-    homotopy_lines: tuple[tuple[int, str, str], ...] = ()  # (degree, text, citation)
     fibre_derive: bool = False
     fibre_explicit: dict[int, tuple[str, ...]] = field(default_factory=dict)
     unknowns: tuple[UnknownScalar, ...] = ()
@@ -233,7 +232,6 @@ def parse_config(text: str) -> WorkbenchConfig:
 
     # homotopy
     homotopy = None
-    homotopy_lines: list[tuple[int, str, str]] = []
     entries: dict[int, TableEntry] = {}
     for line_no, key, value in sections["homotopy"]:
         try:
@@ -259,10 +257,8 @@ def parse_config(text: str) -> WorkbenchConfig:
             err(line_no, str(exc))
             continue
         entries[degree] = TableEntry(group, exact, citation)
-        homotopy_lines.append((degree, ("contains " if not exact else "") + str(group), citation))
     if entries:
         homotopy = HomotopyTable(entries)
-    homotopy_lines.sort()
 
     # fibre
     fibre_derive = False
@@ -403,7 +399,6 @@ def parse_config(text: str) -> WorkbenchConfig:
         base=base,
         degree_bound=degree_bound,
         homotopy=homotopy,
-        homotopy_lines=tuple(homotopy_lines),
         fibre_derive=fibre_derive,
         fibre_explicit=fibre_explicit,
         unknowns=tuple(unknowns),
@@ -507,9 +502,9 @@ def emit_config(cfg: WorkbenchConfig) -> str:
     if cfg.homotopy is not None:
         out.append("")
         out.append("[homotopy]")
-        for degree, text, citation in cfg.homotopy_lines:
-            suffix = f" ; {citation}" if citation else ""
-            out.append(f"{degree} = {text}{suffix}")
+        for degree, entry in cfg.homotopy.items():
+            suffix = f" ; {entry.citation}" if entry.citation else ""
+            out.append(f"{degree} = {entry}{suffix}")
     if cfg.fibre_derive or cfg.fibre_explicit:
         out.append("")
         out.append("[fibre]")

@@ -182,7 +182,8 @@ def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
     """Reduced row-echelon form of bit-packed rows.
 
     Returns (pivot index, row word) pairs sorted by pivot; zero rows are
-    dropped.  Pivot of a row is its lowest set bit.
+    dropped.  Pivot of a row is its lowest set bit.  Rows stay fully
+    reduced after each insert, so their order matters only on return.
     """
     reduced: list[tuple[int, int]] = []
     for word in words:
@@ -194,7 +195,7 @@ def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
         pivot = _lowest_bit(word)
         reduced = [(p, r ^ word if r >> pivot & 1 else r) for p, r in reduced]
         reduced.append((pivot, word))
-        reduced.sort()
+    reduced.sort()
     return reduced
 
 
@@ -210,7 +211,13 @@ def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
 
 
 def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
-    """Residue of v after elimination against an RREF basis."""
+    """Residue of v after elimination against an echelon basis.
+
+    Rows are read in insertion order.  Each row's pivot is its lowest
+    set bit, and that bit is clear in every later row; an RREF list is
+    one such echelon, and appending a nonzero residue keeps it one.
+    The residue is zero exactly when v is in the span.
+    """
     bits = v.bits
     for b in basis:
         pivot = _lowest_bit(b.bits)
@@ -220,6 +227,7 @@ def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
 
 
 def in_span(basis: Sequence[F2Vector], v: F2Vector) -> bool:
+    """Whether v lies in the span of an echelon basis (see ``reduce_against``)."""
     return reduce_against(basis, v).is_zero()
 
 

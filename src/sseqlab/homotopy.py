@@ -95,6 +95,10 @@ class TableEntry:
     exact: bool = True
     citation: str = ""
 
+    def __str__(self) -> str:
+        """The group, prefixed by ``contains `` when the entry is not exact."""
+        return ("contains " if not self.exact else "") + str(self.group)
+
 
 class HomotopyTable:
     """Groups indexed by degree >= 1; absent degrees raise, never read as 0."""

@@ -309,12 +309,14 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
 # ------------------------------------------------------------------ pages
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageGroup:
     """One bidegree on one page: alive subspace modulo boundaries.
 
     Vectors live in coordinates over the fixed starting-page labels, so
-    every class remembers its ancestry.
+    every class remembers its ancestry.  ``cycles`` and ``boundaries``
+    are RREF, the boundaries inside the cycles' span.  Pages share the
+    groups no differential touches, so groups are immutable.
     """
 
     labels: tuple[Label, ...]
@@ -326,13 +328,17 @@ class PageGroup:
         return len(self.cycles) - len(self.boundaries)
 
     def quotient_basis(self) -> list[F2Vector]:
-        """Greedy representatives of cycles modulo boundaries (deterministic)."""
-        context = list(self.boundaries)
+        """Greedy representatives of cycles modulo boundaries (deterministic).
+
+        A cycle whose residue is nonzero is kept; the residue extends the echelon.
+        """
+        echelon = list(self.boundaries)
         reps = []
         for v in self.cycles:
-            if not reduce_against(row_reduce(context), v).is_zero():
+            residue = reduce_against(echelon, v)
+            if not residue.is_zero():
                 reps.append(v)
-                context.append(v)
+                echelon.append(residue)
         return reps
 
 
@@ -355,15 +361,10 @@ class Page:
         group = self.groups.get((s, t))
         if group is None:
             return []
-        out = []
-        for v in group.quotient_basis():
-            parts = [
-                self.spec.format_label(group.labels[i])
-                for i in range(v.length)
-                if v[i]
-            ]
-            out.append(" + ".join(parts))
-        return out
+        return [
+            " + ".join(self.spec.format_label(group.labels[i]) for i in v.support)
+            for v in group.quotient_basis()
+        ]
 
     def reported_bidegrees(self) -> list[Bidegree]:
         return sorted(
@@ -417,12 +418,13 @@ def _page_differentials(
         target_reps = target.quotient_basis()
         target_index = {label: i for i, label in enumerate(target.labels)}
         n_labels = len(target.labels)
+        # an image's coordinates solve against [target reps | target boundaries]
+        coordinates = F2Matrix.from_columns(target_reps + list(target.boundaries), rows=n_labels)
+        rep_mask = (1 << len(target_reps)) - 1
         columns = []
         for v in source_reps:
             bits = 0
-            for i in range(v.length):
-                if not v[i]:
-                    continue
+            for i in v.support:
                 for lab in _label_image(spec, assignment, group.labels[i], r):
                     bits ^= 1 << target_index[lab]
             w = F2Vector(n_labels, bits)
@@ -431,18 +433,9 @@ def _page_differentials(
                     f"d_{r} image at {target_bd} lies in a vanished subquotient: "
                     "inconsistent assignment"
                 )
-            if target_reps or target.boundaries:
-                m = F2Matrix.from_columns(
-                    list(target_reps) + list(target.boundaries), rows=n_labels
-                )
-                coords = solve(m, w)
-                assert coords is not None
-                column = F2Vector(
-                    len(target_reps), coords.bits & ((1 << len(target_reps)) - 1)
-                )
-            else:
-                column = F2Vector(0, 0)
-            columns.append(column)
+            coords = solve(coordinates, w)
+            assert coords is not None
+            columns.append(F2Vector(len(target_reps), coords.bits & rep_mask))
         matrix = F2Matrix.from_columns(columns, rows=len(target_reps))
         if matrix.rows and matrix.cols:
             matrices[(s, t)] = matrix
@@ -481,6 +474,15 @@ def leibniz_extend(
     return matrices
 
 
+def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vector:
+    """Sum of the reps whose index is a set bit of ``coefficients``."""
+    bits = 0
+    for i, v in enumerate(reps):
+        if coefficients >> i & 1:
+            bits ^= v.bits
+    return F2Vector(length, bits)
+
+
 def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page:
     """Homology with respect to d_r: next page with kernels over images.
 
@@ -501,32 +503,24 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
     new_groups: dict[Bidegree, PageGroup] = {}
     for bd in bidegrees:
         group = page.groups[bd]
-        reps = group.quotient_basis()
         s, t = bd
+        m_in = page.differentials.get((s - r, t + r - 1))
+        m_out = page.differentials.get(bd)
+        if m_in is None and m_out is None:
+            # recomputing would give back the same RREF cycles and boundaries
+            new_groups[bd] = group
+            continue
+        reps = group.quotient_basis()
+        n = len(group.labels)
         # boundaries gain the image of d_r coming in from (s - r, t + r - 1)
-        incoming: list[F2Vector] = []
-        src = (s - r, t + r - 1)
-        m_in = page.differentials.get(src)
+        incoming = []
         if m_in is not None:
-            for j in range(m_in.cols):
-                acc = F2Vector(len(group.labels), 0)
-                for i in range(m_in.rows):
-                    if m_in.row_bits[i] >> j & 1:
-                        acc = acc ^ reps[i]
-                incoming.append(acc)
+            incoming = [_combine(n, reps, col) for col in m_in.transpose().row_bits]
         new_b = tuple(row_reduce(list(group.boundaries) + incoming))
         # cycles shrink to the kernel of the outgoing differential
-        m_out = page.differentials.get(bd)
-        if m_out is None:
-            kept = list(reps)
-        else:
-            kept = []
-            for c in kernel_basis(m_out):
-                acc = F2Vector(len(group.labels), 0)
-                for i in range(c.length):
-                    if c[i]:
-                        acc = acc ^ reps[i]
-                kept.append(acc)
+        kept = reps
+        if m_out is not None:
+            kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
         new_z = tuple(row_reduce(list(new_b) + kept))
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)
     matrices, unevaluated = _page_differentials(spec, assignment, r + 1, new_groups)

@@ -276,12 +276,12 @@ def hit_quotient(table: SteenrodTable, bound: int) -> HitReport:
                 hit_vectors.append(F2Vector(n, bits))
         hit_basis = row_reduce(hit_vectors)
         reps = []
-        context = list(hit_basis)
+        echelon = list(hit_basis)
         for j, m in enumerate(basis):
-            v = F2Vector.unit(n, j)
-            if not reduce_against(row_reduce(context), v).is_zero():
+            residue = reduce_against(echelon, F2Vector.unit(n, j))
+            if not residue.is_zero():
                 reps.append(m)
-                context.append(v)
+                echelon.append(residue)
         rows.append(
             DegreeHitData(
                 degree=d,

@@ -18,6 +18,7 @@ from sseqlab.f2 import (
     kernel_basis,
     quotient_dim,
     rank,
+    reduce_against,
     row_reduce,
     solve,
 )
@@ -221,6 +222,30 @@ def test_every_column_lies_in_image_span():
         basis = image_basis(m)
         for col in m.columns():
             assert in_span(basis, col)
+
+
+def test_reduce_against_insertion_ordered_echelon():
+    # rows in pivot-unsorted insertion order; an earlier row may carry a
+    # later row's pivot bit, so the basis is an echelon but not RREF
+    rng = random.Random(89)
+    non_rref = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        pivots = rng.sample(range(n), rng.randint(1, min(n, 5)))
+        rows = []
+        for k, p in enumerate(pivots):
+            word = rng.getrandbits(n) >> (p + 1) << (p + 1) | 1 << p
+            for q in pivots[:k]:
+                word &= ~(1 << q)
+            rows.append(F2Vector(n, word))
+        non_rref += rows != row_reduce(rows)
+        span = exhaustive_column_span(F2Matrix.from_columns(rows, rows=n))
+        for bits in range(1 << n):
+            v = F2Vector(n, bits)
+            inside = tuple(v[i] for i in range(n)) in span
+            assert reduce_against(rows, v).is_zero() == inside
+            assert in_span(rows, v) == inside
+    assert non_rref > 100
 
 
 def test_row_reduce_is_canonical():

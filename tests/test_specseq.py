@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from sseqlab.errors import UsageError, ValidationError
+from sseqlab.f2 import F2Vector, row_reduce
 from sseqlab.gauge import g2_fibration_spec
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
 from sseqlab.specseq import (
     FibrationSpec,
+    PageGroup,
     UNIT_GEN,
     UnknownScalar,
     admissible_differentials,
@@ -176,10 +178,45 @@ def test_transgression_image_killed_earlier_gives_zero_differential():
 
 def test_turn_page_with_zero_differentials_keeps_dims():
     page = initial_page(SPEC, assignment_for(0))
+    assert not page.differentials
     nxt = turn_page(page)
     assert nxt.r == 3
     for bd in page.groups:
         assert nxt.dim(*bd) == page.dim(*bd)
+        assert nxt.groups[bd].cycles == page.groups[bd].cycles
+        assert nxt.groups[bd].boundaries == page.groups[bd].boundaries
+        assert nxt.describe(*bd) == page.describe(*bd)
+
+
+@pytest.mark.parametrize("window", [10, 24])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_quotient_basis_matches_reference_on_every_page(window, eps, greedy_reference):
+    spec = g2_fibration_spec(window)
+    page = initial_page(spec, resolve_assignment(spec, {"eps": eps}))
+    last_page = max(r for r, _, _ in admissible_differentials(spec))
+    while True:
+        for group in page.groups.values():
+            expected = greedy_reference(group.boundaries, group.cycles)
+            assert group.quotient_basis() == expected
+        if page.r > last_page:
+            break
+        page = turn_page(page)
+
+
+def test_quotient_basis_matches_reference_on_random_nested_spaces(greedy_reference):
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+
+        def draw():
+            return [F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, n))]
+
+        boundaries = row_reduce(draw())
+        cycles = row_reduce(boundaries + draw())
+        group = PageGroup(tuple(range(n)), tuple(cycles), tuple(boundaries))
+        reps = group.quotient_basis()
+        assert reps == greedy_reference(boundaries, cycles)
+        assert len(reps) == group.dim
 
 
 def test_turn_page_kills_target_of_rank_one_differential():

@@ -7,10 +7,13 @@ and stay independent of it.
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from sseqlab.config import load_config
 from sseqlab.errors import ValidationError
+from sseqlab.f2 import F2Vector, row_reduce
 from sseqlab.graded import (
     Monomial,
     PolyAlgebraSpec,
@@ -232,6 +235,39 @@ def test_hit_accounting_identity():
     for row in report.rows:
         assert row.hit_dim + row.quotient_dim == row.total_dim
         assert len(row.representatives) == row.quotient_dim
+
+
+def reference_representatives(table, bound, greedy_reference):
+    """Per degree, the monomials the re-reducing greedy loop keeps."""
+    out = []
+    for d in range(bound + 1):
+        basis = basis_in_degree(table.algebra, d)
+        index = {m: j for j, m in enumerate(basis)}
+        hit_vectors = []
+        for i in range(1, d + 1):
+            for m in basis_in_degree(table.algebra, d - i):
+                bits = 0
+                for term in sq(table, i, Polynomial.of(m)).terms:
+                    bits ^= 1 << index[term]
+                hit_vectors.append(F2Vector(len(basis), bits))
+        units = [F2Vector.unit(len(basis), j) for j in range(len(basis))]
+        picked = greedy_reference(row_reduce(hit_vectors), units)
+        out.append(tuple(basis[v.support[0]] for v in picked))
+    return out
+
+
+@pytest.mark.parametrize(
+    "table, bound",
+    [
+        (load_config(Path(__file__).parent.parent / "onevar.cfg").steenrod, 31),
+        (table_from_entries(PolyAlgebraSpec.from_pairs([("a", 1), ("b", 1)]), {}), 10),
+    ],
+    ids=["onevar", "two_variables"],
+)
+def test_hit_representatives_match_reference(table, bound, greedy_reference):
+    report = hit_quotient(table, bound)
+    expected = reference_representatives(table, bound, greedy_reference)
+    assert [row.representatives for row in report.rows] == expected
 
 
 def test_hit_on_two_variable_algebra_accounting():
