@@ -142,19 +142,20 @@ def cmd_e2(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
     return 0
 
 
-def _parse_set_flags(pairs: list[str]) -> dict[str, int]:
+def _parse_bit_flags(flag: str, noun: str, pairs: list[str]) -> dict[str, int]:
+    """``NAME=BIT`` pairs of a repeatable flag, by name."""
     values: dict[str, int] = {}
     for pair in pairs:
         name, eq, value = pair.partition("=")
         if not eq or value not in ("0", "1"):
-            raise ValidationError(f"--set expects name=0 or name=1, got {pair!r}")
+            raise ValidationError(f"{flag} expects {noun}=0 or {noun}=1, got {pair!r}")
         values[name] = int(value)
     return values
 
 
 def cmd_einfty(cfg: WorkbenchConfig, emitter: _Emitter, set_flags: list[str]) -> int:
     spec = cfg.fibration_spec()
-    values = _parse_set_flags(set_flags)
+    values = _parse_bit_flags("--set", "name", set_flags)
     assignment = resolve_assignment(spec, values)
     page, report = run_to_einfty(spec, assignment)
     rows = [["s", "t", "dim", "survivors"]]
@@ -195,14 +196,7 @@ def cmd_sweep(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
 def cmd_gauge(
     cfg: WorkbenchConfig, emitter: _Emitter, k: int, overrides: list[str]
 ) -> int:
-    parsed: dict[str, int] = {}
-    for pair in overrides:
-        label, eq, value = pair.partition("=")
-        if not eq or value not in ("0", "1"):
-            raise ValidationError(
-                f"--epsilon expects label=0 or label=1, got {pair!r}"
-            )
-        parsed[label] = int(value)
+    parsed = _parse_bit_flags("--epsilon", "label", overrides)
     spec = cfg.fibration_spec()
     report = gauge_report(k, parsed, rule=cfg.epsilon_rule, spec=spec)
     header = ["k", "class", "branch"] + [

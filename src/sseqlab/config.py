@@ -1,7 +1,7 @@
 """Workbench configuration: a sectioned key-value text format plus a JSON twin.
 
 The text grammar is line oriented and strict: unknown sections or keys
-are errors, every problem is reported with its line number, and
+are errors, every problem names its line (in the JSON twin, its path), and
 ``emit_config`` produces a normalized form on which parse/emit is
 idempotent.
 
@@ -41,16 +41,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, UsageError, ValidationError
 from .gauge import DEFAULT_EPSILON_RULE, EpsilonRule
-from .graded import (
-    PolyAlgebraSpec,
-    Polynomial,
-    format_polynomial,
-    parse_polynomial,
-)
+from .graded import PolyAlgebraSpec, Polynomial, format_polynomial, parse_polynomial
 from .homotopy import (
     FGAbelianGroup,
     HomotopyTable,
@@ -124,7 +120,27 @@ class WorkbenchConfig:
         return FibrationSpec(self.base, fibre, self.degree_bound, self.unknowns)
 
 
-# ------------------------------------------------------------- group text
+# ------------------------------------------------------------- rows
+
+Row = tuple[str, str, str]  # (where, key, value); where is "line 7" or a JSON path
+_TOP = ""  # the rows key of top-level settings
+
+
+def _located(problems: list[str], where: str, handle, *args):
+    """``handle(*args)``, or None after recording ``<where>: <message>``."""
+    try:
+        return handle(*args)
+    except (ValidationError, UsageError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
+
+
+def _int(text: str, message: Optional[str] = None) -> int:
+    """``int(text)``; failure is a ValidationError (by default int's message)."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValidationError(message or str(exc)) from None
 
 
 def parse_group(text: str) -> FGAbelianGroup:
@@ -138,267 +154,159 @@ def parse_group(text: str) -> FGAbelianGroup:
         if chunk == "Z":
             rank += 1
         elif chunk.startswith("Z^"):
-            rank += int(chunk[2:])
+            rank += _int(chunk[2:])
         elif chunk.startswith("Z/"):
-            torsion.append(int(chunk[2:]))
+            torsion.append(_int(chunk[2:]))
         else:
             raise ValidationError(f"cannot read group term {chunk!r}")
     return FGAbelianGroup(rank, tuple(torsion))
 
 
-# ------------------------------------------------------------- text parse
+# ------------------------------------------------------------- builder
 
 
-def _strip_comment(line: str) -> str:
-    if line.lstrip().startswith("#"):
-        return ""
-    cut = line.find(" #")
-    return line[:cut] if cut >= 0 else line
+def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
+    """Check each given section's rows; handlers raise, ``_located`` names the row."""
 
+    def run(section, handle):
+        for where, key, value in rows.get(section, ()):
+            _located(problems, where, handle, key, value)
 
-def parse_config(text: str) -> WorkbenchConfig:
-    problems: list[str] = []
-
-    def err(line_no: int, message: str) -> None:
-        problems.append(f"line {line_no}: {message}")
-
-    # pass 1: split into sections of (line_no, key, value)
-    sections: dict[str, list[tuple[int, str, str]]] = {name: [] for name in _SECTIONS}
-    top: list[tuple[int, str, str]] = []
-    current: Optional[str] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                err(line_no, f"unknown section [{name}]")
-                current = None
-            else:
-                current = name
-            continue
-        if "=" not in line:
-            err(line_no, "expected key = value")
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            err(line_no, "empty key")
-            continue
-        if current is None:
-            top.append((line_no, key, value))
-        else:
-            sections[current].append((line_no, key, value))
-
-    # top level
     degree_bound = 10
     seen_top: set[str] = set()
-    for line_no, key, value in top:
+    def top(key, value):
+        nonlocal degree_bound
         if key != "degree_bound":
-            err(line_no, f"unknown top-level key {key!r}")
-            continue
+            raise ValidationError(f"unknown top-level key {key!r}")
         if key in seen_top:
-            err(line_no, "duplicate degree_bound")
-            continue
+            raise ValidationError("duplicate degree_bound")
         seen_top.add(key)
-        try:
-            degree_bound = int(value)
-            if degree_bound < 1:
-                err(line_no, "degree_bound must be >= 1")
-        except ValueError:
-            err(line_no, f"degree_bound must be an integer, got {value!r}")
+        degree_bound = _int(value, f"degree_bound must be an integer, got {value!r}")
+        if degree_bound < 1:
+            raise ValidationError("degree_bound must be >= 1")
 
-    # base
-    base: Optional[PolyAlgebraSpec] = None
     pairs: list[tuple[str, int]] = []
-    if not sections["base"]:
-        problems.append("missing base section")
-    for line_no, key, value in sections["base"]:
+    def generator(key, value):
         if any(name == key for name, _ in pairs):
-            err(line_no, f"duplicate generator name {key!r}")
-            continue
-        try:
-            degree = int(value)
-        except ValueError:
-            err(line_no, f"generator {key!r}: degree must be an integer, got {value!r}")
-            continue
+            raise ValidationError(f"duplicate generator name {key!r}")
+        degree = _int(value, f"generator {key!r}: degree must be an integer, got {value!r}")
         if degree < 1:
-            err(line_no, f"generator {key!r}: degree must be >= 1, got {degree}")
-            continue
+            raise ValidationError(f"generator {key!r}: degree must be >= 1, got {degree}")
         pairs.append((key, degree))
-    if pairs:
-        base = PolyAlgebraSpec.from_pairs(pairs)
 
-    # homotopy
-    homotopy = None
     entries: dict[int, TableEntry] = {}
-    for line_no, key, value in sections["homotopy"]:
-        try:
-            degree = int(key)
-        except ValueError:
-            err(line_no, f"homotopy degree must be an integer, got {key!r}")
-            continue
+    def homotopy_entry(key, value):
+        degree = _int(key, f"homotopy degree must be an integer, got {key!r}")
         if degree < 1:
-            err(line_no, "homotopy degrees start at 1")
-            continue
+            raise ValidationError("homotopy degrees start at 1")
         if degree in entries:
-            err(line_no, f"duplicate homotopy degree {degree}")
-            continue
+            raise ValidationError(f"duplicate homotopy degree {degree}")
         group_text, _, citation = value.partition(";")
-        group_text, citation = group_text.strip(), citation.strip()
-        exact = True
-        if group_text.startswith("contains "):
-            exact = False
-            group_text = group_text[len("contains "):].strip()
-        try:
-            group = parse_group(group_text)
-        except (ValidationError, ValueError) as exc:
-            err(line_no, str(exc))
-            continue
-        entries[degree] = TableEntry(group, exact, citation)
-    if entries:
-        homotopy = HomotopyTable(entries)
+        group_text = group_text.strip()
+        exact = not group_text.startswith("contains ")
+        group = parse_group(group_text.removeprefix("contains "))
+        entries[degree] = TableEntry(group, exact, citation.strip())
 
-    # fibre
     fibre_derive = False
     fibre_explicit: dict[int, tuple[str, ...]] = {}
-    for line_no, key, value in sections["fibre"]:
+    def fibre_line(key, value):
+        nonlocal fibre_derive
         if key == "derive":
             if value != "homotopy":
-                err(line_no, f"derive understands only 'homotopy', got {value!r}")
-            elif fibre_derive:
-                err(line_no, "duplicate derive line")
-            else:
-                fibre_derive = True
-            continue
-        try:
-            degree = int(key)
-        except ValueError:
-            err(line_no, f"fibre degree must be an integer, got {key!r}")
-            continue
+                raise ValidationError(f"derive understands only 'homotopy', got {value!r}")
+            if fibre_derive:
+                raise ValidationError("duplicate derive line")
+            fibre_derive = True
+            return
+        degree = _int(key, f"fibre degree must be an integer, got {key!r}")
         if degree < 0:
-            err(line_no, "fibre degrees are nonnegative")
-            continue
+            raise ValidationError("fibre degrees are nonnegative")
         if degree in fibre_explicit:
-            err(line_no, f"duplicate fibre degree {degree}")
-            continue
-        names = tuple(value.split())
-        if not names:
-            err(line_no, "fibre line needs at least one generator name")
-            continue
-        fibre_explicit[degree] = names
+            raise ValidationError(f"duplicate fibre degree {degree}")
+        if not value.split():
+            raise ValidationError("fibre line needs at least one generator name")
+        fibre_explicit[degree] = tuple(value.split())
 
-    # unknowns
     unknowns: list[UnknownScalar] = []
-    for line_no, key, value in sections["unknowns"]:
+    def unknown(key, value):
         if any(u.name == key for u in unknowns):
-            err(line_no, f"duplicate unknown {key!r}")
-            continue
-        head, arrow, target_text = value.partition("->")
+            raise ValidationError(f"duplicate unknown {key!r}")
+        head, arrow, target = value.partition("->")
         tokens = head.split()
         if not arrow or len(tokens) != 2 or not tokens[0].startswith("d"):
-            err(line_no, "expected: name = d<page> generator -> polynomial")
-            continue
-        try:
-            page = int(tokens[0][1:])
-        except ValueError:
-            err(line_no, f"bad page token {tokens[0]!r}")
-            continue
+            raise ValidationError("expected: name = d<page> generator -> polynomial")
+        page = _int(tokens[0][1:], f"bad page token {tokens[0]!r}")
         if base is None:
-            err(line_no, "cannot check the unknown's target without a valid base")
-            continue
-        try:
-            target = parse_polynomial(base, target_text)
-        except ValidationError as exc:
-            err(line_no, str(exc))
-            continue
-        unknowns.append(UnknownScalar(key, tokens[1], page, target))
+            raise ValidationError("cannot check the unknown's target without a valid base")
+        unknowns.append(UnknownScalar(key, tokens[1], page, parse_polynomial(base, target)))
 
-    # epsilon
+    modulus: Optional[int] = None
+    classes: list[tuple[str, tuple[int, ...]]] = []
+    known: list[tuple[str, int]] = []
+    def epsilon_line(key, value):
+        nonlocal modulus
+        if key == "modulus":
+            if modulus is not None:
+                raise ValidationError("duplicate modulus")
+            modulus = _int(value, f"modulus must be an integer, got {value!r}")
+        elif key == "class":
+            residue_text, _, known_text = value.partition(":")
+            bad = f"bad residue list {residue_text.strip()!r}"
+            residues = tuple(_int(tok, bad) for tok in residue_text.split())
+            if not residues:
+                raise ValidationError("class line needs at least one residue")
+            label = ",".join(str(x) for x in residues)
+            classes.append((label, residues))
+            if known_text.strip():
+                bad = f"bad known value {known_text.strip()!r}"
+                known.append((label, _int(known_text, bad)))
+        else:
+            raise ValidationError(f"unknown epsilon key {key!r}")
+
+    squares: dict[str, dict[int, Polynomial]] = {}
+    def square(key, value):
+        tokens = key.split()
+        if len(tokens) != 2 or not tokens[0].startswith("sq"):
+            raise ValidationError("expected: sq<i> generator = polynomial")
+        i = _int(tokens[0][2:], f"bad squaring index {tokens[0]!r}")
+        gen = tokens[1]
+        base.index_of(gen)
+        poly = parse_polynomial(base, value)
+        if i in squares.get(gen, {}):
+            raise ValidationError(f"duplicate entry sq{i} {gen}")
+        squares.setdefault(gen, {})[i] = poly
+
+    run(_TOP, top)
+    if not rows.get("base"):
+        problems.append("missing base section")
+    run("base", generator)
+    base = PolyAlgebraSpec.from_pairs(pairs) if pairs else None
+    run("homotopy", homotopy_entry)
+    run("fibre", fibre_line)
+    run("unknowns", unknown)
     epsilon_rule = DEFAULT_EPSILON_RULE
-    epsilon_given = bool(sections["epsilon"])
+    epsilon_given = bool(rows.get("epsilon"))  # an empty [epsilon] counts as absent
     if epsilon_given:
-        modulus = None
-        classes: list[tuple[str, tuple[int, ...]]] = []
-        known: list[tuple[str, int]] = []
-        for line_no, key, value in sections["epsilon"]:
-            if key == "modulus":
-                if modulus is not None:
-                    err(line_no, "duplicate modulus")
-                    continue
-                try:
-                    modulus = int(value)
-                except ValueError:
-                    err(line_no, f"modulus must be an integer, got {value!r}")
-            elif key == "class":
-                residue_text, _, known_text = value.partition(":")
-                try:
-                    residues = tuple(int(tok) for tok in residue_text.split())
-                except ValueError:
-                    err(line_no, f"bad residue list {residue_text.strip()!r}")
-                    continue
-                if not residues:
-                    err(line_no, "class line needs at least one residue")
-                    continue
-                label = ",".join(str(x) for x in residues)
-                classes.append((label, residues))
-                if known_text.strip():
-                    try:
-                        known.append((label, int(known_text)))
-                    except ValueError:
-                        err(line_no, f"bad known value {known_text.strip()!r}")
-            else:
-                err(line_no, f"unknown epsilon key {key!r}")
+        run("epsilon", epsilon_line)
         if modulus is None:
             problems.append("epsilon section needs a modulus")
         else:
-            try:
-                epsilon_rule = EpsilonRule(modulus, tuple(classes), tuple(known))
-            except ValidationError as exc:
-                problems.append(f"epsilon section: {exc}")
-
-    # steenrod: an empty section still yields the axiom-forced scaffold
+            epsilon_rule = _located(
+                problems, "epsilon section", EpsilonRule, modulus, tuple(classes), tuple(known)
+            )
     steenrod = None
-    steenrod_given = bool(sections["steenrod"]) or _section_present(text, "steenrod")
-    if steenrod_given and base is not None:
-        gen_entries: dict[str, dict[int, Polynomial]] = {}
-        ok = True
-        for line_no, key, value in sections["steenrod"]:
-            tokens = key.split()
-            if len(tokens) != 2 or not tokens[0].startswith("sq"):
-                err(line_no, "expected: sq<i> generator = polynomial")
-                ok = False
-                continue
-            try:
-                i = int(tokens[0][2:])
-            except ValueError:
-                err(line_no, f"bad squaring index {tokens[0]!r}")
-                ok = False
-                continue
-            gen = tokens[1]
-            try:
-                base.index_of(gen)
-                poly = parse_polynomial(base, value)
-            except (ValidationError, UsageError) as exc:
-                err(line_no, str(exc))
-                ok = False
-                continue
-            if i in gen_entries.get(gen, {}):
-                err(line_no, f"duplicate entry sq{i} {gen}")
-                ok = False
-                continue
-            gen_entries.setdefault(gen, {})[i] = poly
-        if ok:
-            steenrod = table_from_entries(base, gen_entries)
+    if "steenrod" in rows and base is not None:  # an empty section yields the scaffold
+        before = len(problems)
+        run("steenrod", square)
+        if len(problems) == before:
+            steenrod = table_from_entries(base, squares)
 
     if problems:
         raise ConfigError(problems)
-    assert base is not None
     cfg = WorkbenchConfig(
         base=base,
         degree_bound=degree_bound,
-        homotopy=homotopy,
+        homotopy=HomotopyTable(entries) if entries else None,
         fibre_derive=fibre_derive,
         fibre_explicit=fibre_explicit,
         unknowns=tuple(unknowns),
@@ -415,75 +323,162 @@ def parse_config(text: str) -> WorkbenchConfig:
     return cfg
 
 
-def _section_present(text: str, name: str) -> bool:
-    needle = f"[{name}]"
-    return any(
-        _strip_comment(line).strip() == needle for line in text.splitlines()
-    )
+# ------------------------------------------------------------- text
+
+
+def _strip_comment(line: str) -> str:
+    if line.lstrip().startswith("#"):
+        return ""
+    cut = line.find(" #")
+    return line[:cut] if cut >= 0 else line
+
+
+def _section(name: str) -> str:
+    if name not in _SECTIONS:
+        raise ValidationError(f"unknown section [{name}]")
+    return name
+
+
+def _setting(line: str) -> tuple[str, str]:
+    key, eq, value = line.partition("=")
+    if not eq:
+        raise ValidationError("expected key = value")
+    if not key.strip():
+        raise ValidationError("empty key")
+    return key.strip(), value.strip()
+
+
+def parse_config(text: str) -> WorkbenchConfig:
+    problems: list[str] = []
+    rows: dict[str, list[Row]] = {_TOP: []}
+    current = _TOP  # lines under an unknown section are top-level keys
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        where = f"line {line_no}"
+        if line.startswith("[") and line.endswith("]"):
+            current = _located(problems, where, _section, line[1:-1].strip()) or _TOP
+            rows.setdefault(current, [])
+        elif line:
+            setting = _located(problems, where, _setting, line)
+            if setting:
+                rows[current].append((where, *setting))
+    return _build(problems, rows)
 
 
 # ------------------------------------------------------------- JSON twin
 
 
+def _members(where: str, body, kind: type) -> list[tuple[str, object, object]]:
+    """(path, key, member) for each member of a JSON list or object."""
+    if not isinstance(body, kind):
+        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}")
+    if kind is list:
+        return [(f"{where}[{i}]", i, member) for i, member in enumerate(body)]
+    return [(f"{where}.{key}", key, member) for key, member in body.items()]
+
+
+def _fields(entry, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """A JSON object holding every required field and no unknown one."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"expected a JSON object with {', '.join(required)}")
+    for name in required:
+        if name not in entry:
+            raise ValidationError(f"missing field {name!r}")
+    for name in entry:
+        if name not in required + optional:
+            raise ValidationError(f"unknown field {name!r}")
+    return entry
+
+
+def _words(member, noun: str = "names") -> str:
+    if not isinstance(member, list):
+        raise ValidationError(f"expected a JSON list of {noun}")
+    return " ".join(str(word) for word in member)
+
+
+def _json_generator(_index, pair) -> tuple[str, str]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValidationError("expected a [name, degree] pair")
+    return pair[0], pair[1]
+
+
+def _json_homotopy(degree, entry) -> tuple[str, str]:
+    _fields(entry, ("group",), ("exact", "citation"))
+    text = f"{'' if entry.get('exact', True) else 'contains '}{entry['group']}"
+    citation = entry.get("citation", "")
+    return degree, f"{text} ; {citation}" if citation else text
+
+
+def _json_unknown(_index, entry) -> tuple[str, str]:
+    u = _fields(entry, ("name", "page", "generator", "target"))
+    return u["name"], f"d{u['page']} {u['generator']} -> {u['target']}"
+
+
+def _json_class(_index, entry) -> tuple[str, str]:
+    _fields(entry, ("residues",), ("known",))
+    residues = _words(entry["residues"], "residues")
+    return "class", f"{residues} : {entry['known']}" if "known" in entry else residues
+
+
 def parse_config_json(text: str) -> WorkbenchConfig:
-    """JSON-equivalent import path; mirrors the text sections."""
+    """JSON-equivalent import path; problems are located by JSON path."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a JSON object"])
-    lines = []
-    if "degree_bound" in data:
-        lines.append(f"degree_bound = {data['degree_bound']}")
-    lines.append("[base]")
-    for name, degree in data.get("base", []):
-        lines.append(f"{name} = {degree}")
-    if "homotopy" in data:
-        lines.append("[homotopy]")
-        for degree, entry in sorted(data["homotopy"].items(), key=lambda kv: int(kv[0])):
-            prefix = "contains " if not entry.get("exact", True) else ""
-            citation = entry.get("citation", "")
-            suffix = f" ; {citation}" if citation else ""
-            lines.append(f"{degree} = {prefix}{entry['group']}{suffix}")
-    if "fibre" in data:
-        lines.append("[fibre]")
-        fibre = data["fibre"]
-        if fibre.get("derive"):
-            lines.append("derive = homotopy")
-        for degree, names in sorted(
-            fibre.get("generators", {}).items(), key=lambda kv: int(kv[0])
-        ):
-            lines.append(f"{degree} = {' '.join(names)}")
-    if "unknowns" in data:
-        lines.append("[unknowns]")
-        for u in data["unknowns"]:
-            lines.append(f"{u['name']} = d{u['page']} {u['generator']} -> {u['target']}")
-    if "epsilon" in data:
-        lines.append("[epsilon]")
-        eps = data["epsilon"]
-        lines.append(f"modulus = {eps['modulus']}")
-        for cls in eps.get("classes", []):
-            residues = " ".join(str(r) for r in cls["residues"])
-            if "known" in cls:
-                lines.append(f"class = {residues} : {cls['known']}")
-            else:
-                lines.append(f"class = {residues}")
-    if "steenrod" in data:
-        lines.append("[steenrod]")
-        for gen, table in sorted(data["steenrod"].items()):
-            for i, poly in sorted(table.items(), key=lambda kv: int(kv[0])):
-                lines.append(f"sq{i} {gen} = {poly}")
-    return parse_config("\n".join(lines))
+    problems: list[str] = []
+    rows: dict[str, list[Row]] = {_TOP: []}
+
+    def walk(section, where, body, kind, row):
+        """Add ``row(key, member)``, unless None, for each member of a JSON list or object."""
+        for path, key, member in _located(problems, where, _members, where, body, kind) or ():
+            found = _located(problems, path, row, key, member)
+            if found:
+                rows[section].append((path, str(found[0]), str(found[1])))
+
+    def fibre(key, member):
+        if key == "generators":
+            walk("fibre", "fibre.generators", member, dict, lambda d, n: (d, _words(n)))
+        elif key != "derive":
+            raise ValidationError(f"unknown field {key!r}")
+        elif member:
+            return "derive", "homotopy"
+
+    def epsilon(key, member):
+        if key == "classes":
+            walk("epsilon", "epsilon.classes", member, list, _json_class)
+        elif key != "modulus":
+            raise ValidationError(f"unknown field {key!r}")
+        else:
+            return "modulus", member
+
+    def steenrod(gen, table):
+        walk("steenrod", f"steenrod.{gen}", table, dict, lambda i, p: (f"sq{i} {gen}", p))
+
+    shapes = {
+        "base": (list, _json_generator),
+        "homotopy": (dict, _json_homotopy),
+        "fibre": (dict, fibre),
+        "unknowns": (list, _json_unknown),
+        "epsilon": (dict, epsilon),
+        "steenrod": (dict, steenrod),
+    }
+    for name, body in data.items():
+        if name in shapes:
+            rows[name] = []
+            walk(name, name, body, *shapes[name])
+        else:
+            rows[_TOP].append((name, name, str(body)))
+    return _build(problems, rows)
 
 
 def load_config(path) -> WorkbenchConfig:
-    from pathlib import Path
-
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {p}: {exc}"]) from None
     if p.suffix == ".json":
         return parse_config_json(text)
@@ -495,45 +490,30 @@ def load_config(path) -> WorkbenchConfig:
 
 def emit_config(cfg: WorkbenchConfig) -> str:
     """Normalized text form; parse/emit round-trips are idempotent."""
-    out = [f"degree_bound = {cfg.degree_bound}", ""]
-    out.append("[base]")
-    for name, degree in cfg.base.generators:
-        out.append(f"{name} = {degree}")
+    out = [f"degree_bound = {cfg.degree_bound}", "", "[base]"]
+    out += [f"{name} = {degree}" for name, degree in cfg.base.generators]
     if cfg.homotopy is not None:
-        out.append("")
-        out.append("[homotopy]")
+        out += ["", "[homotopy]"]
         for degree, entry in cfg.homotopy.items():
             suffix = f" ; {entry.citation}" if entry.citation else ""
             out.append(f"{degree} = {entry}{suffix}")
     if cfg.fibre_derive or cfg.fibre_explicit:
-        out.append("")
-        out.append("[fibre]")
-        if cfg.fibre_derive:
-            out.append("derive = homotopy")
-        for degree in sorted(cfg.fibre_explicit):
-            out.append(f"{degree} = {' '.join(cfg.fibre_explicit[degree])}")
+        out += ["", "[fibre]"] + ["derive = homotopy"] * cfg.fibre_derive
+        out += [f"{d} = {' '.join(names)}" for d, names in sorted(cfg.fibre_explicit.items())]
     if cfg.unknowns:
-        out.append("")
-        out.append("[unknowns]")
+        out += ["", "[unknowns]"]
         for u in cfg.unknowns:
             target = format_polynomial(cfg.base, u.target)
             out.append(f"{u.name} = d{u.page} {u.generator} -> {target}")
     if cfg.epsilon_given:
-        out.append("")
-        out.append("[epsilon]")
-        out.append(f"modulus = {cfg.epsilon_rule.modulus}")
+        out += ["", "[epsilon]", f"modulus = {cfg.epsilon_rule.modulus}"]
         for label, residues in cfg.epsilon_rule.classes:
             known = cfg.epsilon_rule.known(label)
             residue_text = " ".join(str(r) for r in residues)
-            if known is None:
-                out.append(f"class = {residue_text}")
-            else:
-                out.append(f"class = {residue_text} : {known}")
+            out.append(f"class = {residue_text}" + ("" if known is None else f" : {known}"))
     if cfg.steenrod is not None:
-        out.append("")
-        out.append("[steenrod]")
+        out += ["", "[steenrod]"]
         for (gen, i), poly in sorted(cfg.steenrod.action.items()):
-            if poly is None:
-                continue
-            out.append(f"sq{i} {gen} = {format_polynomial(cfg.base, poly)}")
+            if poly is not None:
+                out.append(f"sq{i} {gen} = {format_polynomial(cfg.base, poly)}")
     return "\n".join(out) + "\n"

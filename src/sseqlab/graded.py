@@ -144,9 +144,14 @@ def multiply(algebra: PolyAlgebraSpec, p: Polynomial, q: Polynomial) -> Polynomi
     return Polynomial(frozenset(terms))
 
 
+def _degree_dim(algebra: PolyAlgebraSpec, d: int) -> int:
+    """Number of monomials of exact degree d, counted without building them."""
+    return len(_exponent_vectors(algebra.degrees, d)) if d >= 0 else 0
+
+
 def poincare_dims(algebra: PolyAlgebraSpec, n: int) -> list[int]:
     """dims[d] = number of monomials of degree d, for d = 0..n."""
-    return [len(basis_in_degree(algebra, d)) for d in range(n + 1)]
+    return [_degree_dim(algebra, d) for d in range(n + 1)]
 
 
 # ------------------------------------------------------------- formatting

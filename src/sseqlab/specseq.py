@@ -33,6 +33,7 @@ from .graded import (
     Monomial,
     PolyAlgebraSpec,
     Polynomial,
+    _degree_dim,
     basis_in_degree,
     format_monomial,
 )
@@ -118,9 +119,7 @@ class FibrationSpec:
         raise ValidationError(f"unknown fibre generator {gen!r}")
 
     def base_dim(self, s: int) -> int:
-        if s < 0:
-            return 0
-        return len(basis_in_degree(self.base, s))
+        return _degree_dim(self.base, s)
 
     def e2_dim(self, s: int, t: int) -> int:
         return self.base_dim(s) * self.fibre_dim(t)
@@ -238,9 +237,6 @@ class DifferentialAssignment:
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
         return self.generator_images.get((gen, r))
-
-    def sorted_values(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self.values.items()))
 
 
 def resolve_assignment(

@@ -241,9 +241,6 @@ class HitReport:
     bound: int
     rows: tuple[DegreeHitData, ...]
 
-    def quotient_dims(self) -> list[int]:
-        return [row.quotient_dim for row in self.rows]
-
     def non_hit_degrees(self) -> list[int]:
         return [row.degree for row in self.rows if row.quotient_dim > 0]
 

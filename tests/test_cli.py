@@ -198,12 +198,39 @@ def test_missing_config_exits_one():
     assert "cannot read" in err
 
 
+def test_undecodable_config_exits_one(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe[base]\n")
+    code, _, err = run_cli("--config", str(bad), "e2")
+    assert code == 1
+    assert "cannot read" in err
+
+
 def test_malformed_config_reports_location(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[base]\nx = -1\n")
     code, _, err = run_cli("--config", str(bad), "e2")
     assert code == 1
     assert "line 2" in err
+
+
+
+def test_malformed_json_config_exits_one_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"base": 5}')
+    code, _, err = run_cli("--config", str(bad), "e2")
+    assert code == 1
+    assert "base: expected a JSON list" in err
+    assert "Traceback" not in err
+
+
+def test_bit_flags_name_their_flag_in_errors():
+    code, _, err = run_cli("--config", G2, "einfty", "--set", "eps=2")
+    assert code == 1
+    assert "--set expects name=0 or name=1, got 'eps=2'" in err
+    code, _, err = run_cli("--config", G2, "gauge", "--k", "1", "--epsilon", "1,3")
+    assert code == 1
+    assert "--epsilon expects label=0 or label=1, got '1,3'" in err
 
 
 # ---------------------------------------------------------------- determinism

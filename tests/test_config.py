@@ -1,18 +1,21 @@
 """Tests for the configuration grammar and its JSON twin."""
 
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from sseqlab.config import (
+    WorkbenchConfig,
     emit_config,
     load_config,
     parse_config,
     parse_config_json,
     parse_group,
 )
-from sseqlab.errors import ConfigError
+from sseqlab.errors import ConfigError, SseqlabError
 from sseqlab.gauge import G2_BASE
 from sseqlab.homotopy import FGAbelianGroup
 
@@ -148,6 +151,58 @@ def test_degree_five_fewer_than_lower_bound_rejected():
     assert any("contradicts" in p for p in info.value.problems)
 
 
+def test_problems_keep_their_order_and_wording():
+    # pass-1 problems first, then top level, base, homotopy, fibre,
+    # unknowns, epsilon and steenrod; lines under an unknown section are
+    # top-level keys
+    text = (
+        "[mystery]\n"
+        "foo = 1\n"
+        "no equals sign\n"
+        " = 3\n"
+        "degree_bound = zero\n"
+        "[base]\n"
+        "x = two\n"
+        "y = 2\n"
+        "y = 4\n"
+        "[homotopy]\n"
+        "3 = Z/x\n"
+        "3 = Z\n"
+        "[fibre]\n"
+        "derive = nope\n"
+        "[unknowns]\n"
+        "eps = d6 u_5 -> q\n"
+        "[epsilon]\n"
+        "class = a\n"
+        "[steenrod]\n"
+        "sqx y = y\n"
+    )
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.problems == [
+        "line 1: unknown section [mystery]",
+        "line 3: expected key = value",
+        "line 4: empty key",
+        "line 2: unknown top-level key 'foo'",
+        "line 5: degree_bound must be an integer, got 'zero'",
+        "line 7: generator 'x': degree must be an integer, got 'two'",
+        "line 9: duplicate generator name 'y'",
+        "line 11: invalid literal for int() with base 10: 'x'",
+        "line 14: derive understands only 'homotopy', got 'nope'",
+        "line 16: unknown generator 'q' in 'q'",
+        "line 18: bad residue list 'a'",
+        "epsilon section needs a modulus",
+        "line 20: bad squaring index 'sqx'",
+    ]
+
+
+def test_empty_epsilon_is_absent_and_empty_steenrod_is_scaffold():
+    cfg = parse_config("[base]\nt = 1\n[epsilon]\n[steenrod]\n")
+    assert not cfg.epsilon_given
+    assert cfg.steenrod is not None
+    assert cfg.steenrod.missing_entries() == []
+
+
 def test_steenrod_section_parses():
     cfg = load_config(ROOT / "onevar.cfg")
     assert cfg.steenrod is not None
@@ -250,3 +305,127 @@ def test_json_parse_errors_are_located():
         parse_config_json("not json at all")
     with pytest.raises(ConfigError):
         parse_config_json(json.dumps({"base": [["x", 0]]}))
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps({"base": [["x_4", "four"]]}))
+    assert any(p.startswith("base[0]:") for p in info.value.problems)
+    assert not any(p.startswith("line ") for p in info.value.problems)
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps({"base": [["x", 2]], "unknown": []}))
+    assert any(p.startswith("unknown:") for p in info.value.problems)
+
+
+EVERY_SECTION_JSON = {
+    "degree_bound": 12,
+    "base": [["x_4", 4], ["x_6", 6], ["x_7", 7]],
+    "homotopy": {
+        "3": {"group": "Z", "citation": "a"},
+        "4": {"group": "0"},
+        "5": {"group": "0"},
+        "6": {"group": "Z/9"},
+        "7": {"group": "0"},
+        "8": {"group": "Z/2 + Z/3", "exact": False, "citation": "f"},
+    },
+    "fibre": {"derive": True, "generators": {"5": ["u_5"], "7": ["v_7"]}},
+    "unknowns": [
+        {"name": "eps", "page": 6, "generator": "u_5", "target": "x_6"},
+        {"name": "nu", "page": 8, "generator": "v_7", "target": "x_4^2"},
+    ],
+    "epsilon": {
+        "modulus": 4,
+        "classes": [{"residues": [0], "known": 0}, {"residues": [1, 2, 3]}],
+    },
+    "steenrod": {"x_4": {"1": "0", "2": "0", "3": "0"}},
+}
+
+
+def test_json_twin_with_every_section_round_trips():
+    cfg = parse_config_json(json.dumps(EVERY_SECTION_JSON))
+    assert cfg.fibration_spec().fibre_gens[7] == ("v_7",)
+    assert cfg.epsilon_rule.known("0") == 0
+    assert cfg.steenrod is not None
+    normal = emit_config(cfg)
+    assert emit_config(parse_config(normal)) == normal
+    assert "8 = contains Z/2 + Z/3 ; f" in normal
+
+
+def test_json_shape_errors_name_their_path():
+    cases = [
+        ({"base": 5}, "base: expected a JSON list"),
+        ({"base": [["x", 2], "y"]}, "base[1]: expected a [name, degree] pair"),
+        ({"homotopy": {"8": {"grp": "Z"}}}, "homotopy.8: missing field 'group'"),
+        ({"homotopy": {"8": {"group": "Z", "cite": ""}}}, "homotopy.8: unknown field 'cite'"),
+        ({"fibre": {"generators": {"6": "v_6"}}}, "fibre.generators.6: expected a JSON list"),
+        ({"fibre": {"derive": True, "extra": 1}}, "fibre.extra: unknown field 'extra'"),
+        ({"unknowns": [{"name": "eps"}]}, "unknowns[0]: missing field 'page'"),
+        ({"epsilon": {"modulus": 2, "classes": [{}, 5]}}, "epsilon.classes[1]: expected"),
+        ({"steenrod": {"x": 5}}, "steenrod.x: expected a JSON object"),
+        ({"steenrod": {"x": {"1": "q"}}}, "steenrod.x.1: unknown generator 'q'"),
+    ]
+    for data, expected in cases:
+        data = {"base": [["x", 2]], **data}
+        with pytest.raises(ConfigError) as info:
+            parse_config_json(json.dumps(data))
+        assert any(p.startswith(expected) for p in info.value.problems), (
+            data,
+            info.value.problems,
+        )
+
+
+FUZZ_JUNK = [None, 5, "x", [], {}, [["x"]]]
+FUZZ_HEADERS = ["[base]", "[homotopy]", "[fibre]", "[unknowns]", "[epsilon]", "[steenrod]", "[x]"]
+
+
+def _config_or_problems(parse, text):
+    """A parse either returns a config or raises SseqlabError; the problems."""
+    try:
+        assert isinstance(parse(text), WorkbenchConfig)
+    except ConfigError as exc:
+        return exc.problems
+    except SseqlabError:
+        pass
+    except Exception as exc:  # report the input that escaped the error family
+        pytest.fail(f"{type(exc).__name__}: {exc} on input {text!r}")
+    return []
+
+
+def _json_paths(node, prefix=()):
+    if isinstance(node, dict):
+        members = node.items()
+    elif isinstance(node, list):
+        members = enumerate(node)
+    else:
+        return
+    for key, member in members:
+        yield prefix + (key,)
+        yield from _json_paths(member, prefix + (key,))
+
+
+def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
+    rng = random.Random(20261018)
+    fixtures = [g2_text().splitlines(), (ROOT / "onevar.cfg").read_text().splitlines()]
+    for n in range(1000):
+        lines = list(fixtures[n % 2])
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, rng.choice(lines))
+        elif op == 2:
+            lines[i] = f"{lines[i].partition('=')[0]}= {rng.choice(FUZZ_JUNK)}"
+        else:
+            lines.insert(i, rng.choice(FUZZ_HEADERS))
+        _config_or_problems(parse_config, "\n".join(lines))
+    paths = list(_json_paths(EVERY_SECTION_JSON))
+    for _ in range(1000):
+        data = copy.deepcopy(EVERY_SECTION_JSON)
+        *head, last = rng.choice(paths)
+        parent = data
+        for key in head:
+            parent = parent[key]
+        if rng.random() < 0.25:
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(rng.choice(FUZZ_JUNK))
+        problems = _config_or_problems(parse_config_json, json.dumps(data))
+        assert not any(p.startswith("line ") for p in problems), problems

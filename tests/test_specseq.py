@@ -72,6 +72,13 @@ def test_e2_base_row_matches_poincare_dims():
         assert basis.dim(s, 0) == dims[s]
 
 
+def test_base_dim_counts_the_monomials_of_each_degree():
+    from sseqlab.graded import basis_in_degree
+
+    for s in range(-3, 40):
+        assert SPEC.base_dim(s) == len(basis_in_degree(SPEC.base, s))
+
+
 # ---------------------------------------------------------------- arrows
 
 
