@@ -187,6 +187,9 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
 
     pairs: list[tuple[str, int]] = []
     def generator(key, value):
+        # emitted polynomials and sq<i> keys must read every name back
+        if key in ("0", "1") or key[:1] == "#" or any(c.isspace() or c in "*^+;=" for c in key):
+            raise ValidationError(f"generator name {key!r} cannot be read back in a polynomial")
         if any(name == key for name, _ in pairs):
             raise ValidationError(f"duplicate generator name {key!r}")
         degree = _int(value, f"generator {key!r}: degree must be an integer, got {value!r}")
@@ -238,7 +241,9 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         page = _int(tokens[0][1:], f"bad page token {tokens[0]!r}")
         if base is None:
             raise ValidationError("cannot check the unknown's target without a valid base")
-        unknowns.append(UnknownScalar(key, tokens[1], page, parse_polynomial(base, target)))
+        poly = parse_polynomial(base, target)
+        poly.homogeneous_degree(base)  # raises on a mixed-degree target
+        unknowns.append(UnknownScalar(key, tokens[1], page, poly))
 
     modulus: Optional[int] = None
     classes: list[tuple[str, tuple[int, ...]]] = []
@@ -270,6 +275,8 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             raise ValidationError("expected: sq<i> generator = polynomial")
         i = _int(tokens[0][2:], f"bad squaring index {tokens[0]!r}")
         gen = tokens[1]
+        if i < 0:
+            raise ValidationError(f"negative squaring index for {gen}")
         base.index_of(gen)
         poly = parse_polynomial(base, value)
         if i in squares.get(gen, {}):

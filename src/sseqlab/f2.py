@@ -178,25 +178,40 @@ class F2Matrix:
         return "\n".join(str(self.row(i)) for i in range(self.rows))
 
 
+def _echelon(words: Iterable[int]) -> dict[int, int]:
+    """Semi-echelon of bit-packed rows, pivot (lowest set bit) -> row, zero rows dropped.
+
+    A row is reduced only until its lowest bit is a new pivot; the pivots are the RREF's.
+    """
+    rows: dict[int, int] = {}
+    for word in words:
+        while word:
+            pivot = (word & -word).bit_length() - 1  # _lowest_bit, inlined
+            if pivot not in rows:
+                rows[pivot] = word
+                break
+            word ^= rows[pivot]
+    return rows
+
+
 def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
     """Reduced row-echelon form of bit-packed rows.
 
     Returns (pivot index, row word) pairs sorted by pivot; zero rows are
-    dropped.  Pivot of a row is its lowest set bit.  Rows stay fully
-    reduced after each insert, so their order matters only on return.
+    dropped.  Pivot of a row is its lowest set bit.  The rows go into a
+    semi-echelon, and one back-substitution, highest pivot first, clears
+    each pivot column outside its own row.
     """
-    reduced: list[tuple[int, int]] = []
-    for word in words:
-        for pivot, row in reduced:
-            if word >> pivot & 1:
-                word ^= row
-        if word == 0:
-            continue
-        pivot = _lowest_bit(word)
-        reduced = [(p, r ^ word if r >> pivot & 1 else r) for p, r in reduced]
-        reduced.append((pivot, word))
-    reduced.sort()
-    return reduced
+    rows = _echelon(words)
+    mask = sum(1 << pivot for pivot in rows)
+    for pivot in sorted(rows, reverse=True):
+        row = rows[pivot]
+        hits = (row & mask) ^ (1 << pivot)
+        while hits:
+            row ^= rows[_lowest_bit(hits)]
+            hits &= hits - 1
+        rows[pivot] = row
+    return sorted(rows.items())
 
 
 def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
@@ -220,9 +235,9 @@ def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
     """
     bits = v.bits
     for b in basis:
-        pivot = _lowest_bit(b.bits)
-        if bits >> pivot & 1:
-            bits ^= b.bits
+        row = b.bits
+        if bits & row & -row:  # the row's pivot bit is set in the residue
+            bits ^= row
     return F2Vector(v.length, bits)
 
 
@@ -266,11 +281,12 @@ def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
     augmented = (
         word | ((b.bits >> i & 1) << m.cols) for i, word in enumerate(m.row_bits)
     )
-    x = 0
-    for pivot, row in _rref_words(augmented):
-        if pivot == m.cols:
-            return None
-        if row >> m.cols & 1:
+    rows = _echelon(augmented)
+    if m.cols in rows:
+        return None
+    x = 0  # back-substitute the right-hand side alone, highest pivot first
+    for pivot, row in sorted(rows.items(), reverse=True):
+        if (row >> m.cols ^ _parity(row & x)) & 1:
             x |= 1 << pivot
     return F2Vector(m.cols, x)
 

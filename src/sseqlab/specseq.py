@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
@@ -127,6 +128,10 @@ class FibrationSpec:
     def unknown_names(self) -> tuple[str, ...]:
         return tuple(u.name for u in self.unknowns)
 
+    @cached_property
+    def _arrows(self) -> tuple[Arrow, ...]:
+        return tuple(classify_arrows(self))  # the spec is frozen: walk once
+
     def format_label(self, label: Label) -> str:
         monomial, gen = label
         if gen == self.unit_gen:
@@ -218,7 +223,7 @@ def admissible_differentials(
     """The admissible triples of ``classify_arrows``, sorted."""
     return sorted(
         (r, source, target)
-        for r, source, target, verdict in classify_arrows(spec)
+        for r, source, target, verdict in spec._arrows
         if verdict == ADMISSIBLE
     )
 
@@ -386,29 +391,31 @@ def _label_image(
     return [(monomial * n, spec.unit_gen) for n in image.sorted_terms()]
 
 
-def _page_differentials(
+def _page(
     spec: FibrationSpec,
     assignment: DifferentialAssignment,
     r: int,
-    groups: Mapping[Bidegree, PageGroup],
-) -> tuple[dict[Bidegree, F2Matrix], list[tuple[int, Bidegree, Bidegree]]]:
+    groups: dict[Bidegree, PageGroup],
+    flagged: Sequence[tuple[int, Bidegree, Bidegree]] = (),
+) -> Page:
+    """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
     matrices: dict[Bidegree, F2Matrix] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
+    # the fibre degrees with a generator whose d_r image is nonzero
+    active = {
+        t for t, gens in spec.fibre_gens.items() if any(assignment.image_of(g, r) for g in gens)
+    }
     for (s, t), group in sorted(groups.items()):
-        if t - r + 1 < 0 or group.dim == 0:
+        if t not in active or t - r + 1 < 0 or group.dim == 0:
             continue
         target_bd = (s + r, t - r + 1)
-        rule_active = any(
-            not (assignment.image_of(g, r) or Polynomial.zero()).is_zero()
-            for g in spec.fibre_gens.get(t, ())
-        )
         if s + t > spec.degree_bound:
             # target would land beyond the tracked window
-            if rule_active and spec.e2_dim(*target_bd) > 0:
+            if spec.e2_dim(*target_bd) > 0:
                 unevaluated.append((r, (s, t), target_bd))
             continue
         target = groups.get(target_bd)
-        if target is None or not rule_active:
+        if target is None:
             continue
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
@@ -435,7 +442,7 @@ def _page_differentials(
         matrix = F2Matrix.from_columns(columns, rows=len(target_reps))
         if matrix.rows and matrix.cols:
             matrices[(s, t)] = matrix
-    return matrices, unevaluated
+    return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
 
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:
@@ -447,8 +454,7 @@ def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Pag
         labels = basis.labels(*bd)
         cycles = tuple(F2Vector.unit(len(labels), i) for i in range(len(labels)))
         groups[bd] = PageGroup(labels, cycles, ())
-    matrices, unevaluated = _page_differentials(spec, assignment, 2, groups)
-    return Page(spec, assignment, 2, groups, matrices, tuple(unevaluated))
+    return _page(spec, assignment, 2, groups)
 
 
 def leibniz_extend(
@@ -466,8 +472,7 @@ def leibniz_extend(
         page = initial_page(spec, assignment)
     else:
         check_images(spec, assignment)
-    matrices, _ = _page_differentials(spec, assignment, r, page.groups)
-    return matrices
+    return _page(spec, assignment, r, page.groups).differentials
 
 
 def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vector:
@@ -519,12 +524,26 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
             kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
         new_z = tuple(row_reduce(list(new_b) + kept))
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)
-    matrices, unevaluated = _page_differentials(spec, assignment, r + 1, new_groups)
-    flagged = tuple(sorted(set(page.unevaluated) | set(unevaluated)))
-    return Page(spec, assignment, r + 1, new_groups, matrices, flagged)
+    return _page(spec, assignment, r + 1, new_groups, page.unevaluated)
 
 
 EinftyReport = dict[int, list[tuple[Bidegree, int]]]
+
+
+def _last_page(spec: FibrationSpec) -> int:
+    return max((r for r, _, _ in admissible_differentials(spec)), default=1)
+
+
+def _limit(page: Page, last_page: int) -> tuple[Page, EinftyReport]:
+    """Turn ``page`` past ``last_page``; the limit page and its report."""
+    while page.r <= last_page:
+        page = turn_page(page)
+    bound = page.spec.degree_bound
+    report: EinftyReport = {j: [] for j in range(bound + 1)}
+    for (s, t), group in sorted(page.groups.items()):
+        if s + t <= bound and group.dim:
+            report[s + t].append(((s, t), group.dim))
+    return page, report
 
 
 def run_to_einfty(
@@ -539,19 +558,7 @@ def run_to_einfty(
     missing = set(spec.unknown_names()) - set(assignment.values)
     if missing:
         raise UsageError(f"unresolved unknowns: {', '.join(sorted(missing))}")
-    last_page = max((r for r, _, _ in admissible_differentials(spec)), default=1)
-    page = initial_page(spec, assignment)
-    while page.r <= last_page:
-        page = turn_page(page)
-    report: EinftyReport = {}
-    for j in range(spec.degree_bound + 1):
-        row = []
-        for s in range(j + 1):
-            d = page.dim(s, j - s)
-            if d:
-                row.append(((s, j - s), d))
-        report[j] = row
-    return page, report
+    return _limit(initial_page(spec, assignment), _last_page(spec))
 
 
 def total_dims(report: EinftyReport, degree_bound: int) -> list[int]:
@@ -562,11 +569,22 @@ def total_dims(report: EinftyReport, degree_bound: int) -> list[int]:
 def sweep_unknowns(
     spec: FibrationSpec,
 ) -> dict[tuple[tuple[str, int], ...], EinftyReport]:
-    """Limit reports for every point of F_2^unknowns, in binary order."""
+    """Limit reports for every point of F_2^unknowns, in binary order.
+
+    An unknown sets images on its own page only, so all points share the
+    pages before the first unknown's page, which are turned once; each
+    point then takes its own d_r on that page and turns on from there.
+    """
     names = spec.unknown_names()
+    points = list(itertools.product((0, 1), repeat=len(names)))
+    assignments = [resolve_assignment(spec, dict(zip(names, p))) for p in points]
+    last_page = _last_page(spec)
+    fork = min([u.page for u in spec.unknowns] + [last_page + 1])
+    page, flagged = initial_page(spec, assignments[0]), ()
+    while page.r < fork:
+        page, flagged = turn_page(page), page.unevaluated
     out: dict[tuple[tuple[str, int], ...], EinftyReport] = {}
-    for point in itertools.product((0, 1), repeat=len(names)):
-        values = dict(zip(names, point))
-        _, report = run_to_einfty(spec, resolve_assignment(spec, values))
-        out[tuple(zip(names, point))] = report
+    for point, assignment in zip(points, assignments):
+        branch = _page(spec, assignment, page.r, page.groups, flagged)
+        out[tuple(zip(names, point))] = _limit(branch, last_page)[1]
     return out

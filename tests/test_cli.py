@@ -215,6 +215,23 @@ def test_malformed_config_reports_location(tmp_path):
 
 
 
+def test_negative_squaring_index_is_a_located_problem(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[base]\nt = 1\n[steenrod]\nsq-1 t = t\n")
+    code, _, err = run_cli("--config", str(bad), "hit", "--bound", "3")
+    assert code == 1
+    assert "line 4: negative squaring index for t" in err
+
+
+def test_mixed_degree_unknown_target_is_a_located_problem(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    text = (ROOT / "g2.cfg").read_text()
+    bad.write_text(text.replace("-> x_6\n", "-> x_6 + x_4\n"))
+    code, _, err = run_cli("--config", str(bad), "sweep")
+    assert code == 1
+    line = 1 + text[: text.index("-> x_6\n")].count("\n")
+    assert f"line {line}: polynomial is not homogeneous: degrees [4, 6]" in err
+
 def test_malformed_json_config_exits_one_without_traceback(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"base": 5}')

@@ -371,20 +371,26 @@ def test_json_shape_errors_name_their_path():
         )
 
 
-FUZZ_JUNK = [None, 5, "x", [], {}, [["x"]]]
+FUZZ_JUNK = [None, 5, "x", [], {}, [["x"]], "a b", "x*y"]
 FUZZ_HEADERS = ["[base]", "[homotopy]", "[fibre]", "[unknowns]", "[epsilon]", "[steenrod]", "[x]"]
 
 
 def _config_or_problems(parse, text):
-    """A parse either returns a config or raises SseqlabError; the problems."""
+    """A parse either returns a config or raises SseqlabError; the problems.
+
+    An accepted config's emitted text parses back to the same text.
+    """
     try:
-        assert isinstance(parse(text), WorkbenchConfig)
+        cfg = parse(text)
     except ConfigError as exc:
         return exc.problems
     except SseqlabError:
-        pass
+        return []
     except Exception as exc:  # report the input that escaped the error family
         pytest.fail(f"{type(exc).__name__}: {exc} on input {text!r}")
+    assert isinstance(cfg, WorkbenchConfig)
+    emitted = emit_config(cfg)
+    assert emit_config(parse_config(emitted)) == emitted, text
     return []
 
 
@@ -429,3 +435,35 @@ def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
             parent[last] = copy.deepcopy(rng.choice(FUZZ_JUNK))
         problems = _config_or_problems(parse_config_json, json.dumps(data))
         assert not any(p.startswith("line ") for p in problems), problems
+
+
+@pytest.mark.parametrize("name", ["a b", "a*b", "a^2", "a+b", "a;b", "0", "1"])
+def test_base_names_the_polynomial_grammar_cannot_read_are_located(name):
+    message = f"generator name {name!r} cannot be read back in a polynomial"
+    with pytest.raises(ConfigError) as text_err:
+        parse_config(f"[base]\nx = 2\n{name} = 2\n[steenrod]\n")
+    assert text_err.value.problems == [f"line 3: {message}"]
+    with pytest.raises(ConfigError) as json_err:
+        parse_config_json(json.dumps({"base": [["x", 2], [name, 2]], "steenrod": {}}))
+    assert json_err.value.problems == [f"base[1]: {message}"]
+
+
+@pytest.mark.parametrize("name", ["a=b", "#a"])
+def test_names_only_json_can_spell_are_located(name):
+    # in text, the first '=' ends the key and a leading '#' starts a comment
+    with pytest.raises(ConfigError) as err:
+        parse_config_json(json.dumps({"base": [[name, 2]]}))
+    assert err.value.problems == [
+        f"base[0]: generator name {name!r} cannot be read back in a polynomial"
+    ]
+
+
+def test_negative_square_and_mixed_degree_target_name_their_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[base]\nt = 1\n[steenrod]\nsq1 t = t^2\nsq-1 t = t\n")
+    assert err.value.problems == ["line 5: negative squaring index for t"]
+    text = g2_text().replace("-> x_6\n", "-> x_6 + x_4\n")
+    line = 1 + text[: text.index("-> x_6 + x_4")].count("\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [f"line {line}: polynomial is not homogeneous: degrees [4, 6]"]

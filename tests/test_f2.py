@@ -259,3 +259,64 @@ def test_row_reduce_is_canonical():
         assert row_reduce(shuffled) == basis
         # re-reducing a basis is a fixed point
         assert row_reduce(basis) == basis
+
+
+# ---------------------------------------------------------------- kernel core
+
+
+def _kernel_cases(rng):
+    """Seeded matrices: wide, tall and square, sparse or dense, with zero and repeated rows."""
+    for _ in range(400):
+        shape = rng.choice(("wide", "tall", "square"))
+        if shape == "wide":
+            rows, cols = rng.randint(1, 6), rng.randint(10, 70)
+        elif shape == "tall":
+            rows, cols = rng.randint(10, 70), rng.randint(1, 6)
+        else:
+            rows = cols = rng.randint(1, 24)
+        sparse = rng.random() < 0.5
+        words = []
+        for _ in range(rows):
+            word = rng.getrandbits(cols)
+            if sparse:
+                word &= rng.getrandbits(cols) & rng.getrandbits(cols)
+            roll = rng.random()
+            if roll < 0.15:
+                word = 0
+            elif roll < 0.35 and words:
+                word = rng.choice(words)
+            words.append(word)
+        yield F2Matrix(rows, cols, tuple(words))
+
+
+def test_kernels_equal_the_full_rref_reference(monkeypatch, rref_reference, solve_reference):
+    import sseqlab.f2 as f2
+
+    rng = random.Random(2026)
+    solvable = unsolvable = 0
+    for m in _kernel_cases(rng):
+        vectors = [m.row(i) for i in range(m.rows)]
+        inside = m.apply(F2Vector(m.cols, rng.getrandbits(m.cols)))
+        rhs = [F2Vector(m.rows, rng.getrandbits(m.rows)), inside]
+        got = (
+            f2._rref_words(m.row_bits),
+            row_reduce(vectors),
+            rank(m),
+            kernel_basis(m),
+            image_basis(m),
+            [solve(m, b) for b in rhs],
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(f2, "_rref_words", rref_reference)
+            expected = (
+                rref_reference(m.row_bits),
+                row_reduce(vectors),
+                rank(m),
+                kernel_basis(m),
+                image_basis(m),
+                [solve_reference(m, b) for b in rhs],
+            )
+        assert got == expected
+        unsolvable += expected[-1][0] is None
+        solvable += expected[-1][0] is not None
+    assert solvable > 50 and unsolvable > 50

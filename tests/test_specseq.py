@@ -1,5 +1,6 @@
 """Tests for the spectral sequence engine."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -501,3 +502,89 @@ def test_unknown_target_degree_checked():
             10,
             (UnknownScalar("eps", "u_5", 6, SPEC.base.gen("x_4")),),
         )
+
+
+# ---------------------------------------------------------------- sweep fork
+
+
+def per_point_reports(spec):
+    """The sweep as one full ``run_to_einfty`` per point, in binary order."""
+    names = spec.unknown_names()
+    out = {}
+    for point in itertools.product((0, 1), repeat=len(names)):
+        values = dict(zip(names, point))
+        out[tuple(zip(names, point))] = run_to_einfty(spec, resolve_assignment(spec, values))[1]
+    return out
+
+
+def assert_sweep_matches_per_point_runs(spec):
+    sweep = sweep_unknowns(spec)
+    expected = per_point_reports(spec)
+    assert list(sweep) == list(expected)
+    assert sweep == expected
+
+
+@pytest.mark.parametrize("window", [10, 24, 60])
+def test_sweep_fork_equals_per_point_runs_on_g2(window):
+    assert_sweep_matches_per_point_runs(g2_fibration_spec(window))
+
+
+def test_sweep_fork_equals_per_point_runs_with_unknowns_on_two_pages():
+    base = PolyAlgebraSpec.from_pairs([("a", 4), ("b", 6)])
+    spec = FibrationSpec(
+        base,
+        {0: (UNIT_GEN,), 3: ("u",), 5: ("v",)},
+        16,
+        (
+            UnknownScalar("late", "v", 6, base.gen("b")),
+            UnknownScalar("early", "u", 4, base.gen("a")),
+        ),
+    )
+    assert_sweep_matches_per_point_runs(spec)
+    # the page-4 unknown changes what the page-6 one can hit
+    assert len({tuple(total_dims(r, 16)) for r in sweep_unknowns(spec).values()}) == 4
+
+
+def test_sweep_fork_equals_per_point_runs_without_unknowns():
+    # no base class in degree 6, so u_5 supports no admissible differential
+    base = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_7", 7)])
+    spec = FibrationSpec(base, {0: (UNIT_GEN,), 5: ("u_5",)}, 24, ())
+    assert_sweep_matches_per_point_runs(spec)
+
+
+def test_sweep_fork_equals_per_point_runs_with_a_page_two_unknown():
+    base = PolyAlgebraSpec.from_pairs([("a", 2), ("b", 4)])
+    spec = FibrationSpec(
+        base,
+        {0: (UNIT_GEN,), 1: ("e",), 3: ("f",)},
+        14,
+        (
+            UnknownScalar("first", "e", 2, base.gen("a")),
+            UnknownScalar("second", "f", 4, base.gen("b")),
+        ),
+    )
+    assert_sweep_matches_per_point_runs(spec)
+    assert len({tuple(total_dims(r, 14)) for r in sweep_unknowns(spec).values()}) == 4
+
+
+def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
+    import sseqlab.specseq as specseq
+
+    calls = {"initial_page": 0, "classify_arrows": 0}
+
+    def counted(name):
+        original = getattr(specseq, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(specseq, name, counted(name))
+    spec = g2_fibration_spec(24)  # a fresh spec: no arrow table cached yet
+    sweep_unknowns(spec)
+    assert calls == {"initial_page": 1, "classify_arrows": 1}
+    sweep_unknowns(spec)
+    assert calls == {"initial_page": 2, "classify_arrows": 1}
