@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"{self.prog}: error: {message}") from None
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 class _Emitter:
@@ -49,14 +50,21 @@ class _Emitter:
     def __init__(self, out_dir: Optional[str]):
         self.out_dir = Path(out_dir) if out_dir else None
         if self.out_dir:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self._write(self.out_dir, self.out_dir.mkdir, parents=True, exist_ok=True)
 
     def emit(self, name: str, text: str) -> None:
         if self.out_dir:
-            (self.out_dir / name).write_text(text)
+            self._write(self.out_dir / name, (self.out_dir / name).write_text, text)
         else:
             sys.stdout.write(f"# ==== {name} ====\n")
             sys.stdout.write(text)
+
+    @staticmethod
+    def _write(path: Path, write, *args, **kwargs) -> None:
+        try:
+            write(*args, **kwargs)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _csv(rows: Sequence[Sequence[object]]) -> str:
@@ -149,6 +157,8 @@ def _parse_bit_flags(flag: str, noun: str, pairs: list[str]) -> dict[str, int]:
         name, eq, value = pair.partition("=")
         if not eq or value not in ("0", "1"):
             raise ValidationError(f"{flag} expects {noun}=0 or {noun}=1, got {pair!r}")
+        if name in values:
+            raise ValidationError(f"{flag} gives {noun} {name!r} twice")
         values[name] = int(value)
     return values
 
@@ -293,14 +303,19 @@ def cmd_chart(cfg: WorkbenchConfig, emitter: _Emitter, page: int, fmt: str) -> i
 # ------------------------------------------------------------- dispatch
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # each ``run`` looks its cmd_* up when called, so a patched module attribute is the one run
     parser = _Parser(prog="sseqlab", description=__doc__)
     parser.add_argument("--config", default="g2.cfg", help="configuration file")
     parser.add_argument("--out", default=None, help="artifact output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("constraints", help="admissible-differential table and proof log")
-    sub.add_parser("e2", help="starting-page basis per bidegree")
+    constraints = sub.add_parser("constraints", help="admissible-differential table and proof log")
+    constraints.set_defaults(run=lambda cfg, out, args: cmd_constraints(cfg, out))
+    e2 = sub.add_parser("e2", help="starting-page basis per bidegree")
+    e2.set_defaults(run=lambda cfg, out, args: cmd_e2(cfg, out))
     einfty = sub.add_parser("einfty", help="limit page for a resolved assignment")
+    einfty.set_defaults(run=lambda cfg, out, args: cmd_einfty(cfg, out, args.set))
     einfty.add_argument(
         "--set",
         action="append",
@@ -308,8 +323,10 @@ def build_parser() -> _Parser:
         metavar="NAME=BIT",
         help="resolve an unknown scalar (repeatable)",
     )
-    sub.add_parser("sweep", help="limit pages for every unknown assignment")
+    sweep = sub.add_parser("sweep", help="limit pages for every unknown assignment")
+    sweep.set_defaults(run=lambda cfg, out, args: cmd_sweep(cfg, out))
     gauge = sub.add_parser("gauge", help="per-class report for a bundle class")
+    gauge.set_defaults(run=lambda cfg, out, args: cmd_gauge(cfg, out, args.k, args.epsilon))
     gauge.add_argument("--k", type=int, required=True, help="bundle class")
     gauge.add_argument(
         "--epsilon",
@@ -318,44 +335,24 @@ def build_parser() -> _Parser:
         metavar="LABEL=BIT",
         help="override the scalar on a residue class (repeatable)",
     )
-    sub.add_parser("uct", help="fibre cohomology derivation chain")
+    uct = sub.add_parser("uct", help="fibre cohomology derivation chain")
+    uct.set_defaults(run=lambda cfg, out, args: cmd_uct(cfg, out))
     hit = sub.add_parser("hit", help="hit subspaces and indecomposable quotients")
+    hit.set_defaults(run=lambda cfg, out, args: cmd_hit(cfg, out, args.bound))
     hit.add_argument("--bound", type=int, required=True, help="top degree")
     chart = sub.add_parser("chart", help="render one page as SVG or TikZ")
+    chart.set_defaults(run=lambda cfg, out, args: cmd_chart(cfg, out, args.page, args.format))
     chart.add_argument("--page", type=int, required=True)
     chart.add_argument("--format", choices=["svg", "tikz"], required=True)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
-        cfg = load_config(args.config)
-        emitter = _Emitter(args.out)
-        if args.command == "constraints":
-            return cmd_constraints(cfg, emitter)
-        if args.command == "e2":
-            return cmd_e2(cfg, emitter)
-        if args.command == "einfty":
-            return cmd_einfty(cfg, emitter, args.set)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, emitter)
-        if args.command == "gauge":
-            return cmd_gauge(cfg, emitter, args.k, args.epsilon)
-        if args.command == "uct":
-            return cmd_uct(cfg, emitter)
-        if args.command == "hit":
-            return cmd_hit(cfg, emitter, args.bound)
-        if args.command == "chart":
-            return cmd_chart(cfg, emitter, args.page, args.format)
-        raise AssertionError(f"unhandled command {args.command}")
+        args = build_parser().parse_args(argv)
+        return args.run(load_config(args.config), _Emitter(args.out), args)
+    except SystemExit as exc:  # _Parser.error exits 1, --help 0
+        return exc.code
     except InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 2

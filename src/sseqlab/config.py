@@ -48,6 +48,7 @@ from .errors import ConfigError, UsageError, ValidationError
 from .gauge import DEFAULT_EPSILON_RULE, EpsilonRule
 from .graded import PolyAlgebraSpec, Polynomial, format_polynomial, parse_polynomial
 from .homotopy import (
+    DimEntry,
     FGAbelianGroup,
     HomotopyTable,
     TableEntry,
@@ -58,6 +59,7 @@ from .specseq import FibrationSpec, UNIT_GEN, UnknownScalar
 from .steenrod import SteenrodTable, table_from_entries
 
 _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
+_UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
 
 
 @dataclass
@@ -73,49 +75,39 @@ class WorkbenchConfig:
     steenrod: Optional[SteenrodTable] = None
 
     def fibration_spec(self) -> FibrationSpec:
-        """Assemble the engine input, enforcing the fibre consistency gate."""
-        fibre: dict[int, tuple[str, ...]] = {0: (UNIT_GEN,)}
+        """Assemble the engine input, enforcing the fibre consistency gate.
+
+        Declared names must equal an exact derived count or reach a lower bound;
+        an undeclared degree gets ``u_<d>`` names for its derived count (none at ``>=0``).
+        """
+        if 0 in self.fibre_explicit:
+            raise ValidationError(_UNIT_DEGREE)
+        dims = {}
         if self.fibre_derive:
             if self.homotopy is None:
                 raise ValidationError("fibre derivation needs a homotopy section")
-            dims = fibre_truncation_dims(loopspace_shift(self.homotopy, 3))
-            for degree, entry in dims.items():
-                if degree == 0:
-                    continue
-                explicit = self.fibre_explicit.get(degree)
-                if entry.value == 0 and entry.exact:
-                    if explicit:
-                        raise ValidationError(
-                            f"fibre degree {degree} contradicts the derived truncation "
-                            f"(derived 0, declared {len(explicit)})"
-                        )
-                    continue
-                if explicit is None:
-                    if entry.value <= 1:
-                        names = (f"u_{degree}",)
-                    else:
-                        names = tuple(f"u_{degree}_{i}" for i in range(entry.value))
-                else:
-                    if entry.exact and len(explicit) != entry.value:
-                        raise ValidationError(
-                            f"fibre degree {degree} contradicts the derived truncation "
-                            f"(derived {entry.value}, declared {len(explicit)})"
-                        )
-                    if not entry.exact and len(explicit) < entry.value:
-                        raise ValidationError(
-                            f"fibre degree {degree} declares fewer classes than the "
-                            f"derived lower bound {entry.value}"
-                        )
-                    names = explicit
-                fibre[degree] = names
-            top = max(d for d, _ in dims.items())
-            for degree, names in self.fibre_explicit.items():
-                if degree > top:
-                    fibre[degree] = names
-        else:
-            for degree, names in self.fibre_explicit.items():
-                if degree == 0:
-                    raise ValidationError("fibre degree 0 is implicit (the unit)")
+            derived = fibre_truncation_dims(loopspace_shift(self.homotopy, 3))
+            dims = {degree: entry for degree, entry in derived.items() if degree}
+        fibre: dict[int, tuple[str, ...]] = {0: (UNIT_GEN,)}
+        for degree in {**dims, **self.fibre_explicit}:
+            names = self.fibre_explicit.get(degree)
+            entry = dims.get(degree, DimEntry(0, exact=False))  # not derived: any count
+            if names is None:
+                names = tuple(
+                    f"u_{degree}_{i}" if entry.value > 1 else f"u_{degree}"
+                    for i in range(entry.value)
+                )
+            elif entry.exact and len(names) != entry.value:
+                raise ValidationError(
+                    f"fibre degree {degree} contradicts the derived truncation "
+                    f"(derived {entry.value}, declared {len(names)})"
+                )
+            elif len(names) < entry.value:
+                raise ValidationError(
+                    f"fibre degree {degree} declares fewer classes than the "
+                    f"derived lower bound {entry.value}"
+                )
+            if names:
                 fibre[degree] = names
         return FibrationSpec(self.base, fibre, self.degree_bound, self.unknowns)
 
@@ -222,8 +214,8 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             fibre_derive = True
             return
         degree = _int(key, f"fibre degree must be an integer, got {key!r}")
-        if degree < 0:
-            raise ValidationError("fibre degrees are nonnegative")
+        if degree <= 0:
+            raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are nonnegative")
         if degree in fibre_explicit:
             raise ValidationError(f"duplicate fibre degree {degree}")
         if not value.split():

@@ -17,7 +17,6 @@ from .homotopy import FGAbelianGroup, HomotopyTable, TableEntry
 from .specseq import (
     Bidegree,
     FibrationSpec,
-    UNIT_GEN,
     UnknownScalar,
     admissible_differentials,
     resolve_assignment,
@@ -132,30 +131,27 @@ def g2_fibration_spec(
 ) -> FibrationSpec:
     """Fibration data: polynomial base, derived fibre truncation, unknown eps.
 
-    The fibre is derived by ``WorkbenchConfig.fibration_spec``, the one
-    derivation path; this function adds only the g2 guards.
+    The fibre comes from ``WorkbenchConfig.fibration_spec``, the one derivation
+    path, with ``extra_fibre`` as declared degrees; this adds only the g2 guards.
     """
     from .config import WorkbenchConfig  # config imports this module
 
-    derived = WorkbenchConfig(
+    extra = dict(extra_fibre or {})
+    if any(degree <= 5 for degree in extra):
+        raise ValidationError("extra fibre generators must sit in degrees >= 6")
+    spec = WorkbenchConfig(
         G2_BASE,
         degree_bound,
         homotopy=g2_homotopy_table() if table is None else table,
         fibre_derive=True,
+        fibre_explicit=extra,
     ).fibration_spec()
-    if derived.fibre_gens != {0: (UNIT_GEN,), 5: ("u_5",)}:
-        dims = {d: len(gens) for d, gens in sorted(derived.fibre_gens.items()) if d}
+    dims = {d: len(gens) for d, gens in sorted(spec.fibre_gens.items()) if 0 < d <= 5}
+    if dims != {5: 1}:  # the derived degrees; a lone derived class in degree 5 is u_5
         raise ValidationError(
             f"the g2 fibre truncation must derive one class, in degree 5; got dims {dims}"
         )
-    extra = extra_fibre or {}
-    if any(degree <= 5 for degree in extra):
-        raise ValidationError("extra fibre generators must sit in degrees >= 6")
-    return replace(
-        derived,
-        fibre_gens={**derived.fibre_gens, **extra},
-        unknowns=(UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6")),),
-    )
+    return replace(spec, unknowns=(UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6")),))
 
 
 @dataclass(frozen=True)

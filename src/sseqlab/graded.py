@@ -9,7 +9,7 @@ so graded commutativity reduces to plain commutativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import UsageError, ValidationError
@@ -33,11 +33,11 @@ class PolyAlgebraSpec:
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "PolyAlgebraSpec":
         return cls(tuple((str(n), int(d)) for n, d in pairs))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(degree for _, degree in self.generators)
 

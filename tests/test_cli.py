@@ -250,6 +250,44 @@ def test_bit_flags_name_their_flag_in_errors():
     assert "--epsilon expects label=0 or label=1, got '1,3'" in err
 
 
+def test_repeated_bit_flag_names_are_rejected():
+    code, _, err = run_cli("--config", G2, "einfty", "--set", "eps=1", "--set", "eps=0")
+    assert code == 1
+    assert "--set gives name 'eps' twice" in err
+    code, _, err = run_cli(
+        "--config", G2, "gauge", "--k", "1", "--epsilon", "1,3=1", "--epsilon", "1,3=1"
+    )
+    assert code == 1
+    assert "--epsilon gives label '1,3' twice" in err
+
+
+def test_out_at_an_existing_file_exits_one(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        code, stdout, err = run_cli("--config", G2, "--out", str(out), "e2")
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sseqlab ")]
+    return [line.split(" #")[0].split() for line in lines]
+
+
+def test_readme_commands_run(monkeypatch):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        code, out, err = run_cli(*argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("# ==== "), argv
+
+
 # ---------------------------------------------------------------- determinism
 
 

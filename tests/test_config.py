@@ -15,9 +15,11 @@ from sseqlab.config import (
     parse_config_json,
     parse_group,
 )
-from sseqlab.errors import ConfigError, SseqlabError
+from sseqlab.cli import main
+from sseqlab.errors import ConfigError, SseqlabError, ValidationError
 from sseqlab.gauge import G2_BASE
 from sseqlab.homotopy import FGAbelianGroup
+from sseqlab.specseq import UNIT_GEN, FibrationSpec, UnknownScalar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -149,6 +151,67 @@ def test_degree_five_fewer_than_lower_bound_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert any("contradicts" in p for p in info.value.problems)
+
+
+# ---------------------------------------------------------------- fibre rule
+
+
+def test_fibre_degree_zero_is_a_located_problem_with_and_without_derive():
+    text = g2_text()
+    line = 1 + text[: text.index("derive = homotopy")].count("\n")
+    with_derive = text.replace("derive = homotopy", "derive = homotopy\n0 = v_0")
+    without = text.replace("derive = homotopy", "0 = v_0\n5 = u_5")
+    for bad, where in ((with_derive, line + 1), (without, line)):
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert info.value.problems == [f"line {where}: fibre degree 0 is implicit (the unit)"]
+    data = {"base": [["x", 2]], "fibre": {"generators": {"0": ["v_0"]}}}
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps(data))
+    assert info.value.problems == ["fibre.generators.0: fibre degree 0 is implicit (the unit)"]
+
+
+def test_fibre_degree_zero_is_rejected_in_configs_built_in_code():
+    cfg = parse_config(g2_text())
+    for derive in (True, False):
+        built = WorkbenchConfig(
+            G2_BASE, homotopy=cfg.homotopy, fibre_derive=derive, fibre_explicit={0: ("v_0",)}
+        )
+        with pytest.raises(ValidationError, match=r"fibre degree 0 is implicit \(the unit\)"):
+            built.fibration_spec()
+
+
+def _z3_text():
+    # pi_6 only known to contain Z/3: the fibre dims in degrees 3 and 4 are >=0
+    return g2_text().replace("6 = Z/3", "6 = contains Z/3")
+
+
+def test_lower_bound_zero_gets_no_class(tmp_path, capsys):
+    cfg = tmp_path / "z3.cfg"
+    cfg.write_text(_z3_text())
+    assert main(["--config", str(cfg), "uct"]) == 0
+    uct = capsys.readouterr().out
+    assert "cohomology_dim,3,>=0," in uct and "cohomology_dim,4,>=0," in uct
+    assert main(["--config", str(cfg), "e2"]) == 0
+    e2 = capsys.readouterr().out
+    assert "u_3" not in e2 and "u_4" not in e2
+    assert "0,5,1,u_5" in e2
+    assert sorted(parse_config(_z3_text()).fibration_spec().fibre_gens) == [0, 5]
+
+
+def test_declared_names_reach_a_lower_bound():
+    # degree 3 is >=0 and degree 5 is >=1: both accept any count that reaches the bound
+    text = _z3_text().replace("derive = homotopy", "derive = homotopy\n3 = a_3\n5 = u_5 v_5")
+    fibre = parse_config(text).fibration_spec().fibre_gens
+    assert fibre[3] == ("a_3",) and fibre[5] == ("u_5", "v_5")
+
+
+def test_g2_fibration_spec_with_extra_fibre_is_unchanged():
+    from sseqlab.gauge import g2_fibration_spec
+
+    eps = UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6"))
+    expected = FibrationSpec(G2_BASE, {0: (UNIT_GEN,), 5: ("u_5",), 6: ("v",)}, 10, (eps,))
+    assert g2_fibration_spec(extra_fibre={6: ("v",)}) == expected
 
 
 def test_problems_keep_their_order_and_wording():

@@ -161,3 +161,12 @@ def test_report_stable_under_placeholder_variation():
 def test_extra_fibre_generators_must_sit_above_degree_five():
     with pytest.raises(ValidationError):
         g2_fibration_spec(extra_fibre={5: ("v",)})
+
+
+def test_extra_fibre_guard_runs_before_the_derived_fibre_check():
+    # pi_8 pinned to Z/2 + Z/2 derives two classes in degree 5; the guard still speaks first
+    table = g2_homotopy_table(pi8=FGAbelianGroup(0, (2, 2)), pi8_exact=True)
+    with pytest.raises(ValidationError, match="must derive one class"):
+        g2_fibration_spec(table=table)
+    with pytest.raises(ValidationError, match="degrees >= 6"):
+        g2_fibration_spec(table=table, extra_fibre={5: ("v",)})

@@ -44,3 +44,33 @@ def test_traced_jobs_cross_every_f2_boundary(capsys):
     }
     expected.add(("specseq", "specseq.quotient_basis"))
     assert sorted(b for b in expected if calls[b] == 0) == []
+
+
+def test_every_command_crosses_its_cli_boundary(capsys):
+    # main dispatches through a table built once per process; an entry that
+    # captured a cmd_* function at import would run past the tracer's patch
+    spans = load_spans()
+    g2, onevar = str(ROOT / "g2.cfg"), str(ROOT / "onevar.cfg")
+    commands = {
+        "constraints": [g2, "constraints"],
+        "e2": [g2, "e2"],
+        "einfty": [g2, "einfty", "--set", "eps=1"],
+        "sweep": [g2, "sweep"],
+        "gauge": [g2, "gauge", "--k", "1"],
+        "uct": [g2, "uct"],
+        "hit": [onevar, "hit", "--bound", "7"],
+        "chart": [g2, "chart", "--page", "6", "--format", "svg"],
+    }
+    assert {f"cli.cmd_{c}" for c in commands} == {
+        name for *_, name in spans.BOUNDARIES if name.startswith("cli.cmd_")
+    }
+    for command, (config, *argv) in commands.items():
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert sseqlab.cli.main(["--config", config, *argv]) == 0
+        finally:
+            tracer.uninstall()
+        calls = Counter(name for name, *_ in tracer.spans if name.startswith("cli."))
+        assert calls == {"cli.main": 1, f"cli.cmd_{command}": 1}, command
+    capsys.readouterr()
