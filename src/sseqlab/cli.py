@@ -104,8 +104,11 @@ def _constraints_log(spec: FibrationSpec) -> str:
         f"admissible-differential analysis, total degree <= {spec.degree_bound}",
         "base-row classes are permanent cycles: every differential out of "
         "fibre degree 0 lands in negative fibre degree",
-        "",
     ]
+    for t in sorted(spec.unproven_degrees):
+        lines.append(f"fibre degree {t} is only >=0: no source there is listed, "
+                     "and arrows into it stay admissible")
+    lines.append("")
     rows = constraint_rows(spec)
     current = None
     for page, s, t, ts, tt, status, reason in rows:

@@ -78,7 +78,8 @@ class WorkbenchConfig:
         """Assemble the engine input, enforcing the fibre consistency gate.
 
         Declared names must equal an exact derived count or reach a lower bound;
-        an undeclared degree gets ``u_<d>`` names for its derived count (none at ``>=0``).
+        an undeclared degree gets ``u_<d>`` names for its derived count.  An
+        undeclared ``>=0`` degree gets none and is recorded as unproven, not zero.
         """
         if 0 in self.fibre_explicit:
             raise ValidationError(_UNIT_DEGREE)
@@ -109,7 +110,10 @@ class WorkbenchConfig:
                 )
             if names:
                 fibre[degree] = names
-        return FibrationSpec(self.base, fibre, self.degree_bound, self.unknowns)
+        unproven = {d for d, e in dims.items() if not (e.exact or e.value or d in fibre)}
+        return FibrationSpec(
+            self.base, fibre, self.degree_bound, self.unknowns, frozenset(unproven)
+        )
 
 
 # ------------------------------------------------------------- rows
@@ -215,7 +219,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             return
         degree = _int(key, f"fibre degree must be an integer, got {key!r}")
         if degree <= 0:
-            raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are nonnegative")
+            raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are positive")
         if degree in fibre_explicit:
             raise ValidationError(f"duplicate fibre degree {degree}")
         if not value.split():

@@ -68,6 +68,7 @@ class FibrationSpec:
     fibre_gens: Mapping[int, tuple[str, ...]]
     degree_bound: int = 10
     unknowns: tuple[UnknownScalar, ...] = ()
+    unproven_degrees: frozenset[int] = frozenset()  # no generator, yet only bounded below by 0
 
     def __post_init__(self) -> None:
         if self.degree_bound < 1:
@@ -85,6 +86,8 @@ class FibrationSpec:
                 if g in seen:
                     raise ValidationError(f"duplicate fibre generator {g!r}")
                 seen.add(g)
+        if any(d < 1 or self.fibre_dim(d) for d in self.unproven_degrees):
+            raise ValidationError("an unproven fibre degree must be positive and hold no generator")
         names = [u.name for u in self.unknowns]
         if len(set(names)) != len(names):
             raise ValidationError("unknown scalar names must be distinct")
@@ -193,9 +196,10 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
     Sources are the nonzero starting-page groups of positive fibre degree
     and total degree <= N, so every target has total degree <= N + 1.
     Pages 2..t+1 are ADMISSIBLE when the target group is nonzero on the
-    starting page, else BASE_ZERO or FIBRE_ZERO after the factor that
-    vanishes; one NEGATIVE_FIBRE row at page t + 2, with no target,
-    stands for all higher pages.  No differential values are consulted.
+    starting page or its fibre degree is unproven, else BASE_ZERO or
+    FIBRE_ZERO after the factor that vanishes; one NEGATIVE_FIBRE row at
+    page t + 2, with no target, stands for all higher pages.  No
+    differential values are consulted.
     """
     out: list[Arrow] = []
     for t in spec.fibre_degrees():
@@ -208,7 +212,7 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
                 target = (s + r, t - r + 1)
                 if spec.base_dim(target[0]) == 0:
                     verdict = BASE_ZERO
-                elif spec.fibre_dim(target[1]) == 0:
+                elif spec.fibre_dim(target[1]) == 0 and target[1] not in spec.unproven_degrees:
                     verdict = FIBRE_ZERO
                 else:
                     verdict = ADMISSIBLE
@@ -280,8 +284,15 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
     Every image must sit on page >= 2, and a nonzero one must be a
     transgression onto the base row, homogeneous of its page's degree.
     Every generator that supports an admissible transgression needs a
-    declared image (possibly zero).
+    declared image (possibly zero), and no fibre degree in the window may
+    be unproven: its missing classes could support or kill any class.
     """
+    unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
+    if unproven:
+        raise UsageError(
+            f"fibre degree {unproven[0]} is only bounded below (>=0), so no page can be "
+            "turned; pin the homotopy it is derived from, or declare its classes"
+        )
     for (gen, r), poly in assignment.generator_images.items():
         t = spec.fibre_degree_of(gen)
         if r < 2:

@@ -202,8 +202,34 @@ def test_lower_bound_zero_gets_no_class(tmp_path, capsys):
 def test_declared_names_reach_a_lower_bound():
     # degree 3 is >=0 and degree 5 is >=1: both accept any count that reaches the bound
     text = _z3_text().replace("derive = homotopy", "derive = homotopy\n3 = a_3\n5 = u_5 v_5")
-    fibre = parse_config(text).fibration_spec().fibre_gens
-    assert fibre[3] == ("a_3",) and fibre[5] == ("u_5", "v_5")
+    spec = parse_config(text).fibration_spec()
+    assert spec.fibre_gens[3] == ("a_3",) and spec.fibre_gens[5] == ("u_5", "v_5")
+    assert spec.unproven_degrees == {4}
+
+
+def test_lower_bound_zero_is_unproven_not_zero(tmp_path, capsys):
+    from sseqlab.gauge import g2_fibration_spec
+
+    cfg = tmp_path / "z3.cfg"
+    cfg.write_text(_z3_text())
+    assert parse_config(_z3_text()).fibration_spec().unproven_degrees == {3, 4}
+    assert main(["--config", str(cfg), "constraints"]) == 0
+    out = capsys.readouterr().out
+    # arrows into an unproven degree stay admissible, as if it held a class
+    assert "2,4,5,6,4,admissible," in out and "3,4,5,7,3,admissible," in out
+    rows = [line.split(",") for line in out.splitlines() if line.endswith(",fibre_zero")]
+    assert rows and all(row[4] not in ("3", "4") for row in rows)
+    assert "fibre degree 3 is only >=0" in out and "fibre degree 4 is only >=0" in out
+    assert "fibre degree 3 is zero" not in out and "fibre degree 4 is zero" not in out
+    for cmd in (["einfty", "--set", "eps=1"], ["sweep"], ["gauge", "--k", "1"]):
+        assert main(["--config", str(cfg), *cmd]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fibre degree 3 is only bounded below (>=0)"), cmd
+    table = parse_config(_z3_text()).homotopy
+    with pytest.raises(ValidationError, match=r"got dims \{3: '>=0', 4: '>=0', 5: 1\}"):
+        g2_fibration_spec(table=table)
+    with pytest.raises(ValidationError, match="unproven fibre degree"):
+        FibrationSpec(G2_BASE, {0: (UNIT_GEN,), 3: ("a",)}, unproven_degrees=frozenset({3}))
 
 
 def test_g2_fibration_spec_with_extra_fibre_is_unchanged():
