@@ -28,6 +28,8 @@ class ChartSpec:
     arrows: tuple[tuple[Bidegree, Bidegree, str], ...]
 
     def __post_init__(self) -> None:
+        if self.page < 2:
+            raise ValidationError(f"chart page must be >= 2 (pages start at E_2), got {self.page}")
         for (s, t), (s2, t2), _label in self.arrows:
             if (s2, t2) != (s + self.page, t - self.page + 1):
                 raise ValidationError(

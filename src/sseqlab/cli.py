@@ -27,7 +27,6 @@ from .specseq import (
     NEGATIVE_FIBRE,
     FibrationSpec,
     build_e2,
-    classify_arrows,
     resolve_assignment,
     run_to_einfty,
     sweep_unknowns,
@@ -85,11 +84,11 @@ STATUS_REJECTED = "rejected"
 def constraint_rows(spec: FibrationSpec):
     """Admit/reject every (page, source) pair with a machine-checkable reason.
 
-    One CSV row per verdict of ``classify_arrows``; the negative-fibre
+    One CSV row per verdict of the spec's arrow table; the negative-fibre
     row of each source is labelled ``>=`` its first page.
     """
     rows = []
-    for r, (s, t), target, verdict in classify_arrows(spec):
+    for r, (s, t), target, verdict in spec.arrows:
         if target is None:
             rows.append((f">={r}", s, t, "", "", STATUS_REJECTED, verdict))
         elif verdict == ADMISSIBLE:
@@ -297,8 +296,7 @@ def cmd_hit(cfg: WorkbenchConfig, emitter: _Emitter, bound: int) -> int:
 
 
 def cmd_chart(cfg: WorkbenchConfig, emitter: _Emitter, page: int, fmt: str) -> int:
-    spec = cfg.fibration_spec()
-    chart = build_chart(spec, page)
+    chart = build_chart(cfg.fibration_spec(), page)
     emitter.emit(f"chart_p{page}.{fmt}", render(chart, fmt))
     return 0
 

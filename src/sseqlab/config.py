@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -62,7 +63,7 @@ _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
 _UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkbenchConfig:
     base: PolyAlgebraSpec
     degree_bound: int = 10
@@ -75,9 +76,12 @@ class WorkbenchConfig:
     steenrod: Optional[SteenrodTable] = None
 
     def fibration_spec(self) -> FibrationSpec:
-        """Assemble the engine input, enforcing the fibre consistency gate.
+        """The engine input, derived once per config through the fibre consistency gate."""
+        return self._spec
 
-        Declared names must equal an exact derived count or reach a lower bound;
+    @cached_property
+    def _spec(self) -> FibrationSpec:
+        """Declared names must equal an exact derived count or reach a lower bound;
         an undeclared degree gets ``u_<d>`` names for its derived count.  An
         undeclared ``>=0`` degree gets none and is recorded as unproven, not zero.
         """
@@ -202,8 +206,8 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             raise ValidationError(f"duplicate homotopy degree {degree}")
         group_text, _, citation = value.partition(";")
         group_text = group_text.strip()
-        exact = not group_text.startswith("contains ")
-        group = parse_group(group_text.removeprefix("contains "))
+        exact = not group_text.startswith(TableEntry.INEXACT)
+        group = parse_group(group_text.removeprefix(TableEntry.INEXACT))
         entries[degree] = TableEntry(group, exact, citation.strip())
 
     fibre_derive = False
@@ -317,12 +321,11 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         epsilon_given=epsilon_given,
         steenrod=steenrod,
     )
-    # the consistency gate runs at parse time so bad configs never load
-    if cfg.fibre_derive or cfg.fibre_explicit or cfg.unknowns:
-        try:
-            cfg.fibration_spec()
-        except ValidationError as exc:
-            raise ConfigError([str(exc)]) from None
+    # the consistency gate runs at parse time so bad configs never load; its spec is kept
+    try:
+        cfg.fibration_spec()
+    except ValidationError as exc:
+        raise ConfigError([str(exc)]) from None
     return cfg
 
 
@@ -407,7 +410,7 @@ def _json_generator(_index, pair) -> tuple[str, str]:
 
 def _json_homotopy(degree, entry) -> tuple[str, str]:
     _fields(entry, ("group",), ("exact", "citation"))
-    text = f"{'' if entry.get('exact', True) else 'contains '}{entry['group']}"
+    text = f"{'' if entry.get('exact', True) else TableEntry.INEXACT}{entry['group']}"
     citation = entry.get("citation", "")
     return degree, f"{text} ; {citation}" if citation else text
 

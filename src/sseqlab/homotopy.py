@@ -95,9 +95,11 @@ class TableEntry:
     exact: bool = True
     citation: str = ""
 
+    INEXACT: ClassVar[str] = "contains "  # the text form's prefix when not exact
+
     def __str__(self) -> str:
         """The group, prefixed by ``contains `` when the entry is not exact."""
-        return ("contains " if not self.exact else "") + str(self.group)
+        return ("" if self.exact else self.INEXACT) + str(self.group)
 
 
 class HomotopyTable:

@@ -132,7 +132,7 @@ class FibrationSpec:
         return tuple(u.name for u in self.unknowns)
 
     @cached_property
-    def _arrows(self) -> tuple[Arrow, ...]:
+    def arrows(self) -> tuple[Arrow, ...]:
         return tuple(classify_arrows(self))  # the spec is frozen: walk once
 
     def format_label(self, label: Label) -> str:
@@ -227,7 +227,7 @@ def admissible_differentials(
     """The admissible triples of ``classify_arrows``, sorted."""
     return sorted(
         (r, source, target)
-        for r, source, target, verdict in spec._arrows
+        for r, source, target, verdict in spec.arrows
         if verdict == ADMISSIBLE
     )
 

@@ -58,7 +58,7 @@ class SteenrodTable:
         self.algebra = algebra
         self.action = dict(action)
         self._monomial_cache: dict[Monomial, dict[int, Polynomial]] = {}
-        self._validated: Optional[list[Violation]] = None
+        self._validated: Optional[tuple[Violation, ...]] = None  # set by validate_table
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -120,57 +120,44 @@ def table_from_entries(
 
 
 def validate_table(table: SteenrodTable) -> list[Violation]:
-    """Check every table invariant on every generator; empty means valid."""
+    """Check every table invariant on every entry; empty means valid.
+
+    One pass over the entries, in generator order and then by index.  The
+    verdict is kept on the table, where ``sq`` and ``hit_quotient`` read it.
+    """
     algebra = table.algebra
+    position = {gen: k for k, gen in enumerate(algebra.names)}
+    entries = ((position[g], i, g, v) for (g, i), v in table.action.items() if g in position)
     violations: list[Violation] = []
-    for gen, degree in algebra.generators:
+    for k, i, gen, value in sorted(entries, key=lambda entry: entry[:2]):
+        degree = algebra.degrees[k]
+        if value is None:
+            violations.append(Violation(gen, i, "missing", "entry is marked user-supplied"))
+            continue
         unit = algebra.gen(gen)
-        for (g, i), value in sorted(
-            table.action.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            if g != gen:
-                continue
-            if value is None:
-                violations.append(
-                    Violation(gen, i, "missing", "entry is marked user-supplied")
-                )
-                continue
-            if i == 0 and value != unit:
-                violations.append(
-                    Violation(gen, 0, "sq0", "Sq^0 must fix the generator")
-                )
-            if i == degree and value != multiply(algebra, unit, unit):
-                violations.append(
-                    Violation(gen, degree, "squaring", "top square must be the square")
-                )
-            if i > degree and not value.is_zero():
-                violations.append(
-                    Violation(gen, i, "instability", f"must vanish above degree {degree}")
-                )
-            if not value.is_zero():
-                try:
-                    got = value.homogeneous_degree(algebra)
-                except UsageError:
-                    got = None
-                if got is not None and i <= degree and got != degree + i:
-                    violations.append(
-                        Violation(
-                            gen,
-                            i,
-                            "homogeneity",
-                            f"image has degree {got}, expected {degree + i}",
-                        )
-                    )
-                elif got is None:
-                    violations.append(
-                        Violation(gen, i, "homogeneity", "image is not homogeneous")
-                    )
+        if i == 0 and value != unit:
+            violations.append(Violation(gen, i, "sq0", "Sq^0 must fix the generator"))
+        if i == degree and value != multiply(algebra, unit, unit):
+            violations.append(Violation(gen, i, "squaring", "top square must be the square"))
+        if value.is_zero():
+            continue
+        if i > degree:
+            violations.append(Violation(gen, i, "instability", f"must vanish above degree {degree}"))
+        try:
+            got = value.homogeneous_degree(algebra)
+        except UsageError:
+            violations.append(Violation(gen, i, "homogeneity", "image is not homogeneous"))
+            continue
+        if i <= degree and got != degree + i:
+            expected = f"image has degree {got}, expected {degree + i}"
+            violations.append(Violation(gen, i, "homogeneity", expected))
+    table._validated = tuple(violations)
     return violations
 
 
 def _require_valid(table: SteenrodTable) -> None:
     if table._validated is None:
-        table._validated = validate_table(table)
+        validate_table(table)
     if table._validated:
         listed = "; ".join(str(v) for v in table._validated)
         raise ValidationError(f"squaring table is invalid: {listed}")

@@ -2,7 +2,10 @@
 
 import pytest
 
+from sseqlab.errors import UsageError
 from sseqlab.f2 import F2Vector, reduce_against, row_reduce
+from sseqlab.graded import multiply
+from sseqlab.steenrod import Violation
 
 
 def _greedy_reference(context, candidates):
@@ -66,3 +69,61 @@ def rref_reference():
 @pytest.fixture
 def solve_reference():
     return _solve_reference
+
+
+def _validate_table_reference(table):
+    """``validate_table`` as a loop over every entry once per generator.
+
+    The one-pass validator replaced this loop; its violation lists, text
+    and order included, are compared against it.
+    """
+    algebra = table.algebra
+    violations = []
+    for gen, degree in algebra.generators:
+        unit = algebra.gen(gen)
+        for (g, i), value in sorted(
+            table.action.items(), key=lambda kv: (kv[0][0], kv[0][1])
+        ):
+            if g != gen:
+                continue
+            if value is None:
+                violations.append(
+                    Violation(gen, i, "missing", "entry is marked user-supplied")
+                )
+                continue
+            if i == 0 and value != unit:
+                violations.append(
+                    Violation(gen, 0, "sq0", "Sq^0 must fix the generator")
+                )
+            if i == degree and value != multiply(algebra, unit, unit):
+                violations.append(
+                    Violation(gen, degree, "squaring", "top square must be the square")
+                )
+            if i > degree and not value.is_zero():
+                violations.append(
+                    Violation(gen, i, "instability", f"must vanish above degree {degree}")
+                )
+            if not value.is_zero():
+                try:
+                    got = value.homogeneous_degree(algebra)
+                except UsageError:
+                    got = None
+                if got is not None and i <= degree and got != degree + i:
+                    violations.append(
+                        Violation(
+                            gen,
+                            i,
+                            "homogeneity",
+                            f"image has degree {got}, expected {degree + i}",
+                        )
+                    )
+                elif got is None:
+                    violations.append(
+                        Violation(gen, i, "homogeneity", "image is not homogeneous")
+                    )
+    return violations
+
+
+@pytest.fixture
+def validate_table_reference():
+    return _validate_table_reference

@@ -60,6 +60,12 @@ def test_arrow_bidegree_law_enforced():
         )
 
 
+@pytest.mark.parametrize("page", [1, 0, -3])
+def test_page_below_two_is_refused(page):
+    with pytest.raises(ValidationError, match=r"chart page must be >= 2"):
+        build_chart(SPEC, page)
+
+
 def test_unknown_format_rejected():
     chart = build_chart(SPEC, 6)
     with pytest.raises(ValidationError):

@@ -6,12 +6,18 @@ bytes across repeated runs, both on stdout and on --out files.
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import sseqlab.cli
+import sseqlab.config
+import sseqlab.specseq
+import sseqlab.steenrod
 from sseqlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,6 +198,17 @@ def test_chart_rejects_bad_format():
     assert code == 1
 
 
+@pytest.mark.parametrize("page", ["1", "0", "-3"])
+def test_chart_page_below_two_exits_one_and_writes_nothing(tmp_path, page):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        "--config", G2, "--out", str(out), "chart", "--page", page, "--format", "svg"
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: chart page must be >= 2 (pages start at E_2), got {page}\n"
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_missing_config_exits_one():
     code, _, err = run_cli("--config", "no-such-file.cfg", "constraints")
     assert code == 1
@@ -271,6 +288,48 @@ def test_out_at_an_existing_file_exits_one(tmp_path):
         assert "Traceback" not in err
 
 
+def test_each_op_derives_and_checks_its_inputs_once(monkeypatch):
+    # counted where each result is computed: the fibre truncation derived by the
+    # config gate, the arrow walk, and a squaring table's verdict
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    fibre = counted("fibre", sseqlab.config.fibre_truncation_dims)
+    monkeypatch.setattr(sseqlab.config, "fibre_truncation_dims", fibre)
+    arrows = counted("arrows", sseqlab.specseq.classify_arrows)
+    verdict = counted("verdict", sseqlab.steenrod.validate_table)
+    for module in (sseqlab.specseq, sseqlab.cli):
+        monkeypatch.setattr(module, "classify_arrows", arrows, raising=False)
+    for module in (sseqlab.steenrod, sseqlab.cli):
+        monkeypatch.setattr(module, "validate_table", verdict)
+    ops = {
+        "constraints": (G2, "constraints"),
+        "e2": (G2, "e2"),
+        "einfty": (G2, "einfty", "--set", "eps=1"),
+        "sweep": (G2, "sweep"),
+        "gauge": (G2, "gauge", "--k", "1"),
+        "uct": (G2, "uct"),
+        "chart": (G2, "chart", "--page", "6", "--format", "svg"),
+        "hit": (ONEVAR, "hit", "--bound", "8"),
+    }
+    counts = {}
+    for op, (config, *argv) in ops.items():
+        calls.clear()
+        assert run_cli("--config", config, *argv)[0] == 0, op
+        counts[op] = dict(calls)
+    for op, seen in counts.items():
+        fibre_derivations = 0 if op == "hit" else 1  # onevar.cfg has no fibre to derive
+        assert seen.get("fibre", 0) == fibre_derivations, (op, seen)
+        assert seen.get("arrows", 0) <= 1, (op, seen)
+    assert counts["hit"] == {"verdict": 1}
+
+
 def readme_commands():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -328,11 +387,15 @@ def test_out_dir_files_byte_identical_across_runs(tmp_path):
 
 
 def test_subprocess_entry_point():
+    # the child inherits no import path from pytest's ``pythonpath`` setting
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
         [sys.executable, "-m", "sseqlab", "--config", G2, "e2"],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=env,
     )
     assert result.returncode == 0
     assert "u_5" in result.stdout

@@ -7,6 +7,7 @@ and stay independent of it.
 
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from sseqlab.graded import (
     multiply,
 )
 from sseqlab.steenrod import (
+    SteenrodTable,
     hit_quotient,
     sq,
     suggest_g2_table,
@@ -117,6 +119,67 @@ def test_scaffold_marks_unforced_entries():
     assert scaffold.generator_sq("x_6", 7).is_zero()
     violations = validate_table(scaffold)
     assert violations and all(v.kind == "missing" for v in violations)
+
+
+def _random_table(rng):
+    """A table over 1-3 generators whose names do not sort in generator order.
+
+    Each slot Sq^i, i <= degree + 2, is omitted, marked missing, given its
+    forced or a homogeneous value, or given a random polynomial, which may
+    be zero, of the wrong degree or not homogeneous; a stray entry on an
+    undeclared generator is sometimes added.
+    """
+    names = rng.sample(["z", "b", "x_4", "a", "y_2"], rng.randint(1, 3))
+    algebra = PolyAlgebraSpec.from_pairs((name, rng.randint(1, 4)) for name in names)
+
+    def polynomial(*degrees):
+        terms = set()
+        for d in degrees:
+            basis = basis_in_degree(algebra, d)
+            terms.update(rng.sample(basis, rng.randint(1, min(2, len(basis)))) if basis else ())
+        return Polynomial(frozenset(terms))
+
+    def scramble():
+        return polynomial(*(rng.randint(0, 10) for _ in range(rng.randint(0, 2))))
+
+    action = {}
+    for gen, degree in algebra.generators:
+        unit = algebra.gen(gen)
+        for i in range(degree + 3):
+            roll = rng.random()
+            if roll < 0.1:
+                continue
+            if roll < 0.25:
+                action[(gen, i)] = None
+            elif roll < 0.6:
+                forced = {0: unit, degree: multiply(algebra, unit, unit)}
+                action[(gen, i)] = forced.get(
+                    i, Polynomial.zero() if i > degree else polynomial(degree + i)
+                )
+            else:
+                action[(gen, i)] = scramble()
+    if rng.random() < 0.2:
+        action[("stray", 1)] = scramble()
+    return SteenrodTable(algebra, action)
+
+
+def test_validate_table_matches_the_per_generator_loop(validate_table_reference):
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(400):
+        table = _random_table(rng)
+        expected = validate_table_reference(table)
+        assert validate_table(table) == expected
+        assert [str(v) for v in validate_table(table)] == [str(v) for v in expected]
+        kinds.update((v.kind, re.sub(r"\d+", "N", v.message)) for v in expected)
+    assert kinds == {
+        ("missing", "entry is marked user-supplied"),
+        ("sq0", "Sq^N must fix the generator"),
+        ("squaring", "top square must be the square"),
+        ("instability", "must vanish above degree N"),
+        ("homogeneity", "image has degree N, expected N"),
+        ("homogeneity", "image is not homogeneous"),
+    }
 
 
 def test_sq_refuses_incomplete_table():
