@@ -149,6 +149,13 @@ def cmd_e2(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
         labels = " ".join(spec.format_label(lab) for lab in basis.labels(s, t))
         rows.append([s, t, basis.dim(s, t), labels])
     emitter.emit("e2.csv", _csv(rows))
+    unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
+    if unproven:
+        lines = [f"starting page, total degree <= {spec.degree_bound}"]
+        for t in unproven:
+            lines.append(f"fibre degree {t} is only >=0: e2.csv lists no class there, "
+                         "yet the degree is unproven, not zero")
+        emitter.emit("e2_log.txt", "\n".join(lines) + "\n")
     return 0
 
 

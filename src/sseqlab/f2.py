@@ -10,6 +10,7 @@ of subspaces testable as equality of basis lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError
@@ -50,7 +51,12 @@ class F2Vector:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if self.bits >> i & 1)
+        out = []
+        bits = self.bits
+        while bits:
+            out.append(_lowest_bit(bits))
+            bits &= bits - 1
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -107,14 +113,9 @@ class F2Matrix:
             if not columns:
                 raise UsageError("cannot infer row count from an empty column list")
             rows = columns[0].length
-        words = [0] * rows
-        for j, col in enumerate(columns):
-            if col.length != rows:
-                raise UsageError("column length mismatch")
-            for i in range(rows):
-                if col.bits >> i & 1:
-                    words[i] |= 1 << j
-        return cls(rows, len(columns), tuple(words))
+        if any(col.length != rows for col in columns):
+            raise UsageError("column length mismatch")
+        return cls(rows, len(columns), _transpose([col.bits for col in columns], rows))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -140,13 +141,7 @@ class F2Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "F2Matrix":
-        words = [0] * self.cols
-        for i, word in enumerate(self.row_bits):
-            while word:
-                j = _lowest_bit(word)
-                words[j] |= 1 << i
-                word &= word - 1
-        return F2Matrix(self.cols, self.rows, tuple(words))
+        return F2Matrix(self.cols, self.rows, _transpose(self.row_bits, self.cols))
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m*v, with v of length cols."""
@@ -176,6 +171,30 @@ class F2Matrix:
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(self.rows))
+
+    @cached_property
+    def _tagged_echelon(self) -> tuple[tuple[int, int], ...]:
+        """One semi-echelon of the rows, each tagged past ``cols`` with the original rows it sums.
+
+        Row i enters as its word plus bit ``cols + i``.  Returns (pivot,
+        row) pairs, highest pivot first, so the rows whose column part
+        vanished (pivot >= ``cols``) lead: their tags span the relations
+        among the rows.  The matrix is frozen, so every ``solve`` against
+        it reads this one elimination.
+        """
+        cols = self.cols
+        rows = _echelon(word | 1 << (cols + i) for i, word in enumerate(self.row_bits))
+        return tuple(sorted(rows.items(), reverse=True))
+
+
+def _transpose(words: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bit-packed transpose: bit j of word i becomes bit i of word j, for j < width."""
+    out = [0] * width
+    for i, word in enumerate(words):
+        while word:
+            out[_lowest_bit(word)] |= 1 << i
+            word &= word - 1
+    return tuple(out)
 
 
 def _echelon(words: Iterable[int]) -> dict[int, int]:
@@ -273,22 +292,24 @@ def image_basis(m: F2Matrix) -> list[F2Vector]:
 
 
 def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
-    """Some x with m*x = b, or None when b is outside the column space."""
+    """Some x with m*x = b (free variables 0), or None when b is outside the column space.
+
+    The elimination is kept per matrix: every solve against the same ``m``
+    reads b through the row tags of one semi-echelon.  b is outside the
+    column space exactly when some relation among the rows meets b oddly.
+    """
     if b.length != m.rows:
         raise UsageError(
             f"right-hand side length {b.length} does not match row count {m.rows}"
         )
-    augmented = (
-        word | ((b.bits >> i & 1) << m.cols) for i, word in enumerate(m.row_bits)
-    )
-    rows = _echelon(augmented)
-    if m.cols in rows:
-        return None
-    x = 0  # back-substitute the right-hand side alone, highest pivot first
-    for pivot, row in sorted(rows.items(), reverse=True):
-        if (row >> m.cols ^ _parity(row & x)) & 1:
-            x |= 1 << pivot
-    return F2Vector(m.cols, x)
+    cols = m.cols
+    y = b.bits << cols  # b sits under the row tags; x fills the bits below them
+    for pivot, row in m._tagged_echelon:  # back-substitute, highest pivot first
+        if _parity(row & y):
+            if pivot >= cols:
+                return None  # a relation among the rows meets b oddly
+            y |= 1 << pivot
+    return F2Vector(cols, y & ((1 << cols) - 1))
 
 
 def quotient_dim(space: Sequence[F2Vector], subspace: Sequence[F2Vector]) -> int:

@@ -135,6 +135,13 @@ class FibrationSpec:
     def arrows(self) -> tuple[Arrow, ...]:
         return tuple(classify_arrows(self))  # the spec is frozen: walk once
 
+    @cached_property
+    def admissible(self) -> tuple[tuple[int, Bidegree, Bidegree], ...]:
+        """The admissible (page, source, target) triples of ``arrows``, sorted."""
+        return tuple(
+            sorted((r, src, tgt) for r, src, tgt, verdict in self.arrows if verdict == ADMISSIBLE)
+        )
+
     def format_label(self, label: Label) -> str:
         monomial, gen = label
         if gen == self.unit_gen:
@@ -225,11 +232,7 @@ def admissible_differentials(
     spec: FibrationSpec,
 ) -> list[tuple[int, Bidegree, Bidegree]]:
     """The admissible triples of ``classify_arrows``, sorted."""
-    return sorted(
-        (r, source, target)
-        for r, source, target, verdict in spec.arrows
-        if verdict == ADMISSIBLE
-    )
+    return list(spec.admissible)
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,8 @@ class DifferentialAssignment:
 
     values: Mapping[str, int]
     generator_images: Mapping[tuple[str, int], Polynomial]
+    # the spec whose ``check_images`` this assignment passed; set by that check
+    _checked: Optional[FibrationSpec] = field(default=None, init=False, repr=False, compare=False)
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
         return self.generator_images.get((gen, r))
@@ -286,6 +291,7 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
     Every generator that supports an admissible transgression needs a
     declared image (possibly zero), and no fibre degree in the window may
     be unproven: its missing classes could support or kill any class.
+    A passed check is kept on the assignment, where ``initial_page`` reads it.
     """
     unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
     if unproven:
@@ -308,7 +314,7 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
             raise ValidationError(
                 f"image of d_{r}({gen}) must be homogeneous of degree {r}"
             )
-    for r, (s, t), _target in admissible_differentials(spec):
+    for r, (s, t), _target in spec.admissible:
         if s != 0:
             continue
         for gen in spec.fibre_gens[t]:
@@ -316,6 +322,12 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
                 raise UsageError(
                     f"no image declared for d_{r}({gen}); declare it (possibly zero)"
                 )
+    object.__setattr__(assignment, "_checked", spec)
+
+
+def _require_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
+    if assignment._checked is not spec:
+        check_images(spec, assignment)
 
 
 # ------------------------------------------------------------------ pages
@@ -342,8 +354,13 @@ class PageGroup:
     def quotient_basis(self) -> list[F2Vector]:
         """Greedy representatives of cycles modulo boundaries (deterministic).
 
-        A cycle whose residue is nonzero is kept; the residue extends the echelon.
+        Computed once per group; each call returns a fresh list.
         """
+        return list(self._quotient_reps)
+
+    @cached_property
+    def _quotient_reps(self) -> tuple[F2Vector, ...]:
+        """A cycle whose residue is nonzero is kept; the residue extends the echelon."""
         echelon = list(self.boundaries)
         reps = []
         for v in self.cycles:
@@ -351,7 +368,7 @@ class PageGroup:
             if not residue.is_zero():
                 reps.append(v)
                 echelon.append(residue)
-        return reps
+        return tuple(reps)
 
 
 @dataclass
@@ -386,22 +403,6 @@ class Page:
         )
 
 
-def _label_image(
-    spec: FibrationSpec,
-    assignment: DifferentialAssignment,
-    label: Label,
-    r: int,
-) -> list[Label]:
-    """Leibniz rule on one tensor label: d(m (x) g) = m * d(g) on the base row."""
-    monomial, gen = label
-    if gen == spec.unit_gen:
-        return []
-    image = assignment.image_of(gen, r)
-    if image is None or image.is_zero():
-        return []
-    return [(monomial * n, spec.unit_gen) for n in image.sorted_terms()]
-
-
 def _page(
     spec: FibrationSpec,
     assignment: DifferentialAssignment,
@@ -412,10 +413,15 @@ def _page(
     """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
     matrices: dict[Bidegree, F2Matrix] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
-    # the fibre degrees with a generator whose d_r image is nonzero
-    active = {
-        t for t, gens in spec.fibre_gens.items() if any(assignment.image_of(g, r) for g in gens)
-    }
+    # each generator's nonzero d_r image, as sorted base monomials; Leibniz then gives
+    # d(m (x) g) = m * d(g) on the base row
+    image_terms = {}
+    for gens in spec.fibre_gens.values():
+        for g in gens:
+            image = assignment.image_of(g, r)
+            if image:
+                image_terms[g] = image.sorted_terms()
+    active = {spec.fibre_degree_of(g) for g in image_terms}
     for (s, t), group in sorted(groups.items()):
         if t not in active or t - r + 1 < 0 or group.dim == 0:
             continue
@@ -439,10 +445,11 @@ def _page(
         for v in source_reps:
             bits = 0
             for i in v.support:
-                for lab in _label_image(spec, assignment, group.labels[i], r):
-                    bits ^= 1 << target_index[lab]
+                monomial, gen = group.labels[i]
+                for n in image_terms.get(gen, ()):
+                    bits ^= 1 << target_index[(monomial * n, spec.unit_gen)]
             w = F2Vector(n_labels, bits)
-            if not in_span(list(target.cycles), w):
+            if not in_span(target.cycles, w):
                 raise ValidationError(
                     f"d_{r} image at {target_bd} lies in a vanished subquotient: "
                     "inconsistent assignment"
@@ -458,7 +465,7 @@ def _page(
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:
     """The starting page (r = 2), tracked through total degree N + 1."""
-    check_images(spec, assignment)
+    _require_images(spec, assignment)
     basis = build_e2(spec, total_bound=spec.degree_bound + 1)
     groups = {}
     for bd in basis.bidegrees():
@@ -482,7 +489,7 @@ def leibniz_extend(
     if page is None:
         page = initial_page(spec, assignment)
     else:
-        check_images(spec, assignment)
+        _require_images(spec, assignment)
     return _page(spec, assignment, r, page.groups).differentials
 
 
@@ -542,7 +549,7 @@ EinftyReport = dict[int, list[tuple[Bidegree, int]]]
 
 
 def _last_page(spec: FibrationSpec) -> int:
-    return max((r for r, _, _ in admissible_differentials(spec)), default=1)
+    return max((r for r, _, _ in spec.admissible), default=1)
 
 
 def _limit(page: Page, last_page: int) -> tuple[Page, EinftyReport]:

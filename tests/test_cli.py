@@ -290,7 +290,8 @@ def test_out_at_an_existing_file_exits_one(tmp_path):
 
 def test_each_op_derives_and_checks_its_inputs_once(monkeypatch):
     # counted where each result is computed: the fibre truncation derived by the
-    # config gate, the arrow walk, and a squaring table's verdict
+    # config gate, the arrow walk, a squaring table's verdict, and the image
+    # check, whose verdict stays on each resolved assignment
     calls = Counter()
 
     def counted(name, fn):
@@ -308,6 +309,8 @@ def test_each_op_derives_and_checks_its_inputs_once(monkeypatch):
         monkeypatch.setattr(module, "classify_arrows", arrows, raising=False)
     for module in (sseqlab.steenrod, sseqlab.cli):
         monkeypatch.setattr(module, "validate_table", verdict)
+    images = counted("images", sseqlab.specseq.check_images)
+    monkeypatch.setattr(sseqlab.specseq, "check_images", images)
     ops = {
         "constraints": (G2, "constraints"),
         "e2": (G2, "e2"),
@@ -327,7 +330,35 @@ def test_each_op_derives_and_checks_its_inputs_once(monkeypatch):
         fibre_derivations = 0 if op == "hit" else 1  # onevar.cfg has no fibre to derive
         assert seen.get("fibre", 0) == fibre_derivations, (op, seen)
         assert seen.get("arrows", 0) <= 1, (op, seen)
+    # one check per resolved assignment: einfty resolves one, sweep and gauge one per branch
+    image_checks = {op: seen.get("images", 0) for op, seen in counts.items()}
+    assert image_checks == {
+        "constraints": 0, "e2": 0, "einfty": 1, "sweep": 2,
+        "gauge": 2, "uct": 0, "chart": 0, "hit": 0,
+    }
     assert counts["hit"] == {"verdict": 1}
+
+
+def test_e2_log_names_each_unproven_fibre_degree(tmp_path):
+    # pi_6 only known to contain Z/3: fibre degrees 3 and 4 are >=0, with no class derived
+    cfg = tmp_path / "z3.cfg"
+    cfg.write_text((ROOT / "g2.cfg").read_text().replace("6 = Z/3", "6 = contains Z/3"))
+    code, out, err = run_cli("--config", str(cfg), "e2")
+    assert (code, err) == (0, "")
+    csv_part, log = out.split("# ==== e2_log.txt ====\n")
+    rows = [line.split(",") for line in csv_part.splitlines()[2:]]
+    assert csv_part.startswith("# ==== e2.csv ====\n") and rows
+    assert all(t not in ("3", "4") for _s, t, *_ in rows)
+    assert log.splitlines() == [
+        "starting page, total degree <= 10",
+        "fibre degree 3 is only >=0: e2.csv lists no class there, "
+        "yet the degree is unproven, not zero",
+        "fibre degree 4 is only >=0: e2.csv lists no class there, "
+        "yet the degree is unproven, not zero",
+    ]
+    # with every degree proven there is no log, so the default artifacts are unchanged
+    code, out, _ = run_cli("--config", G2, "e2")
+    assert code == 0 and "e2_log.txt" not in out
 
 
 def readme_commands():

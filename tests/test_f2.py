@@ -320,3 +320,46 @@ def test_kernels_equal_the_full_rref_reference(monkeypatch, rref_reference, solv
         unsolvable += expected[-1][0] is None
         solvable += expected[-1][0] is not None
     assert solvable > 50 and unsolvable > 50
+
+
+def test_solve_keeps_one_elimination_per_matrix(monkeypatch, solve_reference):
+    import sseqlab.f2 as f2
+
+    eliminations = []
+    original = f2._echelon
+
+    def counted(words):
+        eliminations.append(None)
+        return original(words)
+
+    monkeypatch.setattr(f2, "_echelon", counted)
+    rng = random.Random(2027)
+    solvable = unsolvable = 0
+    for m in _kernel_cases(rng):
+        if m.rows <= 6:
+            rhs = [F2Vector(m.rows, bits) for bits in range(1 << m.rows)]
+        else:
+            rhs = [F2Vector(m.rows, rng.getrandbits(m.rows)) for _ in range(16)]
+            rhs += [m.apply(F2Vector(m.cols, rng.getrandbits(m.cols))) for _ in range(16)]
+        eliminations.clear()
+        got = [solve(m, b) for b in rhs]
+        assert len(eliminations) == 1
+        expected = [solve_reference(m, b) for b in rhs]
+        assert got == expected
+        unsolvable += sum(x is None for x in expected)
+        solvable += sum(x is not None for x in expected)
+    assert solvable > 1000 and unsolvable > 1000
+
+
+def test_from_columns_and_support_read_every_bit():
+    rng = random.Random(2028)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 40), rng.randint(0, 12)
+        columns = [F2Vector(rows, rng.getrandbits(rows)) for _ in range(cols)]
+        m = F2Matrix.from_columns(columns, rows=rows)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.columns() == columns
+        for v in columns:
+            assert v.support == tuple(i for i in range(rows) if v[i])
+    with pytest.raises(UsageError):
+        F2Matrix.from_columns([F2Vector(3), F2Vector(4)])

@@ -1,5 +1,6 @@
 """Tests for the spectral sequence engine."""
 
+import functools
 import itertools
 import json
 import random
@@ -225,6 +226,44 @@ def test_quotient_basis_matches_reference_on_random_nested_spaces(greedy_referen
         reps = group.quotient_basis()
         assert reps == greedy_reference(boundaries, cycles)
         assert len(reps) == group.dim
+
+
+@pytest.mark.parametrize("window", [10, 24])
+def test_each_group_computes_its_quotient_basis_once_per_sweep(window, monkeypatch):
+    computed = {}  # id -> [group, computations]; the group is held so no id is reused
+    original = PageGroup.__dict__["_quotient_reps"].func
+
+    def counted(group):
+        computed.setdefault(id(group), [group, 0])[1] += 1
+        return original(group)
+
+    reps = functools.cached_property(counted)
+    reps.__set_name__(PageGroup, "_quotient_reps")
+    monkeypatch.setattr(PageGroup, "_quotient_reps", reps)
+    calls = []
+    quotient_basis = PageGroup.quotient_basis
+
+    def traced(group):
+        calls.append(id(group))
+        return quotient_basis(group)
+
+    monkeypatch.setattr(PageGroup, "quotient_basis", traced)
+    sweep_unknowns(g2_fibration_spec(window))
+    assert computed and all(n == 1 for _group, n in computed.values())
+    assert set(calls) == set(computed)
+    assert len(calls) > len(computed)  # _page (source and target) and turn_page share one result
+
+
+def test_mutating_a_quotient_basis_leaves_the_group_unchanged():
+    spec = g2_fibration_spec(24)
+    page = initial_page(spec, resolve_assignment(spec, {"eps": 1}))
+    for group in page.groups.values():
+        reps = group.quotient_basis()
+        expected = list(reps)
+        reps.append(F2Vector(len(group.labels)))
+        reps.reverse()
+        assert group.quotient_basis() == expected
+    assert any(len(group.quotient_basis()) > 1 for group in page.groups.values())
 
 
 def test_turn_page_kills_target_of_rank_one_differential():
