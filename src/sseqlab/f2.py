@@ -2,14 +2,16 @@
 
 Vectors and matrix rows are bit-packed into Python integers: bit ``i``
 of a word is the coefficient of coordinate ``i``, so every row
-operation is a single XOR of arbitrary-width machine words.  All
+operation is a single XOR of arbitrary-width machine words.  An
+``F2Vector`` is a slotted immutable value: equal and hashed by
+(length, bits), checked on every construction, copy and unpickling.  All
 returned bases are in reduced row-echelon form, which makes equality
 of subspaces testable as equality of basis lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -25,28 +27,58 @@ def _lowest_bit(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-@dataclass(frozen=True)
 class F2Vector:
-    """A vector in F_2^length, support held in the bits of one integer."""
+    """A vector in F_2^length, support held in the bits of one integer.
 
+    An immutable value compared and hashed by (length, bits); slotted, so
+    the vectors the engine builds by the thousand stay cheap.
+    """
+
+    __slots__ = ("length", "bits")
     length: int
-    bits: int = 0
+    bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise UsageError(f"negative vector length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
+    def __init__(self, length: int, bits: int = 0) -> None:
+        if length < 0:
+            raise UsageError(f"negative vector length {length}")
+        if bits < 0 or bits >> length:
             raise UsageError("support index out of range")
+        _set_length(self, length)
+        _set_bits(self, bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return F2Vector, (self.length, self.bits)  # copies and unpickling re-validate
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.length == other.length and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.bits))
+
+    def __repr__(self) -> str:
+        return f"F2Vector(length={self.length!r}, bits={self.bits!r})"
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "F2Vector":
         bits = 0
         for i in support:
+            if i < 0:
+                raise UsageError("support index out of range")
             bits |= 1 << i
         return cls(length, bits)
 
     @classmethod
     def unit(cls, length: int, i: int) -> "F2Vector":
+        if i < 0:
+            raise UsageError("support index out of range")
         return cls(length, 1 << i)
 
     @property
@@ -73,6 +105,11 @@ class F2Vector:
 
     def __str__(self) -> str:
         return "".join(str(self.bits >> i & 1) for i in range(self.length))
+
+
+# the slot setters, which bypass the frozen __setattr__
+_set_length = F2Vector.length.__set__
+_set_bits = F2Vector.bits.__set__
 
 
 @dataclass(frozen=True)

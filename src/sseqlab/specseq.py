@@ -18,12 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import (
     F2Matrix,
     F2Vector,
+    _transpose,
     in_span,
     kernel_basis,
     reduce_against,
@@ -168,24 +170,23 @@ class BigradedBasis:
         return sorted(self.groups)
 
 
-def _tensor_labels(spec: FibrationSpec, s: int, t: int) -> tuple[Label, ...]:
-    gens = spec.fibre_gens.get(t, ())
-    if not gens:
-        return ()
-    return tuple(
-        (m, g) for m in basis_in_degree(spec.base, s) for g in gens
-    )
-
-
 def build_e2(spec: FibrationSpec, *, total_bound: Optional[int] = None) -> BigradedBasis:
-    """Starting-page basis in all bidegrees with s + t <= the window."""
+    """Starting-page basis in all bidegrees with s + t <= the window.
+
+    Each base degree's monomials are built once and shared by every fibre degree.
+    """
     bound = spec.degree_bound if total_bound is None else total_bound
+    bases: dict[int, list[Monomial]] = {}
     groups: dict[Bidegree, tuple[Label, ...]] = {}
     for t in spec.fibre_degrees():
+        gens = spec.fibre_gens[t]
+        if not gens:
+            continue
         for s in range(bound - t + 1):
-            labels = _tensor_labels(spec, s, t)
-            if labels:
-                groups[(s, t)] = labels
+            if s not in bases:
+                bases[s] = basis_in_degree(spec.base, s)
+            if bases[s]:
+                groups[(s, t)] = tuple((m, g) for m in bases[s] for g in gens)
     return BigradedBasis(bound, groups)
 
 
@@ -413,15 +414,16 @@ def _page(
     """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
     matrices: dict[Bidegree, F2Matrix] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
-    # each generator's nonzero d_r image, as sorted base monomials; Leibniz then gives
-    # d(m (x) g) = m * d(g) on the base row
+    # each generator's nonzero d_r image, as the exponents of its sorted base monomials;
+    # Leibniz then gives d(m (x) g) = m * d(g) on the base row
     image_terms = {}
     for gens in spec.fibre_gens.values():
         for g in gens:
             image = assignment.image_of(g, r)
             if image:
-                image_terms[g] = image.sorted_terms()
+                image_terms[g] = [n.exponents for n in image.sorted_terms()]
     active = {spec.fibre_degree_of(g) for g in image_terms}
+    unit = spec.unit_gen
     for (s, t), group in sorted(groups.items()):
         if t not in active or t - r + 1 < 0 or group.dim == 0:
             continue
@@ -436,7 +438,14 @@ def _page(
             continue
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
-        target_index = {label: i for i, label in enumerate(target.labels)}
+        target_index = {(m.exponents, g): i for i, (m, g) in enumerate(target.labels)}
+        # each label's image as target bits: the exponents of m * n, summed per term n
+        label_bits = []
+        for monomial, gen in group.labels:
+            bits = 0
+            for n in image_terms.get(gen, ()):
+                bits ^= 1 << target_index[(tuple(map(add, monomial.exponents, n)), unit)]
+            label_bits.append(bits)
         n_labels = len(target.labels)
         # an image's coordinates solve against [target reps | target boundaries]
         coordinates = F2Matrix.from_columns(target_reps + list(target.boundaries), rows=n_labels)
@@ -445,9 +454,7 @@ def _page(
         for v in source_reps:
             bits = 0
             for i in v.support:
-                monomial, gen = group.labels[i]
-                for n in image_terms.get(gen, ()):
-                    bits ^= 1 << target_index[(monomial * n, spec.unit_gen)]
+                bits ^= label_bits[i]
             w = F2Vector(n_labels, bits)
             if not in_span(target.cycles, w):
                 raise ValidationError(
@@ -456,10 +463,11 @@ def _page(
                 )
             coords = solve(coordinates, w)
             assert coords is not None
-            columns.append(F2Vector(len(target_reps), coords.bits & rep_mask))
-        matrix = F2Matrix.from_columns(columns, rows=len(target_reps))
-        if matrix.rows and matrix.cols:
-            matrices[(s, t)] = matrix
+            columns.append(coords.bits & rep_mask)
+        if columns and target_reps:
+            matrices[(s, t)] = F2Matrix(
+                len(target_reps), len(columns), _transpose(columns, len(target_reps))
+            )
     return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
 
 

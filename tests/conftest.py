@@ -2,9 +2,10 @@
 
 import pytest
 
-from sseqlab.errors import UsageError
-from sseqlab.f2 import F2Vector, reduce_against, row_reduce
+from sseqlab.errors import UsageError, ValidationError
+from sseqlab.f2 import F2Matrix, F2Vector, in_span, reduce_against, row_reduce, solve
 from sseqlab.graded import multiply
+from sseqlab.specseq import Page
 from sseqlab.steenrod import Violation
 
 
@@ -27,6 +28,65 @@ def _greedy_reference(context, candidates):
 @pytest.fixture
 def greedy_reference():
     return _greedy_reference
+
+
+def _page_reference(spec, assignment, r, groups, flagged=()):
+    """``specseq._page`` as a loop over every support label of every source rep.
+
+    Builds ``monomial * n`` and one column vector per representative; the
+    page engine's per-label images and column words are compared against it.
+    """
+    matrices = {}
+    unevaluated = []
+    image_terms = {}
+    for gens in spec.fibre_gens.values():
+        for g in gens:
+            image = assignment.image_of(g, r)
+            if image:
+                image_terms[g] = image.sorted_terms()
+    active = {spec.fibre_degree_of(g) for g in image_terms}
+    for (s, t), group in sorted(groups.items()):
+        if t not in active or t - r + 1 < 0 or group.dim == 0:
+            continue
+        target_bd = (s + r, t - r + 1)
+        if s + t > spec.degree_bound:
+            if spec.e2_dim(*target_bd) > 0:
+                unevaluated.append((r, (s, t), target_bd))
+            continue
+        target = groups.get(target_bd)
+        if target is None:
+            continue
+        source_reps = group.quotient_basis()
+        target_reps = target.quotient_basis()
+        target_index = {label: i for i, label in enumerate(target.labels)}
+        n_labels = len(target.labels)
+        coordinates = F2Matrix.from_columns(target_reps + list(target.boundaries), rows=n_labels)
+        rep_mask = (1 << len(target_reps)) - 1
+        columns = []
+        for v in source_reps:
+            bits = 0
+            for i in v.support:
+                monomial, gen = group.labels[i]
+                for n in image_terms.get(gen, ()):
+                    bits ^= 1 << target_index[(monomial * n, spec.unit_gen)]
+            w = F2Vector(n_labels, bits)
+            if not in_span(target.cycles, w):
+                raise ValidationError(
+                    f"d_{r} image at {target_bd} lies in a vanished subquotient: "
+                    "inconsistent assignment"
+                )
+            coords = solve(coordinates, w)
+            assert coords is not None
+            columns.append(F2Vector(len(target_reps), coords.bits & rep_mask))
+        matrix = F2Matrix.from_columns(columns, rows=len(target_reps))
+        if matrix.rows and matrix.cols:
+            matrices[(s, t)] = matrix
+    return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
+
+
+@pytest.fixture
+def page_reference():
+    return _page_reference
 
 
 def _rref_reference(words):

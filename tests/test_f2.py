@@ -4,7 +4,9 @@ The oracles here (naive fraction-free elimination, exhaustive span
 enumeration) are deliberately independent of the bitset implementation.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -363,3 +365,50 @@ def test_from_columns_and_support_read_every_bit():
             assert v.support == tuple(i for i in range(rows) if v[i])
     with pytest.raises(UsageError):
         F2Matrix.from_columns([F2Vector(3), F2Vector(4)])
+
+
+def test_vector_is_an_immutable_value():
+    v = F2Vector(3, 5)
+    assert v == F2Vector(3, 5) and F2Vector(length=3, bits=5) == v
+    assert v != F2Vector(3, 4) and v != F2Vector(4, 5)
+    assert v != (3, 5) and (3, 5) != v
+    assert hash(v) == hash(F2Vector(3, 5)) == hash((3, 5))
+    assert len({v, F2Vector(3, 5), F2Vector(3, 4)}) == 2
+    assert repr(v) == "F2Vector(length=3, bits=5)"
+    assert repr(F2Vector(0)) == "F2Vector(length=0, bits=0)"
+    for name, value in (("bits", 1), ("length", 4), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(v, name, value)
+    with pytest.raises(AttributeError):
+        del v.bits
+    assert v == F2Vector(3, 5)
+    with pytest.raises(UsageError, match="^negative vector length -1$"):
+        F2Vector(-1)
+    for bits in (-1, 8):
+        with pytest.raises(UsageError, match="^support index out of range$"):
+            F2Vector(3, bits)
+
+
+def test_vector_survives_copy_and_pickle():
+    for v in (F2Vector(0), F2Vector(3, 5), F2Vector(200, 1 << 199 | 7)):
+        for twin in (
+            copy.copy(v),
+            copy.deepcopy(v),
+            *(pickle.loads(pickle.dumps(v, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert type(twin) is F2Vector
+            assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+            with pytest.raises(AttributeError):
+                twin.bits = 0
+    nested = {"reps": [F2Vector(3, 1), F2Vector(3, 6)]}
+    assert copy.deepcopy(nested) == nested
+
+
+def test_negative_support_index_is_a_usage_error():
+    with pytest.raises(UsageError, match="^support index out of range$"):
+        F2Vector.unit(3, -1)
+    with pytest.raises(UsageError, match="^support index out of range$"):
+        F2Vector.from_support(3, [0, -1])
+    with pytest.raises(UsageError, match="^support index out of range$"):
+        F2Vector.unit(3, 3)
+    assert F2Vector.from_support(3, [0, 2, 2]) == F2Vector(3, 5)

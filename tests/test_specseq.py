@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import F2Vector, row_reduce
 from sseqlab.gauge import g2_fibration_spec
-from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
+from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degree
 from sseqlab.specseq import (
     FibrationSpec,
     PageGroup,
@@ -264,6 +265,147 @@ def test_mutating_a_quotient_basis_leaves_the_group_unchanged():
         reps.reverse()
         assert group.quotient_basis() == expected
     assert any(len(group.quotient_basis()) > 1 for group in page.groups.values())
+
+
+def random_fibration(rng):
+    """A seeded spec and assignment: random base degrees, several fibre
+    generators, a zero image on every non-transgressive page and a random
+    (often multi-term) transgressive image."""
+    base = PolyAlgebraSpec.from_pairs(
+        [(f"b{i}", rng.randint(1, 5)) for i in range(rng.randint(1, 3))]
+    )
+    bound = rng.randint(6, 16)
+    fibre = {0: (UNIT_GEN,)}
+    for i in range(rng.randint(2, 4)):
+        t = rng.randint(1, bound - 1)
+        fibre[t] = fibre.get(t, ()) + (f"g{i}",)
+    spec = FibrationSpec(base, fibre, bound)
+    images = {}
+    for t, gens in fibre.items():
+        for g in gens if t else ():
+            for r in range(2, t + 1):
+                images[(g, r)] = Polynomial.zero()
+            terms = [m for m in basis_in_degree(base, t + 1) if rng.random() < 0.6]
+            images[(g, t + 1)] = Polynomial.of(*terms)
+    return spec, resolve_assignment(spec, {}, images)
+
+
+def pages_to_limit(spec, assignment):
+    page = initial_page(spec, assignment)
+    pages = [page]
+    last_page = max((r for r, _, _ in admissible_differentials(spec)), default=1)
+    while page.r <= last_page:
+        page = turn_page(page)
+        pages.append(page)
+    return [(p.r, p.differentials, p.unevaluated, p.groups) for p in pages]
+
+
+def test_page_matches_the_per_support_reference_on_random_specs(monkeypatch, page_reference):
+    import sseqlab.specseq as specseq
+
+    rng = random.Random(1010)
+    multi_term = nonzero = 0
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        multi_term += any(len(p.terms) > 1 for p in assignment.generator_images.values())
+        pages = pages_to_limit(spec, assignment)
+        report = run_to_einfty(spec, assignment)[1]
+        with monkeypatch.context() as patched:
+            patched.setattr(specseq, "_page", page_reference)
+            assert pages_to_limit(spec, assignment) == pages
+            assert run_to_einfty(spec, assignment)[1] == report
+        nonzero += sum(not m.is_zero() for _r, d, _u, _g in pages for m in d.values())
+    assert multi_term > 30 and nonzero > 400
+
+
+def scrambled(groups, rng):
+    """The same labels under random nested boundaries and cycles.
+
+    Half the groups keep every label a cycle; the rest may have lost the
+    cycles an image needs, so the engine must refuse it.
+    """
+    out = {}
+    for bd, group in groups.items():
+        n = len(group.labels)
+        boundaries = row_reduce([F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, n))])
+        if rng.random() < 0.5:
+            cycles = list(group.cycles)
+        else:
+            cycles = [F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, n))]
+        out[bd] = PageGroup(group.labels, tuple(row_reduce(boundaries + cycles)), tuple(boundaries))
+    return out
+
+
+def test_page_matches_the_reference_on_scrambled_groups(page_reference):
+    from sseqlab.specseq import _page
+
+    rng = random.Random(1011)
+    outcomes = []
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        for r, _d, _u, groups in pages_to_limit(spec, assignment):
+            groups = scrambled(groups, rng)
+            results = []
+            for engine in (_page, page_reference):
+                try:
+                    page = engine(spec, assignment, r, groups)
+                    results.append((page.differentials, page.unevaluated))
+                except ValidationError as err:
+                    results.append(str(err))
+            assert results[0] == results[1]
+            outcomes.append(results[0])
+    refused = [o for o in outcomes if isinstance(o, str)]
+    assert all("vanished subquotient" in o for o in refused)
+    nonzero = sum(
+        not m.is_zero() for o in outcomes if not isinstance(o, str) for m in o[0].values()
+    )
+    assert len(refused) > 50 and nonzero > 50
+
+
+def test_page_and_reference_refuse_an_image_in_a_vanished_subquotient(page_reference):
+    from sseqlab.specseq import _page
+
+    spec = g2_fibration_spec(10)
+    assignment = resolve_assignment(spec, {"eps": 1})
+    page = initial_page(spec, assignment)
+    while page.r < 6:
+        page = turn_page(page)
+    groups = dict(page.groups)
+    groups[(6, 0)] = PageGroup(groups[(6, 0)].labels, (), ())  # x_6 gone before d_6(u_5)
+    messages = []
+    for engine in (_page, page_reference):
+        with pytest.raises(ValidationError, match="vanished subquotient") as caught:
+            engine(spec, assignment, 6, groups)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == (
+        "d_6 image at (6, 0) lies in a vanished subquotient: inconsistent assignment"
+    )
+
+
+def test_page_builds_no_monomial_and_e2_one_base_basis_per_degree(monkeypatch):
+    import sseqlab.specseq as specseq
+
+    callers = []
+    multiply = Monomial.__mul__
+
+    def traced_mul(a, b):
+        callers.append(sys._getframe(1).f_code)
+        return multiply(a, b)
+
+    degrees = []
+    basis = specseq.basis_in_degree
+
+    def traced_basis(algebra, d):
+        degrees.append(d)
+        return basis(algebra, d)
+
+    monkeypatch.setattr(Monomial, "__mul__", traced_mul)
+    monkeypatch.setattr(specseq, "basis_in_degree", traced_basis)
+    spec = g2_fibration_spec(24)
+    reports = sweep_unknowns(spec)
+    assert total_dims(reports[(("eps", 1),)], 24) != total_dims(reports[(("eps", 0),)], 24)
+    assert specseq._page.__code__ not in callers
+    assert sorted(degrees) == list(range(spec.degree_bound + 2))  # the tracked window is N + 1
 
 
 def test_turn_page_kills_target_of_rank_one_differential():
