@@ -8,34 +8,29 @@ integers, iteration orders are sorted, and nothing is timestamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
+from .record import Record
 from .specseq import Bidegree, FibrationSpec, admissible_differentials, build_e2
 
 CELL = 40  # pixel pitch of the grid
 MARGIN = 60
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    """Page number, window, dots with dimensions, and labelled arrows."""
+class ChartSpec(Record):
+    """Page number, window, dots (s, t, dim) with dimensions, and labelled arrows."""
 
-    page: int
-    s_max: int
-    t_max: int
-    dots: tuple[tuple[int, int, int], ...]  # (s, t, dim)
-    arrows: tuple[tuple[Bidegree, Bidegree, str], ...]
-
-    def __post_init__(self) -> None:
-        if self.page < 2:
-            raise ValidationError(f"chart page must be >= 2 (pages start at E_2), got {self.page}")
-        for (s, t), (s2, t2), _label in self.arrows:
-            if (s2, t2) != (s + self.page, t - self.page + 1):
+    def __init__(
+        self, page: int, s_max: int, t_max: int, dots: tuple[tuple[int, int, int], ...],
+        arrows: tuple[tuple[Bidegree, Bidegree, str], ...],
+    ) -> None:
+        if page < 2:
+            raise ValidationError(f"chart page must be >= 2 (pages start at E_2), got {page}")
+        for (s, t), (s2, t2), _label in arrows:
+            if (s2, t2) != (s + page, t - page + 1):
                 raise ValidationError(
-                    f"arrow {((s, t), (s2, t2))} violates the page-{self.page} "
-                    "bidegree law"
+                    f"arrow {((s, t), (s2, t2))} violates the page-{page} bidegree law"
                 )
+        self.__dict__.update(page=page, s_max=s_max, t_max=t_max, dots=dots, arrows=arrows)
 
 
 def build_chart(spec: FibrationSpec, page: int) -> ChartSpec:

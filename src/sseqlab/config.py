@@ -39,11 +39,10 @@ identity component of the triple loop space).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import ConfigError, UsageError, ValidationError
 from .gauge import DEFAULT_EPSILON_RULE, EpsilonRule
@@ -56,6 +55,7 @@ from .homotopy import (
     fibre_truncation_dims,
     loopspace_shift,
 )
+from .record import Record
 from .specseq import FibrationSpec, UNIT_GEN, UnknownScalar
 from .steenrod import SteenrodTable, table_from_entries
 
@@ -63,17 +63,21 @@ _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
 _UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
 
 
-@dataclass(frozen=True)
-class WorkbenchConfig:
-    base: PolyAlgebraSpec
-    degree_bound: int = 10
-    homotopy: Optional[HomotopyTable] = None
-    fibre_derive: bool = False
-    fibre_explicit: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    unknowns: tuple[UnknownScalar, ...] = ()
-    epsilon_rule: EpsilonRule = DEFAULT_EPSILON_RULE
-    epsilon_given: bool = False
-    steenrod: Optional[SteenrodTable] = None
+class WorkbenchConfig(Record):
+    """A parsed configuration; ``fibre_explicit`` is kept as a read-only copy."""
+
+    def __init__(
+        self, base: PolyAlgebraSpec, degree_bound: int = 10,
+        homotopy: Optional[HomotopyTable] = None, fibre_derive: bool = False,
+        fibre_explicit: Optional[Mapping[int, tuple[str, ...]]] = None,
+        unknowns: tuple[UnknownScalar, ...] = (), epsilon_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
+        epsilon_given: bool = False, steenrod: Optional[SteenrodTable] = None,
+    ) -> None:
+        self.__dict__.update(
+            base=base, degree_bound=degree_bound, homotopy=homotopy, fibre_derive=fibre_derive,
+            fibre_explicit=MappingProxyType(dict(fibre_explicit or {})), unknowns=unknowns,
+            epsilon_rule=epsilon_rule, epsilon_given=epsilon_given, steenrod=steenrod,
+        )
 
     def fibration_spec(self) -> FibrationSpec:
         """The engine input, derived once per config through the fibre consistency gate."""
@@ -428,6 +432,8 @@ def _json_class(_index, entry) -> tuple[str, str]:
 
 def parse_config_json(text: str) -> WorkbenchConfig:
     """JSON-equivalent import path; problems are located by JSON path."""
+    import json  # only here, so a CLI run on a text config never loads it
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

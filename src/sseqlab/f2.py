@@ -11,11 +11,11 @@ of subspaces testable as equality of basis lists.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError
+from .record import Record
 
 
 def _parity(word: int) -> int:
@@ -27,7 +27,7 @@ def _lowest_bit(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-class F2Vector:
+class F2Vector(Record):
     """A vector in F_2^length, support held in the bits of one integer.
 
     An immutable value compared and hashed by (length, bits); slotted, so
@@ -35,8 +35,6 @@ class F2Vector:
     """
 
     __slots__ = ("length", "bits")
-    length: int
-    bits: int
 
     def __init__(self, length: int, bits: int = 0) -> None:
         if length < 0:
@@ -45,26 +43,6 @@ class F2Vector:
             raise UsageError("support index out of range")
         _set_length(self, length)
         _set_bits(self, bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return F2Vector, (self.length, self.bits)  # copies and unpickling re-validate
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.length == other.length and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
-
-    def __repr__(self) -> str:
-        return f"F2Vector(length={self.length!r}, bits={self.bits!r})"
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "F2Vector":
@@ -112,22 +90,18 @@ _set_length = F2Vector.length.__set__
 _set_bits = F2Vector.bits.__set__
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Record):
     """Dense matrix over F_2 with bit-packed rows (row-major)."""
 
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise UsageError("negative matrix dimension")
-        if len(self.row_bits) != self.rows:
+        if len(row_bits) != rows:
             raise UsageError("row count does not match row data")
-        for word in self.row_bits:
-            if word < 0 or word >> self.cols:
+        for word in row_bits:
+            if word < 0 or word >> cols:
                 raise UsageError("row entries out of column range")
+        self.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> "F2Matrix":

@@ -8,12 +8,12 @@ reports the limit page per residue branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .errors import ValidationError
 from .graded import PolyAlgebraSpec
 from .homotopy import FGAbelianGroup, HomotopyTable, TableEntry
+from .record import Record
 from .specseq import (
     Bidegree,
     FibrationSpec,
@@ -27,32 +27,29 @@ from .specseq import (
 G2_BASE = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_6", 6), ("x_7", 7)])
 
 
-@dataclass(frozen=True)
-class EpsilonRule:
+class EpsilonRule(Record):
     """Residue classes mod ``modulus`` with the values proved on them."""
 
-    modulus: int
-    classes: tuple[tuple[str, tuple[int, ...]], ...]
-    known_values: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(
+        self, modulus: int, classes: tuple[tuple[str, tuple[int, ...]], ...],
+        known_values: tuple[tuple[str, int], ...],
+    ) -> None:
+        if modulus < 1:
             raise ValidationError("modulus must be positive")
         covered: list[int] = []
-        for label, residues in self.classes:
+        for label, residues in classes:
             if not label:
                 raise ValidationError("empty class label")
             covered.extend(residues)
-        if sorted(covered) != list(range(self.modulus)):
-            raise ValidationError(
-                f"classes must partition the residues 0..{self.modulus - 1}"
-            )
-        labels = {label for label, _ in self.classes}
-        for label, value in self.known_values:
+        if sorted(covered) != list(range(modulus)):
+            raise ValidationError(f"classes must partition the residues 0..{modulus - 1}")
+        labels = {label for label, _ in classes}
+        for label, value in known_values:
             if label not in labels:
                 raise ValidationError(f"known value for unknown class {label!r}")
             if value not in (0, 1):
                 raise ValidationError("known values must be 0 or 1")
+        self.__dict__.update(modulus=modulus, classes=classes, known_values=known_values)
 
     def label_of(self, k: int) -> str:
         residue = k % self.modulus
@@ -152,26 +149,30 @@ def g2_fibration_spec(
         raise ValidationError(
             f"the g2 fibre truncation must derive one class, in degree 5; got dims {dims}"
         )
-    return replace(spec, unknowns=(UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6")),))
+    unknowns = (UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6")),)
+    return FibrationSpec(spec.base, spec.fibre_gens, degree_bound, unknowns, spec.unproven_degrees)
 
 
-@dataclass(frozen=True)
-class GaugeBranch:
+class GaugeBranch(Record):
     """One resolved-scalar run: survivor dims of the tracked submodule."""
 
-    values: tuple[tuple[str, int], ...]
-    total_dims: tuple[int, ...]
-    bidegree_dims: tuple[tuple[Bidegree, int], ...]
+    def __init__(
+        self, values: tuple[tuple[str, int], ...], total_dims: tuple[int, ...],
+        bidegree_dims: tuple[tuple[Bidegree, int], ...],
+    ) -> None:
+        self.__dict__.update(values=values, total_dims=total_dims, bidegree_dims=bidegree_dims)
 
 
-@dataclass(frozen=True)
-class GaugeReport:
-    k: int
-    epsilon_label: str
-    epsilon_known: Optional[int]
-    branches: tuple[GaugeBranch, ...]
-    admissible: tuple[tuple[int, Bidegree, Bidegree], ...]
-    notes: tuple[str, ...]
+class GaugeReport(Record):
+    def __init__(
+        self, k: int, epsilon_label: str, epsilon_known: Optional[int],
+        branches: tuple[GaugeBranch, ...], admissible: tuple[tuple[int, Bidegree, Bidegree], ...],
+        notes: tuple[str, ...],
+    ) -> None:
+        self.__dict__.update(
+            k=k, epsilon_label=epsilon_label, epsilon_known=epsilon_known, branches=branches,
+            admissible=admissible, notes=notes,
+        )
 
     def payload(self):
         """Everything except the recorded k, for periodicity comparisons."""

@@ -8,26 +8,24 @@ so graded commutativity reduces to plain commutativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable
 
 from .errors import UsageError, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PolyAlgebraSpec:
+class PolyAlgebraSpec(Record):
     """Polynomial algebra F_2[g_1, ..., g_n] with deg(g_i) >= 1."""
 
-    generators: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.generators]
+    def __init__(self, generators: tuple[tuple[str, int], ...]) -> None:
+        names = [name for name, _ in generators]
         if len(set(names)) != len(names):
             raise ValidationError("generator names must be distinct")
-        for name, degree in self.generators:
+        for name, degree in generators:
             if degree < 1:
                 raise ValidationError(f"generator {name} has degree {degree} < 1")
+        self.__dict__["generators"] = generators
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "PolyAlgebraSpec":
@@ -57,15 +55,27 @@ class PolyAlgebraSpec:
         return Polynomial(frozenset({Monomial((0,) * len(self.generators))}))
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Exponent vector, one entry per generator of the ambient algebra."""
+@total_ordering
+class Monomial(Record):
+    """Exponent vector, one entry per generator of the ambient algebra; ordered by it."""
 
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        if any(e < 0 for e in exponents):
             raise UsageError("negative exponent")
+        self.__dict__["exponents"] = exponents
+
+    def __eq__(self, other: object) -> bool:  # the base's, inlined: monomials are hot set keys
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
+
+    def __lt__(self, other: "Monomial") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents < other.exponents
 
     def degree(self, algebra: PolyAlgebraSpec) -> int:
         return sum(e * d for e, d in zip(self.exponents, algebra.degrees))
@@ -77,11 +87,11 @@ class Monomial:
         return all(e == 0 for e in self.exponents)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Set of monomials; mod-2 cancellation is already applied."""
 
-    terms: frozenset[Monomial]
+    def __init__(self, terms: frozenset[Monomial]) -> None:
+        self.__dict__["terms"] = terms
 
     @classmethod
     def zero(cls) -> "Polynomial":

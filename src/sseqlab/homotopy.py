@@ -9,26 +9,23 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Optional
 
 from .errors import IncompleteTableError, UsageError, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Z^free_rank plus cyclic factors Z/t for t in torsion (each >= 2)."""
-
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
 
     ZERO: ClassVar["FGAbelianGroup"]
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        if free_rank < 0:
             raise ValidationError("free rank must be nonnegative")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValidationError("torsion coefficients must be >= 2")
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
 
     @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
@@ -80,8 +77,7 @@ def uct_cohomology_dim(h_prev: FGAbelianGroup, h_cur: FGAbelianGroup) -> int:
     return ext1_to_f2(h_prev) + hom_to_f2(h_cur)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
     """One homotopy/homology group with provenance.
 
     ``exact`` asserts that the even-torsion content of ``group`` is
@@ -91,11 +87,10 @@ class TableEntry:
     2-torsion is not.
     """
 
-    group: FGAbelianGroup
-    exact: bool = True
-    citation: str = ""
-
     INEXACT: ClassVar[str] = "contains "  # the text form's prefix when not exact
+
+    def __init__(self, group: FGAbelianGroup, exact: bool = True, citation: str = "") -> None:
+        self.__dict__.update(group=group, exact=exact, citation=citation)
 
     def __str__(self) -> str:
         """The group, prefixed by ``contains `` when the entry is not exact."""
@@ -210,27 +205,25 @@ def hurewicz_homology(
     return homology
 
 
-@dataclass(frozen=True)
-class DimEntry:
+class DimEntry(Record):
     """A cohomology dimension, either exact or a lower bound."""
 
-    value: int
-    exact: bool = True
+    def __init__(self, value: int, exact: bool = True) -> None:
+        self.__dict__.update(value=value, exact=exact)
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">={self.value}"
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Record):
     """Dimensions per degree; degree 0 is pinned to 1 (path-connected)."""
 
-    dims: Mapping[int, DimEntry] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        zero = self.dims.get(0)
+    def __init__(self, dims: Optional[Mapping[int, DimEntry]] = None) -> None:
+        dims = {} if dims is None else dims
+        zero = dims.get(0)
         if zero is not None and not (zero.value == 1 and zero.exact):
             raise ValidationError("degree-0 dimension must be exactly 1")
+        self.__dict__["dims"] = dims
 
     def entry(self, degree: int) -> DimEntry:
         return self.dims[degree]

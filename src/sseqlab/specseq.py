@@ -16,9 +16,9 @@ are recorded as out-of-scope, never silently zeroed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
@@ -40,6 +40,7 @@ from .graded import (
     basis_in_degree,
     format_monomial,
 )
+from .record import Record
 
 UNIT_GEN = "1"
 
@@ -47,8 +48,7 @@ Bidegree = tuple[int, int]
 Label = tuple[Monomial, str]
 
 
-@dataclass(frozen=True)
-class UnknownScalar:
+class UnknownScalar(Record):
     """A named F_2 scalar multiplying one transgressive generator image.
 
     Value 1 activates d_page(generator) = target; value 0 makes the
@@ -56,30 +56,30 @@ class UnknownScalar:
     page must be the generator degree plus one.
     """
 
-    name: str
-    generator: str
-    page: int
-    target: Polynomial
+    def __init__(self, name: str, generator: str, page: int, target: Polynomial) -> None:
+        self.__dict__.update(name=name, generator=generator, page=page, target=target)
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
-    """Base algebra, fibre generators per degree, window, and unknowns."""
+class FibrationSpec(Record):
+    """Base algebra, fibre generators per degree (a read-only copy), window, and unknowns."""
 
-    base: PolyAlgebraSpec
-    fibre_gens: Mapping[int, tuple[str, ...]]
-    degree_bound: int = 10
-    unknowns: tuple[UnknownScalar, ...] = ()
-    unproven_degrees: frozenset[int] = frozenset()  # no generator, yet only bounded below by 0
-
-    def __post_init__(self) -> None:
-        if self.degree_bound < 1:
+    def __init__(
+        self, base: PolyAlgebraSpec, fibre_gens: Mapping[int, tuple[str, ...]],
+        degree_bound: int = 10, unknowns: tuple[UnknownScalar, ...] = (),
+        unproven_degrees: frozenset[int] = frozenset(),  # no generator, only bounded below by 0
+    ) -> None:
+        fibre_gens = MappingProxyType(dict(fibre_gens))
+        self.__dict__.update(
+            base=base, fibre_gens=fibre_gens, degree_bound=degree_bound, unknowns=unknowns,
+            unproven_degrees=unproven_degrees,
+        )
+        if degree_bound < 1:
             raise ValidationError("degree bound must be >= 1")
-        gens0 = self.fibre_gens.get(0)
+        gens0 = fibre_gens.get(0)
         if gens0 is None or len(gens0) != 1:
             raise ValidationError("fibre degree 0 must hold exactly the unit generator")
         seen: set[str] = set()
-        for degree, gens in self.fibre_gens.items():
+        for degree, gens in fibre_gens.items():
             if degree < 0:
                 raise ValidationError(f"negative fibre degree {degree}")
             for g in gens:
@@ -88,12 +88,12 @@ class FibrationSpec:
                 if g in seen:
                     raise ValidationError(f"duplicate fibre generator {g!r}")
                 seen.add(g)
-        if any(d < 1 or self.fibre_dim(d) for d in self.unproven_degrees):
+        if any(d < 1 or self.fibre_dim(d) for d in unproven_degrees):
             raise ValidationError("an unproven fibre degree must be positive and hold no generator")
-        names = [u.name for u in self.unknowns]
+        names = [u.name for u in unknowns]
         if len(set(names)) != len(names):
             raise ValidationError("unknown scalar names must be distinct")
-        for u in self.unknowns:
+        for u in unknowns:
             t = self.fibre_degree_of(u.generator)
             if u.generator == self.unit_gen:
                 raise ValidationError("the unit class never supports a differential")
@@ -153,12 +153,11 @@ class FibrationSpec:
         return f"{format_monomial(self.base, monomial)}*{gen}"
 
 
-@dataclass(frozen=True)
-class BigradedBasis:
+class BigradedBasis(Record):
     """Tensor-product basis labels per bidegree with s + t <= bound."""
 
-    degree_bound: int
-    groups: Mapping[Bidegree, tuple[Label, ...]]
+    def __init__(self, degree_bound: int, groups: Mapping[Bidegree, tuple[Label, ...]]) -> None:
+        self.__dict__.update(degree_bound=degree_bound, groups=groups)
 
     def dim(self, s: int, t: int) -> int:
         return len(self.groups.get((s, t), ()))
@@ -236,19 +235,19 @@ def admissible_differentials(
     return list(spec.admissible)
 
 
-@dataclass(frozen=True)
-class DifferentialAssignment:
+class DifferentialAssignment(Record):
     """Resolved unknown values plus concrete generator images.
 
     Images are base-row polynomials keyed by (generator, page); a zero
     polynomial is an explicit declaration that the differential
-    vanishes.
+    vanishes.  ``_checked``, outside the fields, is the spec whose
+    ``check_images`` this assignment passed; that check sets it.
     """
 
-    values: Mapping[str, int]
-    generator_images: Mapping[tuple[str, int], Polynomial]
-    # the spec whose ``check_images`` this assignment passed; set by that check
-    _checked: Optional[FibrationSpec] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, values: Mapping[str, int], generator_images: Mapping[tuple[str, int], Polynomial]
+    ) -> None:
+        self.__dict__.update(values=values, generator_images=generator_images, _checked=None)
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
         return self.generator_images.get((gen, r))
@@ -334,8 +333,7 @@ def _require_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> 
 # ------------------------------------------------------------------ pages
 
 
-@dataclass(frozen=True)
-class PageGroup:
+class PageGroup(Record):
     """One bidegree on one page: alive subspace modulo boundaries.
 
     Vectors live in coordinates over the fixed starting-page labels, so
@@ -344,9 +342,11 @@ class PageGroup:
     groups no differential touches, so groups are immutable.
     """
 
-    labels: tuple[Label, ...]
-    cycles: tuple[F2Vector, ...]
-    boundaries: tuple[F2Vector, ...]
+    def __init__(
+        self, labels: tuple[Label, ...], cycles: tuple[F2Vector, ...],
+        boundaries: tuple[F2Vector, ...],
+    ) -> None:
+        self.__dict__.update(labels=labels, cycles=cycles, boundaries=boundaries)
 
     @property
     def dim(self) -> int:
@@ -372,16 +372,22 @@ class PageGroup:
         return tuple(reps)
 
 
-@dataclass
-class Page:
-    """Bigraded page r with its differentials in current-basis coordinates."""
+class Page(Record):
+    """Bigraded page r with its differentials in current-basis coordinates; mutable."""
 
-    spec: FibrationSpec
-    assignment: DifferentialAssignment
-    r: int
-    groups: dict[Bidegree, PageGroup]
-    differentials: dict[Bidegree, F2Matrix] = field(default_factory=dict)
-    unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
+        groups: dict[Bidegree, PageGroup], differentials: Optional[dict[Bidegree, F2Matrix]] = None,
+        unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            spec=spec, assignment=assignment, r=r, groups=groups, unevaluated=unevaluated,
+            differentials={} if differentials is None else differentials,
+        )
 
     def dim(self, s: int, t: int) -> int:
         group = self.groups.get((s, t))

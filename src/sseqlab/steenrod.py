@@ -15,7 +15,7 @@ caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import UsageError, ValidationError
@@ -27,16 +27,15 @@ from .graded import (
     basis_in_degree,
     multiply,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed table invariant; a list of these is the validation result."""
 
-    generator: str
-    i: int
-    kind: str  # sq0 | squaring | instability | homogeneity | missing
-    message: str
+    def __init__(self, generator: str, i: int, kind: str, message: str) -> None:
+        # kind: sq0 | squaring | instability | homogeneity | missing
+        self.__dict__.update(generator=generator, i=i, kind=kind, message=message)
 
     def __str__(self) -> str:
         return f"Sq^{self.i}({self.generator}): {self.kind}: {self.message}"
@@ -56,7 +55,7 @@ class SteenrodTable:
         action: Mapping[tuple[str, int], Optional[Polynomial]],
     ):
         self.algebra = algebra
-        self.action = dict(action)
+        self.action = MappingProxyType(dict(action))
         self._monomial_cache: dict[Monomial, dict[int, Polynomial]] = {}
         self._validated: Optional[tuple[Violation, ...]] = None  # set by validate_table
 
@@ -66,6 +65,9 @@ class SteenrodTable:
             and self.algebra == other.algebra
             and self.action == other.action
         )
+
+    def __reduce__(self) -> tuple:
+        return SteenrodTable, (self.algebra, dict(self.action))
 
     def generator_sq(self, gen: str, i: int) -> Polynomial:
         degree = self.algebra.degrees[self.algebra.index_of(gen)]
@@ -214,19 +216,20 @@ def sq(table: SteenrodTable, i: int, p: Polynomial) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class DegreeHitData:
-    degree: int
-    total_dim: int
-    hit_dim: int
-    quotient_dim: int
-    representatives: tuple[Monomial, ...]
+class DegreeHitData(Record):
+    def __init__(
+        self, degree: int, total_dim: int, hit_dim: int, quotient_dim: int,
+        representatives: tuple[Monomial, ...],
+    ) -> None:
+        self.__dict__.update(
+            degree=degree, total_dim=total_dim, hit_dim=hit_dim, quotient_dim=quotient_dim,
+            representatives=representatives,
+        )
 
 
-@dataclass(frozen=True)
-class HitReport:
-    bound: int
-    rows: tuple[DegreeHitData, ...]
+class HitReport(Record):
+    def __init__(self, bound: int, rows: tuple[DegreeHitData, ...]) -> None:
+        self.__dict__.update(bound=bound, rows=rows)
 
     def non_hit_degrees(self) -> list[int]:
         return [row.degree for row in self.rows if row.quotient_dim > 0]

@@ -430,3 +430,20 @@ def test_subprocess_entry_point():
     )
     assert result.returncode == 0
     assert "u_5" in result.stdout
+
+
+def test_cli_start_up_loads_no_code_generator_or_json():
+    # a CLI child's environment: sources on the path, no PYTHON* flags, no bytecode writes
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "import sys, sseqlab.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
+        "cfg = sseqlab.config.parse_config_json('{\"base\": [[\"t\", 1]]}')\n"
+        "print(cfg.base.names, 'json' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["", "('t',) True"]

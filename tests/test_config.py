@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -296,6 +297,31 @@ def test_steenrod_section_parses():
     cfg = load_config(ROOT / "onevar.cfg")
     assert cfg.steenrod is not None
     assert cfg.steenrod.missing_entries() == []
+
+
+def test_config_and_spec_keep_read_only_copies():
+    declared = {6: ("v_6", "w_6")}
+    table = parse_config(g2_text()).homotopy
+    cfg = WorkbenchConfig(G2_BASE, homotopy=table, fibre_derive=True, fibre_explicit=declared)
+    spec = cfg.fibration_spec()
+    arrows = spec.arrows
+    declared[7] = ("v_7",)  # the caller's dict is not the config's
+    with pytest.raises(TypeError):
+        cfg.fibre_explicit[8] = ("w_8",)
+    with pytest.raises(TypeError):
+        spec.fibre_gens[8] = ("w_8",)
+    assert cfg.fibre_explicit == {6: ("v_6", "w_6")} and cfg.fibration_spec() is spec
+    assert spec.fibre_gens == {0: (UNIT_GEN,), 5: ("u_5",), 6: ("v_6", "w_6")}
+    # nor is the caller's dict the spec's, so its cached arrows stay true
+    gens = dict(spec.fibre_gens)
+    direct = FibrationSpec(G2_BASE, gens)
+    direct_arrows = direct.arrows
+    gens[8] = ("w_8",)
+    assert direct.fibre_dim(8) == 0 and direct.arrows == direct_arrows
+    for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert twin == cfg and twin.fibration_spec() == spec
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and twin.arrows == arrows
 
 
 # ---------------------------------------------------------------- round trip

@@ -1,0 +1,287 @@
+"""Every public record behaves as the frozen dataclass it replaces.
+
+The reference for each record is a ``dataclasses.make_dataclass`` twin with
+the same fields, defaults and options, built here.  On seeded values the two
+must agree on construction, defaults, repr, equality, hash, frozenness,
+copies and ordering.  A record keeps a read-only copy of some mappings; its
+repr, equality and copies treat that copy as the dict it was built from.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+from sseqlab.config import WorkbenchConfig
+from sseqlab.chart import ChartSpec
+from sseqlab.f2 import F2Matrix, F2Vector
+from sseqlab.gauge import DEFAULT_EPSILON_RULE, EpsilonRule, GaugeBranch, GaugeReport
+from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
+from sseqlab.homotopy import DimEntry, FGAbelianGroup, GradedDims, HomotopyTable, TableEntry
+from sseqlab.specseq import (
+    BigradedBasis,
+    DifferentialAssignment,
+    FibrationSpec,
+    Page,
+    PageGroup,
+    UnknownScalar,
+)
+from sseqlab.steenrod import DegreeHitData, HitReport, Violation, table_from_entries
+
+FACTORY = object()  # a default built by ``dict()`` per instance
+
+BASE = PolyAlgebraSpec((("a", 2),))
+HOMOTOPY = HomotopyTable.from_groups({1: FGAbelianGroup(), 2: FGAbelianGroup.cyclic(2)})
+STEENROD = table_from_entries(PolyAlgebraSpec((("t", 1),)), {})
+
+
+def monomial(rng):
+    return Monomial((rng.randint(0, 1), rng.randint(0, 1)))
+
+
+def polynomial(rng):
+    return Polynomial(frozenset(monomial(rng) for _ in range(rng.randint(0, 2))))
+
+
+def group(rng):
+    return FGAbelianGroup(rng.randint(0, 1), rng.choice(((), (2,), (2, 4))))
+
+
+def unknown(rng):
+    return UnknownScalar(rng.choice(("eps", "eta")), "u", 2, BASE.gen("a"))
+
+
+def spec_args(rng):
+    fibre = rng.choice(({0: ("1",), 1: ("u",)}, {0: ("1",), 1: ("u",), 2: ("v",)}))
+    unknowns = rng.choice(((), (unknown(rng),)))
+    return BASE, fibre, rng.randint(1, 3), unknowns, rng.choice((frozenset(), frozenset({3})))
+
+
+def assignment(rng):
+    return DifferentialAssignment({"eps": rng.randint(0, 1)}, {("u", 2): polynomial(rng)})
+
+
+def page_group_args(rng):
+    labels = ((Monomial((0,)), "1"), (Monomial((1,)), "u"))
+    return labels, (F2Vector(2, rng.randint(1, 3)),), rng.choice(((), (F2Vector(2, 1),)))
+
+
+def hit_row(rng):
+    return DegreeHitData(rng.randint(0, 1), 2, 1, 1, (monomial(rng),))
+
+
+def branch_args(rng):
+    return (("eps", rng.randint(0, 1)),), (1, rng.randint(0, 1)), (((0, 0), 1),)
+
+
+def chart_args(rng):
+    page = rng.randint(2, 3)
+    arrows = rng.choice(((), (((0, page - 1), (page, 0), "d"),)))
+    return page, 4, 3, ((0, 0, 1), (rng.randint(0, 1), 1, 1)), arrows
+
+
+def bits(rng, length):
+    return rng.randrange(1 << length)
+
+
+# record, its dataclass fields (name, or (name, default)), dataclass options, seeded args
+RECORDS = [
+    (F2Vector, ["length", ("bits", 0)], {}, lambda rng: (2, bits(rng, 2))),
+    (F2Matrix, ["rows", "cols", "row_bits"], {}, lambda rng: (2, 2, (bits(rng, 2), 1))),
+    (Monomial, ["exponents"], {"order": True}, lambda rng: ((rng.randint(0, 2), 1),)),
+    (Polynomial, ["terms"], {}, lambda rng: (polynomial(rng).terms,)),
+    (PolyAlgebraSpec, ["generators"], {}, lambda rng: ((("a", rng.randint(1, 2)),),)),
+    (FGAbelianGroup, [("free_rank", 0), ("torsion", ())], {}, lambda rng: (rng.randint(0, 1), ())),
+    (
+        TableEntry,
+        ["group", ("exact", True), ("citation", "")],
+        {},
+        lambda rng: (group(rng), rng.random() < 0.5, rng.choice(("", "src"))),
+    ),
+    (DimEntry, ["value", ("exact", True)], {}, lambda rng: (rng.randint(0, 1), rng.random() < 0.5)),
+    (GradedDims, [("dims", FACTORY)], {}, lambda rng: ({1: DimEntry(rng.randint(0, 1))},)),
+    (
+        UnknownScalar,
+        ["name", "generator", "page", "target"],
+        {},
+        lambda rng: (rng.choice(("eps", "eta")), "u", 2, polynomial(rng)),
+    ),
+    (
+        FibrationSpec,
+        ["base", "fibre_gens", ("degree_bound", 10), ("unknowns", ())]
+        + [("unproven_degrees", frozenset())],
+        {},
+        spec_args,
+    ),
+    (
+        BigradedBasis,
+        ["degree_bound", "groups"],
+        {},
+        lambda rng: (rng.randint(1, 2), {(0, 0): ((monomial(rng), "1"),)}),
+    ),
+    (
+        DifferentialAssignment,
+        ["values", "generator_images"],
+        {},
+        lambda rng: ({"eps": rng.randint(0, 1)}, {("u", 2): polynomial(rng)}),
+    ),
+    (PageGroup, ["labels", "cycles", "boundaries"], {}, page_group_args),
+    (
+        Page,
+        ["spec", "assignment", "r", "groups", ("differentials", FACTORY), ("unevaluated", ())],
+        {"frozen": False},
+        lambda rng: (
+            FibrationSpec(*spec_args(rng)),
+            assignment(rng),
+            rng.randint(2, 3),
+            {(0, 0): PageGroup(*page_group_args(rng))},
+            {(0, 0): F2Matrix.identity(rng.randint(0, 1))},
+            rng.choice(((), ((2, (0, 1), (2, 0)),))),
+        ),
+    ),
+    (
+        Violation,
+        ["generator", "i", "kind", "message"],
+        {},
+        lambda rng: ("t", rng.randint(0, 1), rng.choice(("sq0", "missing")), "m"),
+    ),
+    (
+        DegreeHitData,
+        ["degree", "total_dim", "hit_dim", "quotient_dim", "representatives"],
+        {},
+        lambda rng: (rng.randint(0, 1), 2, 1, 1, (monomial(rng),)),
+    ),
+    (HitReport, ["bound", "rows"], {}, lambda rng: (rng.randint(0, 1), (hit_row(rng),))),
+    (
+        EpsilonRule,
+        ["modulus", "classes", "known_values"],
+        {},
+        lambda rng: (2, (("0", (0,)), ("1", (1,))), rng.choice(((), (("0", rng.randint(0, 1)),)))),
+    ),
+    (GaugeBranch, ["values", "total_dims", "bidegree_dims"], {}, branch_args),
+    (
+        GaugeReport,
+        ["k", "epsilon_label", "epsilon_known", "branches", "admissible", "notes"],
+        {},
+        lambda rng: (
+            rng.randint(0, 1),
+            "1,3",
+            rng.choice((None, 1)),
+            (GaugeBranch(*branch_args(rng)),),
+            ((6, (0, 5), (6, 0)),),
+            rng.choice(((), ("note",))),
+        ),
+    ),
+    (ChartSpec, ["page", "s_max", "t_max", "dots", "arrows"], {}, chart_args),
+    (
+        WorkbenchConfig,
+        [
+            "base",
+            ("degree_bound", 10),
+            ("homotopy", None),
+            ("fibre_derive", False),
+            ("fibre_explicit", FACTORY),
+            ("unknowns", ()),
+            ("epsilon_rule", DEFAULT_EPSILON_RULE),
+            ("epsilon_given", False),
+            ("steenrod", None),
+        ],
+        {},
+        lambda rng: (
+            BASE,
+            rng.randint(9, 10),
+            rng.choice((None, HOMOTOPY)),
+            rng.random() < 0.5,
+            rng.choice(({}, {6: ("v_6",)})),
+            rng.choice(((), (unknown(rng),))),
+            DEFAULT_EPSILON_RULE,
+            rng.random() < 0.5,
+            rng.choice((None, STEENROD)),
+        ),
+    ),
+]
+
+
+def make_twin(record, fields, options):
+    """The frozen dataclass the record replaces, with the same fields and options."""
+    spec_fields = []
+    for item in fields:
+        if isinstance(item, str):
+            spec_fields.append(item)
+        elif item[1] is FACTORY:
+            spec_fields.append((item[0], object, dataclasses.field(default_factory=dict)))
+        else:
+            spec_fields.append((item[0], object, dataclasses.field(default=item[1])))
+    if record is DifferentialAssignment:
+        hidden = dataclasses.field(default=None, init=False, repr=False, compare=False)
+        spec_fields.append(("_checked", object, hidden))
+    return dataclasses.make_dataclass(record.__name__, spec_fields, **{"frozen": True, **options})
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize(
+    "record, fields, options, draw", RECORDS, ids=[entry[0].__name__ for entry in RECORDS]
+)
+def test_record_matches_its_dataclass_twin(record, fields, options, draw):
+    twin = make_twin(record, fields, options)
+    names = [f if isinstance(f, str) else f[0] for f in fields]
+    assert record._fields == tuple(names)
+    required = sum(isinstance(f, str) for f in fields)
+    record_sub, twin_sub = type("Sub", (record,), {}), type("Sub", (twin,), {})
+    rng = random.Random(f"record-{record.__name__}")
+    for _ in range(25):
+        args, other = draw(rng), draw(rng)
+        kwargs = dict(zip(names, args))
+        r, t = record(*args), twin(*args)
+        assert repr(r) == repr(t) == repr(record(**kwargs)) == repr(twin(**kwargs))
+        assert (r == record(**kwargs)) and (t == twin(**kwargs))
+        assert (r == record(*other)) == (t == twin(*other))
+        assert (r != record(*other)) == (t != twin(*other))
+        assert hash_or_error(r) == hash_or_error(t)
+        assert (r == record_sub(*args)) == (t == twin_sub(*args))  # a subclass is another class
+        # defaults, and no mutable default shared between two instances
+        assert repr(record(*args[:required])) == repr(twin(*args[:required]))
+        first, second = record(*args[:required]), record(*args[:required])
+        for name, default in (f for f in fields if not isinstance(f, str)):
+            if default is FACTORY:
+                assert getattr(first, name) == {}
+                assert getattr(first, name) is not getattr(second, name)
+        # frozen, except for the mutable Page
+        for name in names:
+            if options.get("frozen", True):
+                with pytest.raises(AttributeError):
+                    setattr(r, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(r, name)
+            else:
+                setattr(r, name, getattr(r, name))
+        # copies rebuild an equal record; the twin's copies agree
+        for clone in (copy.copy, copy.deepcopy):
+            assert clone(r) == r and clone(t) == t
+        assert pickle.loads(pickle.dumps(r)) == r
+        # only Monomial is ordered
+        if options.get("order"):
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(r, op)(record(*other)) == getattr(t, op)(twin(*other))
+        else:
+            with pytest.raises(TypeError):
+                r < record(*other)
+
+
+def test_monomials_sort_as_their_twins():
+    twin = make_twin(Monomial, ["exponents"], {"order": True})
+    rng = random.Random("monomial-order")
+    exps = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(40)]
+    ours = sorted(Monomial(e) for e in exps)
+    theirs = sorted(twin(e) for e in exps)
+    assert [m.exponents for m in ours] == [m.exponents for m in theirs]
+    with pytest.raises(TypeError):
+        Monomial((1,)) < (1,)

@@ -638,10 +638,9 @@ def test_leibniz_extend_on_a_later_page():
 
 
 def test_turn_page_detects_nonzero_composite():
-    import dataclasses
-
     from sseqlab.errors import InvariantBreach
     from sseqlab.f2 import F2Matrix
+    from sseqlab.specseq import Page
 
     page = initial_page(SPEC, assignment_for(1))
     while page.r < 6:
@@ -650,7 +649,7 @@ def test_turn_page_detects_nonzero_composite():
     # slot so the composite (0,5) -> (6,0) -> ... is nonzero
     fake = dict(page.differentials)
     fake[(6, 0)] = F2Matrix.identity(1)
-    corrupted = dataclasses.replace(page, differentials=fake)
+    corrupted = Page(page.spec, page.assignment, page.r, page.groups, fake, page.unevaluated)
     with pytest.raises(InvariantBreach):
         turn_page(corrupted)
 

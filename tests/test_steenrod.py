@@ -5,7 +5,10 @@ enumeration) were written against the closed form before the engine
 and stay independent of it.
 """
 
+import copy
+import itertools
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -345,3 +348,72 @@ def test_hit_on_two_variable_algebra_accounting():
     assert report.rows[1].quotient_dim == 2
     assert report.rows[2].quotient_dim == 1
     assert report.rows[2].representatives == (Monomial((1, 1)),)
+
+
+# ------------------------------------------------------------ read-only table
+
+
+def test_table_action_is_a_read_only_copy():
+    t = ONE_VAR.gen("t")
+    action = {("t", 0): t, ("t", 1): t_power(2)}
+    table = SteenrodTable(ONE_VAR, action)
+    assert validate_table(table) == [] and sq(table, 1, t) == t_power(2)
+    with pytest.raises(TypeError):
+        table.action[("t", 1)] = Polynomial.zero()
+    action[("t", 1)] = Polynomial.zero()  # the caller's dict is not the table's
+    # the kept verdict and total squares still describe the table's entries
+    assert table._validated == () and table.action[("t", 1)] == t_power(2)
+    assert sq(table, 1, t) == t_power(2)
+    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert twin == table and sq(twin, 1, t) == t_power(2)
+
+
+# ---------------------------------------------------------------- theorem oracles
+# On k degree-1 variables the squaring table is forced by the axioms.  These
+# theorems about QP_k = F_2 (x) _A F_2[x_1, ..., x_k] share no code with the
+# solver; only the dimensions come from ``hit_quotient``.
+
+
+def alpha(n):
+    """Binary digit sum."""
+    return bin(n).count("1")
+
+
+def mu(n):
+    """Least j with alpha(n + j) <= j: the fewest numbers 2^a - 1 that sum to n."""
+    return next(j for j in itertools.count() if alpha(n + j) <= j)
+
+
+@pytest.fixture(scope="module")
+def qp_dims():
+    """dim QP_k(d) for d up to the bound: k = 2 through degree 24, k = 3 through degree 13."""
+    dims = {}
+    for k, bound in ((2, 24), (3, 13)):
+        algebra = PolyAlgebraSpec.from_pairs([(f"x_{i}", 1) for i in range(1, k + 1)])
+        report = hit_quotient(table_from_entries(algebra, {}), bound)
+        dims[k] = [row.quotient_dim for row in report.rows]
+    return dims
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_wood_theorem(qp_dims, k):
+    """Wood (1989): QP_k(d) = 0 whenever alpha(d + k) > k."""
+    vanishing = [d for d in range(len(qp_dims[k])) if alpha(d + k) > k]
+    assert vanishing  # the hypothesis is met inside the bound
+    assert all(qp_dims[k][d] == 0 for d in vanishing)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_kameko_theorem(qp_dims, k):
+    """Kameko (1990): dim QP_k(2d + k) = dim QP_k(d) whenever mu(2d + k) = k."""
+    dims = qp_dims[k]
+    pairs = [(d, 2 * d + k) for d in range(len(dims)) if 2 * d + k < len(dims)]
+    pairs = [(d, n) for d, n in pairs if mu(n) == k]
+    assert pairs
+    assert all(dims[n] == dims[d] for d, n in pairs)
+
+
+def test_peterson_and_kameko_bounds(qp_dims):
+    """dim QP_2(d) <= 3 (Peterson) and dim QP_3(d) <= 21 (Kameko), in every degree."""
+    assert max(qp_dims[2]) <= 3
+    assert max(qp_dims[3]) <= 21
