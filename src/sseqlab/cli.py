@@ -98,7 +98,7 @@ def constraint_rows(spec: FibrationSpec):
     return rows
 
 
-def _constraints_log(spec: FibrationSpec) -> str:
+def _constraints_log(spec: FibrationSpec, rows: list) -> str:
     lines = [
         f"admissible-differential analysis, total degree <= {spec.degree_bound}",
         "base-row classes are permanent cycles: every differential out of "
@@ -108,7 +108,6 @@ def _constraints_log(spec: FibrationSpec) -> str:
         lines.append(f"fibre degree {t} is only >=0: no source there is listed, "
                      "and arrows into it stay admissible")
     lines.append("")
-    rows = constraint_rows(spec)
     current = None
     for page, s, t, ts, tt, status, reason in rows:
         if (s, t) != current:
@@ -132,9 +131,10 @@ def _constraints_log(spec: FibrationSpec) -> str:
 
 def cmd_constraints(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
     spec = cfg.fibration_spec()
+    rows = constraint_rows(spec)
     header = ["page", "source_s", "source_t", "target_s", "target_t", "status", "reason"]
-    emitter.emit("constraints.csv", _csv([header] + constraint_rows(spec)))
-    emitter.emit("constraints_log.txt", _constraints_log(spec))
+    emitter.emit("constraints.csv", _csv([header] + rows))
+    emitter.emit("constraints_log.txt", _constraints_log(spec, rows))
     return 0
 
 
@@ -245,7 +245,7 @@ def cmd_gauge(
     for r, (s, t), (ts, tt) in report.admissible:
         lines.append(f"  d_{r}: ({s},{t}) -> ({ts},{tt})")
     lines.append("")
-    lines.append(_constraints_log(spec))
+    lines.append(_constraints_log(spec, constraint_rows(spec)))
     emitter.emit("gauge_log.txt", "\n".join(lines))
     return 0
 

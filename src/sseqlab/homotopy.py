@@ -9,6 +9,7 @@ results.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import ClassVar, Mapping, Optional
 
 from .errors import IncompleteTableError, UsageError, ValidationError
@@ -97,14 +98,14 @@ class TableEntry(Record):
         return ("" if self.exact else self.INEXACT) + str(self.group)
 
 
-class HomotopyTable:
-    """Groups indexed by degree >= 1; absent degrees raise, never read as 0."""
+class HomotopyTable(Record):
+    """Groups indexed by degree >= 1, a read-only copy in degree order; absent degrees raise."""
 
-    def __init__(self, entries: Mapping[int, TableEntry]):
+    def __init__(self, entries: Mapping[int, TableEntry]) -> None:
         for degree in entries:
             if degree < 1:
                 raise ValidationError(f"table degree {degree} must be >= 1")
-        self._entries = dict(sorted(entries.items()))
+        self.__dict__["entries"] = MappingProxyType(dict(sorted(entries.items())))
 
     @classmethod
     def from_groups(
@@ -114,11 +115,11 @@ class HomotopyTable:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self._entries)
+        return tuple(self.entries)
 
     def entry(self, degree: int) -> TableEntry:
         try:
-            return self._entries[degree]
+            return self.entries[degree]
         except KeyError:
             raise IncompleteTableError(
                 f"degree {degree} is not populated; absence is not the zero group"
@@ -128,10 +129,7 @@ class HomotopyTable:
         return self.entry(degree).group
 
     def items(self):
-        return self._entries.items()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HomotopyTable) and self._entries == other._entries
+        return self.entries.items()
 
 
 def loopspace_shift(table: HomotopyTable, loops: int) -> HomotopyTable:
@@ -216,10 +214,10 @@ class DimEntry(Record):
 
 
 class GradedDims(Record):
-    """Dimensions per degree; degree 0 is pinned to 1 (path-connected)."""
+    """Dimensions per degree, a read-only copy; degree 0 is pinned to 1 (path-connected)."""
 
     def __init__(self, dims: Optional[Mapping[int, DimEntry]] = None) -> None:
-        dims = {} if dims is None else dims
+        dims = MappingProxyType(dict(dims or {}))
         zero = dims.get(0)
         if zero is not None and not (zero.value == 1 and zero.exact):
             raise ValidationError("degree-0 dimension must be exactly 1")

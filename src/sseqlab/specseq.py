@@ -154,10 +154,10 @@ class FibrationSpec(Record):
 
 
 class BigradedBasis(Record):
-    """Tensor-product basis labels per bidegree with s + t <= bound."""
+    """Tensor-product basis labels per bidegree with s + t <= bound, a read-only copy."""
 
     def __init__(self, degree_bound: int, groups: Mapping[Bidegree, tuple[Label, ...]]) -> None:
-        self.__dict__.update(degree_bound=degree_bound, groups=groups)
+        self.__dict__.update(degree_bound=degree_bound, groups=MappingProxyType(dict(groups)))
 
     def dim(self, s: int, t: int) -> int:
         return len(self.groups.get((s, t), ()))
@@ -240,14 +240,15 @@ class DifferentialAssignment(Record):
 
     Images are base-row polynomials keyed by (generator, page); a zero
     polynomial is an explicit declaration that the differential
-    vanishes.  ``_checked``, outside the fields, is the spec whose
-    ``check_images`` this assignment passed; that check sets it.
+    vanishes; both maps are read-only copies.  ``_checked``, outside the
+    fields, is the spec whose ``check_images`` this assignment passed.
     """
 
     def __init__(
         self, values: Mapping[str, int], generator_images: Mapping[tuple[str, int], Polynomial]
     ) -> None:
-        self.__dict__.update(values=values, generator_images=generator_images, _checked=None)
+        values, images = MappingProxyType(dict(values)), MappingProxyType(dict(generator_images))
+        self.__dict__.update(values=values, generator_images=images, _checked=None)
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
         return self.generator_images.get((gen, r))
@@ -278,7 +279,7 @@ def resolve_assignment(
         if (gen, r) in images and images[(gen, r)] != poly:
             raise UsageError(f"conflicting image for d_{r}({gen})")
         images[(gen, r)] = poly
-    assignment = DifferentialAssignment(dict(values), images)
+    assignment = DifferentialAssignment(values, images)
     check_images(spec, assignment)
     return assignment
 
@@ -373,20 +374,17 @@ class PageGroup(Record):
 
 
 class Page(Record):
-    """Bigraded page r with its differentials in current-basis coordinates; mutable."""
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    """Bigraded page r with its differentials in current-basis coordinates; read-only copies."""
 
     def __init__(
         self, spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
-        groups: dict[Bidegree, PageGroup], differentials: Optional[dict[Bidegree, F2Matrix]] = None,
+        groups: Mapping[Bidegree, PageGroup],
+        differentials: Optional[Mapping[Bidegree, F2Matrix]] = None,
         unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = (),
     ) -> None:
         self.__dict__.update(
-            spec=spec, assignment=assignment, r=r, groups=groups, unevaluated=unevaluated,
-            differentials={} if differentials is None else differentials,
+            spec=spec, assignment=assignment, r=r, groups=MappingProxyType(dict(groups)),
+            differentials=MappingProxyType(dict(differentials or {})), unevaluated=unevaluated,
         )
 
     def dim(self, s: int, t: int) -> int:
@@ -414,7 +412,7 @@ def _page(
     spec: FibrationSpec,
     assignment: DifferentialAssignment,
     r: int,
-    groups: dict[Bidegree, PageGroup],
+    groups: Mapping[Bidegree, PageGroup],
     flagged: Sequence[tuple[int, Bidegree, Bidegree]] = (),
 ) -> Page:
     """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
@@ -530,8 +528,8 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         m2 = page.differentials.get(mid)
         if m2 is not None and not m2.matmul(m1).is_zero():
             raise InvariantBreach(f"d_{r} o d_{r} != 0 out of {src}")
-    bidegrees = list(order) if order is not None else sorted(page.groups)
-    if set(bidegrees) != set(page.groups):
+    bidegrees = sorted(page.groups) if order is None else list(order)
+    if order is not None and set(bidegrees) != set(page.groups):
         raise UsageError("processing order must cover exactly the page bidegrees")
     new_groups: dict[Bidegree, PageGroup] = {}
     for bd in bidegrees:

@@ -15,6 +15,7 @@ caller.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -41,33 +42,55 @@ class Violation(Record):
         return f"Sq^{self.i}({self.generator}): {self.kind}: {self.message}"
 
 
-class SteenrodTable:
+class SteenrodTable(Record):
     """Squaring operations on the generators of a polynomial algebra.
 
     ``action`` maps (generator, i) to the value of Sq^i; a None value
     marks an entry awaiting user input from the literature.  Entries
     for i above the generator degree may be omitted (they are zero).
+    The action is a read-only copy, so the verdict and total squares kept
+    on the table stay true.
     """
 
     def __init__(
         self,
         algebra: PolyAlgebraSpec,
         action: Mapping[tuple[str, int], Optional[Polynomial]],
-    ):
-        self.algebra = algebra
-        self.action = MappingProxyType(dict(action))
-        self._monomial_cache: dict[Monomial, dict[int, Polynomial]] = {}
-        self._validated: Optional[tuple[Violation, ...]] = None  # set by validate_table
+    ) -> None:
+        totals = {Monomial((0,) * len(algebra.generators)): {0: algebra.unit()}}  # Sq(1) = 1
+        self.__dict__.update(algebra=algebra, action=MappingProxyType(dict(action)), _totals=totals)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SteenrodTable)
-            and self.algebra == other.algebra
-            and self.action == other.action
-        )
-
-    def __reduce__(self) -> tuple:
-        return SteenrodTable, (self.algebra, dict(self.action))
+    @cached_property
+    def _validated(self) -> tuple[Violation, ...]:
+        """Every table invariant on every entry, in generator order and then by index."""
+        algebra = self.algebra
+        position = {gen: k for k, gen in enumerate(algebra.names)}
+        entries = ((position[g], i, g, v) for (g, i), v in self.action.items() if g in position)
+        violations: list[Violation] = []
+        for k, i, gen, value in sorted(entries, key=lambda entry: entry[:2]):
+            degree = algebra.degrees[k]
+            if value is None:
+                violations.append(Violation(gen, i, "missing", "entry is marked user-supplied"))
+                continue
+            unit = algebra.gen(gen)
+            if i == 0 and value != unit:
+                violations.append(Violation(gen, i, "sq0", "Sq^0 must fix the generator"))
+            if i == degree and value != multiply(algebra, unit, unit):
+                violations.append(Violation(gen, i, "squaring", "top square must be the square"))
+            if value.is_zero():
+                continue
+            if i > degree:
+                vanish = f"must vanish above degree {degree}"
+                violations.append(Violation(gen, i, "instability", vanish))
+            try:
+                got = value.homogeneous_degree(algebra)
+            except UsageError:
+                violations.append(Violation(gen, i, "homogeneity", "image is not homogeneous"))
+                continue
+            if i <= degree and got != degree + i:
+                expected = f"image has degree {got}, expected {degree + i}"
+                violations.append(Violation(gen, i, "homogeneity", expected))
+        return tuple(violations)
 
     def generator_sq(self, gen: str, i: int) -> Polynomial:
         degree = self.algebra.degrees[self.algebra.index_of(gen)]
@@ -122,44 +145,11 @@ def table_from_entries(
 
 
 def validate_table(table: SteenrodTable) -> list[Violation]:
-    """Check every table invariant on every entry; empty means valid.
-
-    One pass over the entries, in generator order and then by index.  The
-    verdict is kept on the table, where ``sq`` and ``hit_quotient`` read it.
-    """
-    algebra = table.algebra
-    position = {gen: k for k, gen in enumerate(algebra.names)}
-    entries = ((position[g], i, g, v) for (g, i), v in table.action.items() if g in position)
-    violations: list[Violation] = []
-    for k, i, gen, value in sorted(entries, key=lambda entry: entry[:2]):
-        degree = algebra.degrees[k]
-        if value is None:
-            violations.append(Violation(gen, i, "missing", "entry is marked user-supplied"))
-            continue
-        unit = algebra.gen(gen)
-        if i == 0 and value != unit:
-            violations.append(Violation(gen, i, "sq0", "Sq^0 must fix the generator"))
-        if i == degree and value != multiply(algebra, unit, unit):
-            violations.append(Violation(gen, i, "squaring", "top square must be the square"))
-        if value.is_zero():
-            continue
-        if i > degree:
-            violations.append(Violation(gen, i, "instability", f"must vanish above degree {degree}"))
-        try:
-            got = value.homogeneous_degree(algebra)
-        except UsageError:
-            violations.append(Violation(gen, i, "homogeneity", "image is not homogeneous"))
-            continue
-        if i <= degree and got != degree + i:
-            expected = f"image has degree {got}, expected {degree + i}"
-            violations.append(Violation(gen, i, "homogeneity", expected))
-    table._validated = tuple(violations)
-    return violations
+    """Every table invariant checked on every entry; empty means valid.  Kept on the table."""
+    return list(table._validated)
 
 
 def _require_valid(table: SteenrodTable) -> None:
-    if table._validated is None:
-        validate_table(table)
     if table._validated:
         listed = "; ".join(str(v) for v in table._validated)
         raise ValidationError(f"squaring table is invalid: {listed}")
@@ -181,22 +171,24 @@ def _convolve(
 
 
 def _total_square_monomial(table: SteenrodTable, m: Monomial) -> dict[int, Polynomial]:
-    cached = table._monomial_cache.get(m)
-    if cached is not None:
-        return cached
+    """Sq(m) = Sq(m / x) Sq(x), x the last generator dividing m: one Cartan step per monomial.
+
+    Walks down to the nearest kept total (the unit's is kept from construction), then back up.
+    """
+    cache = table._totals
     algebra = table.algebra
-    total: dict[int, Polynomial] = {0: algebra.unit()}
-    for (gen, degree), e in zip(algebra.generators, m.exponents):
-        if e == 0:
-            continue
-        gen_total = {
-            i: table.generator_sq(gen, i)
-            for i in range(degree + 1)
-            if not table.generator_sq(gen, i).is_zero()
-        }
-        for _ in range(e):
-            total = _convolve(algebra, total, gen_total)
-    table._monomial_cache[m] = total
+    chain = []
+    while m not in cache:
+        exponents = list(m.exponents)
+        j = max(k for k, e in enumerate(exponents) if e)
+        chain.append((m, j))
+        exponents[j] -= 1
+        m = Monomial(tuple(exponents))
+    total = cache[m]
+    for m, j in reversed(chain):
+        gen, degree = algebra.generators[j]
+        gen_total = {i: p for i in range(degree + 1) if (p := table.generator_sq(gen, i))}
+        total = cache[m] = _convolve(algebra, total, gen_total)
     return total
 
 
@@ -245,15 +237,16 @@ def hit_quotient(table: SteenrodTable, bound: int) -> HitReport:
     if bound < 0:
         raise UsageError("bound must be nonnegative")
     _require_valid(table)
-    algebra = table.algebra
     rows = []
+    bases: list[list[Monomial]] = []  # bases[d], built once: the source list of every later degree
     for d in range(bound + 1):
-        basis = basis_in_degree(algebra, d)
+        basis = basis_in_degree(table.algebra, d)
+        bases.append(basis)
         index = {m: j for j, m in enumerate(basis)}
         n = len(basis)
         hit_vectors = []
         for i in range(1, d + 1):
-            for m in basis_in_degree(algebra, d - i):
+            for m in bases[d - i]:
                 image = sq(table, i, Polynomial.of(m))
                 if image.is_zero():
                     continue

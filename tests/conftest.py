@@ -4,7 +4,7 @@ import pytest
 
 from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import F2Matrix, F2Vector, in_span, reduce_against, row_reduce, solve
-from sseqlab.graded import multiply
+from sseqlab.graded import Polynomial, multiply
 from sseqlab.specseq import Page
 from sseqlab.steenrod import Violation
 
@@ -87,6 +87,31 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
 @pytest.fixture
 def page_reference():
     return _page_reference
+
+
+def _total_square_reference(table, m):
+    """The total square of the monomial ``m`` as repeated convolution, from the unit up.
+
+    Convolves in each generator's total once per unit of its exponent; the
+    hit solver used this loop before it kept one Cartan step per monomial,
+    and its totals are compared against it.
+    """
+    algebra = table.algebra
+    total = {0: algebra.unit()}
+    for (gen, degree), e in zip(algebra.generators, m.exponents):
+        gen_total = {i: table.generator_sq(gen, i) for i in range(degree + 1)} if e else {}
+        for _ in range(e):
+            out = {}
+            for a, pa in total.items():
+                for b, pb in gen_total.items():
+                    out[a + b] = out.get(a + b, Polynomial.zero()) + multiply(algebra, pa, pb)
+            total = {i: p for i, p in out.items() if p}
+    return total
+
+
+@pytest.fixture
+def total_square_reference():
+    return _total_square_reference
 
 
 def _rref_reference(words):

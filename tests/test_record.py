@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import sseqlab
 from sseqlab.config import WorkbenchConfig
 from sseqlab.chart import ChartSpec
 from sseqlab.f2 import F2Matrix, F2Vector
@@ -28,7 +29,14 @@ from sseqlab.specseq import (
     PageGroup,
     UnknownScalar,
 )
-from sseqlab.steenrod import DegreeHitData, HitReport, Violation, table_from_entries
+from sseqlab.record import Record
+from sseqlab.steenrod import (
+    DegreeHitData,
+    HitReport,
+    SteenrodTable,
+    Violation,
+    table_from_entries,
+)
 
 FACTORY = object()  # a default built by ``dict()`` per instance
 
@@ -82,6 +90,16 @@ def chart_args(rng):
     return page, 4, 3, ((0, 0, 1), (rng.randint(0, 1), 1, 1)), arrows
 
 
+def homotopy_entries(rng):
+    return {d: TableEntry(group(rng)) for d in range(1, rng.randint(1, 3))}
+
+
+def steenrod_args(rng):
+    algebra = PolyAlgebraSpec((("t", 1),))
+    square = rng.choice((Polynomial.zero(), Polynomial.of(Monomial((2,)))))
+    return algebra, {("t", 0): algebra.gen("t"), ("t", 1): square}
+
+
 def bits(rng, length):
     return rng.randrange(1 << length)
 
@@ -101,6 +119,7 @@ RECORDS = [
         lambda rng: (group(rng), rng.random() < 0.5, rng.choice(("", "src"))),
     ),
     (DimEntry, ["value", ("exact", True)], {}, lambda rng: (rng.randint(0, 1), rng.random() < 0.5)),
+    (HomotopyTable, ["entries"], {}, lambda rng: (homotopy_entries(rng),)),
     (GradedDims, [("dims", FACTORY)], {}, lambda rng: ({1: DimEntry(rng.randint(0, 1))},)),
     (
         UnknownScalar,
@@ -131,7 +150,7 @@ RECORDS = [
     (
         Page,
         ["spec", "assignment", "r", "groups", ("differentials", FACTORY), ("unevaluated", ())],
-        {"frozen": False},
+        {},
         lambda rng: (
             FibrationSpec(*spec_args(rng)),
             assignment(rng),
@@ -147,6 +166,7 @@ RECORDS = [
         {},
         lambda rng: ("t", rng.randint(0, 1), rng.choice(("sq0", "missing")), "m"),
     ),
+    (SteenrodTable, ["algebra", "action"], {}, steenrod_args),
     (
         DegreeHitData,
         ["degree", "total_dim", "hit_dim", "quotient_dim", "representatives"],
@@ -254,15 +274,11 @@ def test_record_matches_its_dataclass_twin(record, fields, options, draw):
             if default is FACTORY:
                 assert getattr(first, name) == {}
                 assert getattr(first, name) is not getattr(second, name)
-        # frozen, except for the mutable Page
         for name in names:
-            if options.get("frozen", True):
-                with pytest.raises(AttributeError):
-                    setattr(r, name, None)
-                with pytest.raises(AttributeError):
-                    delattr(r, name)
-            else:
-                setattr(r, name, getattr(r, name))
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
         # copies rebuild an equal record; the twin's copies agree
         for clone in (copy.copy, copy.deepcopy):
             assert clone(r) == r and clone(t) == t
@@ -274,6 +290,13 @@ def test_record_matches_its_dataclass_twin(record, fields, options, draw):
         else:
             with pytest.raises(TypeError):
                 r < record(*other)
+
+
+def test_every_exported_class_is_a_record():
+    exported = [value for value in vars(sseqlab).values() if isinstance(value, type)]
+    values = [cls for cls in exported if not issubclass(cls, Exception)]
+    assert len(values) > 10
+    assert [cls.__name__ for cls in values if not issubclass(cls, Record)] == []
 
 
 def test_monomials_sort_as_their_twins():

@@ -13,13 +13,17 @@ from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import F2Vector, row_reduce
 from sseqlab.gauge import g2_fibration_spec
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degree
+from sseqlab.homotopy import DimEntry, GradedDims
+from sseqlab.record import FrozenRecordError
 from sseqlab.specseq import (
+    DifferentialAssignment,
     FibrationSpec,
     PageGroup,
     UNIT_GEN,
     UnknownScalar,
     admissible_differentials,
     build_e2,
+    check_images,
     initial_page,
     leibniz_extend,
     resolve_assignment,
@@ -450,6 +454,12 @@ def test_turn_page_order_independent():
             assert shuffled.groups[bd].boundaries == reference.groups[bd].boundaries
 
 
+def test_turn_page_refuses_an_order_that_misses_a_bidegree():
+    page = initial_page(SPEC, assignment_for(1))
+    with pytest.raises(UsageError, match="processing order must cover"):
+        turn_page(page, order=sorted(page.groups)[1:])
+
+
 def test_composite_of_consecutive_differentials_is_zero():
     page = initial_page(SPEC, assignment_for(1))
     while page.r <= 6:
@@ -518,6 +528,39 @@ def test_run_requires_resolved_unknowns():
 
     with pytest.raises(UsageError):
         run_to_einfty(SPEC, DifferentialAssignment({}, {}))
+
+
+def test_run_refuses_a_hand_built_assignment_that_omits_a_value():
+    # every image is declared, so check_images passes; only the run's own check refuses it
+    assignment = DifferentialAssignment({}, {("u_5", 6): SPEC.base.gen("x_6")})
+    check_images(SPEC, assignment)
+    with pytest.raises(UsageError, match="unresolved unknowns: eps"):
+        run_to_einfty(SPEC, assignment)
+
+
+def test_kept_values_refuse_the_edits_that_once_got_past_their_checks():
+    images = {("u_5", 6): SPEC.base.gen("x_6")}
+    assignment = DifferentialAssignment({"eps": 1}, images)
+    images[("u_5", 6)] = SPEC.base.gen("x_4")  # the caller's dict is not the assignment's
+    page, report = run_to_einfty(SPEC, assignment)
+    assert report == run_to_einfty(SPEC, assignment_for(1))[1]
+    with pytest.raises(TypeError):
+        assignment.generator_images[("u_5", 6)] = SPEC.base.gen("x_4")  # degree 4, not 6
+    with pytest.raises(TypeError):
+        assignment.values["eps"] = 0
+    dims = GradedDims({0: DimEntry(1)})
+    with pytest.raises(TypeError):
+        dims.dims[0] = DimEntry(5, False)
+    basis = build_e2(SPEC)
+    with pytest.raises(TypeError):
+        basis.groups[(2, 4)] = ((X4, "u_5"),)
+    for edit in (page.groups, page.differentials):
+        with pytest.raises(TypeError):
+            edit[(2, 4)] = None
+    with pytest.raises(FrozenRecordError):
+        page.r = 2
+    assert dims.entry(0) == DimEntry(1) and basis.dim(2, 4) == 0 and page.dim(2, 4) == 0
+    assert run_to_einfty(SPEC, assignment) == (page, report)
 
 
 # ---------------------------------------------------------------- sweeps

@@ -11,12 +11,13 @@ import math
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from sseqlab.config import load_config
-from sseqlab.errors import ValidationError
+from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import F2Vector, row_reduce
 from sseqlab.graded import (
     Monomial,
@@ -27,6 +28,7 @@ from sseqlab.graded import (
 )
 from sseqlab.steenrod import (
     SteenrodTable,
+    _total_square_monomial,
     hit_quotient,
     sq,
     suggest_g2_table,
@@ -264,6 +266,46 @@ def test_factorization_independence():
         assert direct == via_a2_b2 == via_ab_ab
 
 
+def outcome(fn, *args):
+    """The result, or the class of the usage error raised."""
+    try:
+        return fn(*args)
+    except UsageError:
+        return UsageError
+
+
+def test_total_squares_match_the_repeated_convolution(total_square_reference):
+    # the random tables that validate may omit an entry, which both sides refuse
+    rng = random.Random("total-squares")
+    drawn = (_random_table(rng) for _ in range(1000))
+    valid = [table for table in drawn if not validate_table(table)]
+    assert len(valid) >= 10 and any(table.missing_entries() for table in valid)
+    three = table_from_entries(PolyAlgebraSpec.from_pairs([(f"x_{i}", 1) for i in (1, 2, 3)]))
+    onevar = load_config(Path(__file__).parent.parent / "onevar.cfg").steenrod
+    for table in [onevar, three, *valid]:
+        monomials = [m for d in range(13) for m in basis_in_degree(table.algebra, d)]
+        expected = [outcome(total_square_reference, table, m) for m in monomials]
+        # upwards each monomial is one step from a kept total; downwards the walk is long
+        for order in (1, -1):
+            fresh = copy.copy(table)  # a rebuilt table keeps only the unit's total
+            got = [outcome(_total_square_monomial, fresh, m) for m in monomials[::order]]
+            assert got[::order] == expected
+
+
+def test_sq_of_a_high_power_needs_no_recursion():
+    table = one_var_table()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = sq(table, 8, t_power(200))  # C(200, 8) is odd
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == t_power(208)
+
+
 # ---------------------------------------------------------------- hits
 
 
@@ -386,9 +428,9 @@ def mu(n):
 
 @pytest.fixture(scope="module")
 def qp_dims():
-    """dim QP_k(d) for d up to the bound: k = 2 through degree 24, k = 3 through degree 13."""
+    """dim QP_k(d) for d up to the bound: k = 2 through degree 32, k = 3 through degree 16."""
     dims = {}
-    for k, bound in ((2, 24), (3, 13)):
+    for k, bound in ((2, 32), (3, 16)):
         algebra = PolyAlgebraSpec.from_pairs([(f"x_{i}", 1) for i in range(1, k + 1)])
         report = hit_quotient(table_from_entries(algebra, {}), bound)
         dims[k] = [row.quotient_dim for row in report.rows]
