@@ -15,10 +15,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .chart import build_chart, render
+from . import _deferred
 from .config import WorkbenchConfig, load_config
 from .errors import InvariantBreach, SseqlabError, ValidationError
-from .gauge import gauge_report
 from .graded import format_monomial
 from .homotopy import fibre_truncation_dims, hurewicz_homology, loopspace_shift
 from .specseq import (
@@ -32,7 +31,14 @@ from .specseq import (
     sweep_unknowns,
     total_dims,
 )
-from .steenrod import format_violations, hit_quotient, validate_table
+
+# only the command that calls one of these loads its module
+build_chart = _deferred("chart", "build_chart")
+render = _deferred("chart", "render")
+gauge_report = _deferred("gauge", "gauge_report")
+validate_table = _deferred("steenrod", "validate_table")
+format_violations = _deferred("steenrod", "format_violations")
+hit_quotient = _deferred("steenrod", "hit_quotient")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -42,10 +42,10 @@ from __future__ import annotations
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
+from . import _deferred
 from .errors import ConfigError, UsageError, ValidationError
-from .gauge import DEFAULT_EPSILON_RULE, EpsilonRule
 from .graded import PolyAlgebraSpec, Polynomial, format_polynomial, parse_polynomial
 from .homotopy import (
     DimEntry,
@@ -57,10 +57,61 @@ from .homotopy import (
 )
 from .record import Record
 from .specseq import FibrationSpec, UNIT_GEN, UnknownScalar
-from .steenrod import SteenrodTable, table_from_entries
 
+if TYPE_CHECKING:
+    from .steenrod import SteenrodTable
+
+table_from_entries = _deferred("steenrod", "table_from_entries")  # loaded by a [steenrod] section
 _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
 _UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
+
+
+class EpsilonRule(Record):
+    """Residue classes mod ``modulus`` with the values proved on them."""
+
+    def __init__(
+        self, modulus: int, classes: tuple[tuple[str, tuple[int, ...]], ...],
+        known_values: tuple[tuple[str, int], ...],
+    ) -> None:
+        if modulus < 1:
+            raise ValidationError("modulus must be positive")
+        covered: list[int] = []
+        for label, residues in classes:
+            if not label:
+                raise ValidationError("empty class label")
+            covered.extend(residues)
+        if sorted(covered) != list(range(modulus)):
+            raise ValidationError(f"classes must partition the residues 0..{modulus - 1}")
+        labels = {label for label, _ in classes}
+        for label, value in known_values:
+            if label not in labels:
+                raise ValidationError(f"known value for unknown class {label!r}")
+            if value not in (0, 1):
+                raise ValidationError("known values must be 0 or 1")
+        self.__dict__.update(modulus=modulus, classes=classes, known_values=known_values)
+
+    def label_of(self, k: int) -> str:
+        residue = k % self.modulus
+        for label, residues in self.classes:
+            if residue in residues:
+                return label
+        raise AssertionError("partition invariant violated")
+
+    def known(self, label: str) -> Optional[int]:
+        for lab, value in self.known_values:
+            if lab == label:
+                return value
+        return None
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(label for label, _ in self.classes)
+
+
+DEFAULT_EPSILON_RULE = EpsilonRule(
+    modulus=4,
+    classes=(("0", (0,)), ("2", (2,)), ("1,3", (1, 3))),
+    known_values=(("0", 0),),
+)
 
 
 class WorkbenchConfig(Record):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from .config import DEFAULT_EPSILON_RULE, EpsilonRule, WorkbenchConfig
 from .errors import ValidationError
 from .graded import PolyAlgebraSpec
 from .homotopy import FGAbelianGroup, HomotopyTable, TableEntry
@@ -25,54 +26,6 @@ from .specseq import (
 )
 
 G2_BASE = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_6", 6), ("x_7", 7)])
-
-
-class EpsilonRule(Record):
-    """Residue classes mod ``modulus`` with the values proved on them."""
-
-    def __init__(
-        self, modulus: int, classes: tuple[tuple[str, tuple[int, ...]], ...],
-        known_values: tuple[tuple[str, int], ...],
-    ) -> None:
-        if modulus < 1:
-            raise ValidationError("modulus must be positive")
-        covered: list[int] = []
-        for label, residues in classes:
-            if not label:
-                raise ValidationError("empty class label")
-            covered.extend(residues)
-        if sorted(covered) != list(range(modulus)):
-            raise ValidationError(f"classes must partition the residues 0..{modulus - 1}")
-        labels = {label for label, _ in classes}
-        for label, value in known_values:
-            if label not in labels:
-                raise ValidationError(f"known value for unknown class {label!r}")
-            if value not in (0, 1):
-                raise ValidationError("known values must be 0 or 1")
-        self.__dict__.update(modulus=modulus, classes=classes, known_values=known_values)
-
-    def label_of(self, k: int) -> str:
-        residue = k % self.modulus
-        for label, residues in self.classes:
-            if residue in residues:
-                return label
-        raise AssertionError("partition invariant violated")
-
-    def known(self, label: str) -> Optional[int]:
-        for lab, value in self.known_values:
-            if lab == label:
-                return value
-        return None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.classes)
-
-
-DEFAULT_EPSILON_RULE = EpsilonRule(
-    modulus=4,
-    classes=(("0", (0,)), ("2", (2,)), ("1,3", (1, 3))),
-    known_values=(("0", 0),),
-)
 
 
 def epsilon_class(
@@ -131,8 +84,6 @@ def g2_fibration_spec(
     The fibre comes from ``WorkbenchConfig.fibration_spec``, the one derivation
     path, with ``extra_fibre`` as declared degrees; this adds only the g2 guards.
     """
-    from .config import WorkbenchConfig  # config imports this module
-
     extra = dict(extra_fibre or {})
     if any(degree <= 5 for degree in extra):
         raise ValidationError("extra fibre generators must sit in degrees >= 6")

@@ -47,7 +47,8 @@ class SteenrodTable(Record):
 
     ``action`` maps (generator, i) to the value of Sq^i; a None value
     marks an entry awaiting user input from the literature.  Entries
-    for i above the generator degree may be omitted (they are zero).
+    for i above the generator degree may be omitted (they are zero);
+    one omitted at or below it is reported missing, like a None value.
     The action is a read-only copy, so the verdict and total squares kept
     on the table stay true.
     """
@@ -62,15 +63,18 @@ class SteenrodTable(Record):
 
     @cached_property
     def _validated(self) -> tuple[Violation, ...]:
-        """Every table invariant on every entry, in generator order and then by index."""
-        algebra = self.algebra
+        """Every invariant on every entry and every slot up to its degree, by generator, index."""
+        algebra, action = self.algebra, self.action
         position = {gen: k for k, gen in enumerate(algebra.names)}
-        entries = ((position[g], i, g, v) for (g, i), v in self.action.items() if g in position)
+        slots = {(gen, i) for gen, degree in algebra.generators for i in range(degree + 1)}
+        keys = (key for key in slots.union(action) if key[0] in position)
         violations: list[Violation] = []
-        for k, i, gen, value in sorted(entries, key=lambda entry: entry[:2]):
-            degree = algebra.degrees[k]
+        for gen, i in sorted(keys, key=lambda key: (position[key[0]], key[1])):
+            degree = algebra.degrees[position[gen]]
+            value = action.get((gen, i))
             if value is None:
-                violations.append(Violation(gen, i, "missing", "entry is marked user-supplied"))
+                note = "entry is marked user-supplied" if (gen, i) in action else "entry is absent"
+                violations.append(Violation(gen, i, "missing", note))
                 continue
             unit = algebra.gen(gen)
             if i == 0 and value != unit:

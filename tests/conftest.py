@@ -166,11 +166,12 @@ def _validate_table_reference(table):
     violations = []
     for gen, degree in algebra.generators:
         unit = algebra.gen(gen)
-        for (g, i), value in sorted(
-            table.action.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            if g != gen:
+        given = {i for g, i in table.action if g == gen}
+        for i in sorted(given.union(range(degree + 1))):
+            if i not in given:  # an absent slot up to the degree is missing too
+                violations.append(Violation(gen, i, "missing", "entry is absent"))
                 continue
+            value = table.action[(gen, i)]
             if value is None:
                 violations.append(
                     Violation(gen, i, "missing", "entry is marked user-supplied")

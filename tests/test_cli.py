@@ -432,10 +432,15 @@ def test_subprocess_entry_point():
     assert "u_5" in result.stdout
 
 
-def test_cli_start_up_loads_no_code_generator_or_json():
-    # a CLI child's environment: sources on the path, no PYTHON* flags, no bytecode writes
+def child_env():
+    """A CLI child's environment: sources on the path, no PYTHON* flags, no bytecode writes."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return env
+
+
+def test_cli_start_up_loads_no_code_generator_or_json():
+    env = child_env()
     probe = (
         "import sys, sseqlab.cli\n"
         "print(*[m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
@@ -447,3 +452,37 @@ def test_cli_start_up_loads_no_code_generator_or_json():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["", "('t',) True"]
+
+
+# the sseqlab modules a command may not load, by command
+NOT_LOADED = {
+    "constraints": {"chart", "gauge", "steenrod"},
+    "e2": {"chart", "gauge", "steenrod"},
+    "einfty": {"chart", "gauge", "steenrod"},
+    "sweep": {"chart", "gauge", "steenrod"},
+    "uct": {"chart", "gauge", "steenrod"},
+    "gauge": {"chart", "steenrod"},
+    "chart": {"gauge", "steenrod"},
+    "hit": {"chart", "gauge"},
+}
+RUNS = {"gauge": "gauge", "chart": "chart", "hit": "steenrod"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # ``python -m sseqlab`` that prints its loaded modules at exit
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "runpy.run_module('sseqlab', run_name='__main__', alter_sys=True)\n"
+    )
+    commands = [(next(a for a in argv if a in NOT_LOADED), argv) for argv in readme_commands()]
+    assert {command for command, _ in commands} == set(NOT_LOADED)
+    for n, (command, argv) in enumerate(commands):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "--out", str(tmp_path / str(n)), *argv[1:]],
+            capture_output=True, text=True, cwd=ROOT, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = {m.split(".")[1] for m in result.stderr.split() if m.startswith("sseqlab.")}
+        assert loaded & NOT_LOADED[command] == set(), argv
+        assert {"cli", "config", "specseq", RUNS.get(command, "cli")} <= loaded, argv

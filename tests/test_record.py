@@ -293,7 +293,8 @@ def test_record_matches_its_dataclass_twin(record, fields, options, draw):
 
 
 def test_every_exported_class_is_a_record():
-    exported = [value for value in vars(sseqlab).values() if isinstance(value, type)]
+    exported = [getattr(sseqlab, name) for name in sseqlab.__all__]
+    exported = [value for value in exported if isinstance(value, type)]
     values = [cls for cls in exported if not issubclass(cls, Exception)]
     assert len(values) > 10
     assert [cls.__name__ for cls in values if not issubclass(cls, Record)] == []

@@ -179,6 +179,7 @@ def test_validate_table_matches_the_per_generator_loop(validate_table_reference)
         kinds.update((v.kind, re.sub(r"\d+", "N", v.message)) for v in expected)
     assert kinds == {
         ("missing", "entry is marked user-supplied"),
+        ("missing", "entry is absent"),
         ("sq0", "Sq^N must fix the generator"),
         ("squaring", "top square must be the square"),
         ("instability", "must vanish above degree N"),
@@ -190,6 +191,18 @@ def test_validate_table_matches_the_per_generator_loop(validate_table_reference)
 def test_sq_refuses_incomplete_table():
     with pytest.raises(ValidationError):
         sq(suggest_g2_table(), 2, Polynomial.of(Monomial((1, 0, 0))))
+
+
+def test_an_omitted_entry_is_reported_and_refused():
+    algebra = PolyAlgebraSpec.from_pairs([("x", 2)])
+    x = algebra.gen("x")
+    table = SteenrodTable(algebra, {("x", 0): x, ("x", 2): multiply(algebra, x, x)})
+    assert table.missing_entries() == [("x", 1)]
+    assert [str(v) for v in validate_table(table)] == ["Sq^1(x): missing: entry is absent"]
+    with pytest.raises(ValidationError, match=r"Sq\^1\(x\): missing"):
+        sq(table, 1, x)
+    with pytest.raises(ValidationError, match=r"Sq\^1\(x\): missing"):
+        hit_quotient(table, 4)
 
 
 # ---------------------------------------------------------------- squaring
@@ -275,14 +288,16 @@ def outcome(fn, *args):
 
 
 def test_total_squares_match_the_repeated_convolution(total_square_reference):
-    # the random tables that validate may omit an entry, which both sides refuse
+    # random tables whose only violations are missing entries, which both sides refuse
     rng = random.Random("total-squares")
     drawn = (_random_table(rng) for _ in range(1000))
-    valid = [table for table in drawn if not validate_table(table)]
-    assert len(valid) >= 10 and any(table.missing_entries() for table in valid)
+    missing_only = [t for t in drawn if {v.kind for v in validate_table(t)} <= {"missing"}]
+    messages = [{v.message for v in validate_table(t)} for t in missing_only]
+    assert len(missing_only) >= 10 and set() in messages  # some validate
+    assert any("entry is absent" in m for m in messages)  # some omit an entry
     three = table_from_entries(PolyAlgebraSpec.from_pairs([(f"x_{i}", 1) for i in (1, 2, 3)]))
     onevar = load_config(Path(__file__).parent.parent / "onevar.cfg").steenrod
-    for table in [onevar, three, *valid]:
+    for table in [onevar, three, *missing_only]:
         monomials = [m for d in range(13) for m in basis_in_degree(table.algebra, d)]
         expected = [outcome(total_square_reference, table, m) for m in monomials]
         # upwards each monomial is one step from a kept total; downwards the walk is long
