@@ -1,8 +1,12 @@
 """Command-line interface: config ingestion, dispatch, report emission.
 
 Every artifact is plain text, CSV, SVG, or TikZ with no timestamps;
-re-running a command on the same inputs is byte-identical.  Exit codes:
-0 success, 1 validation error, 2 internal invariant breach.
+re-running a command on the same inputs is byte-identical.  A command
+returns its artifacts, name to text, and ``main`` writes them only after
+it succeeds, so exit 1 or 2 writes nothing: no stdout, no file, not even
+the ``--out`` directory (only a failed write can leave the artifacts
+written before it).  Exit codes: 0 success, 1 validation error, 2
+internal invariant breach.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .homotopy import fibre_truncation_dims, hurewicz_homology, loopspace_shift
 from .specseq import (
     ADMISSIBLE,
     BASE_ZERO,
-    NEGATIVE_FIBRE,
     FibrationSpec,
     build_e2,
     resolve_assignment,
@@ -49,62 +52,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Emitter:
-    """Writes named artifacts to an output directory or to stdout."""
+Artifacts = dict[str, str]  # artifact name -> text, in output order
 
-    def __init__(self, out_dir: Optional[str]):
-        self.out_dir = Path(out_dir) if out_dir else None
-        if self.out_dir:
-            self._write(self.out_dir, self.out_dir.mkdir, parents=True, exist_ok=True)
 
-    def emit(self, name: str, text: str) -> None:
-        if self.out_dir:
-            self._write(self.out_dir / name, (self.out_dir / name).write_text, text)
-        else:
-            sys.stdout.write(f"# ==== {name} ====\n")
-            sys.stdout.write(text)
-
-    @staticmethod
-    def _write(path: Path, write, *args, **kwargs) -> None:
-        try:
-            write(*args, **kwargs)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from None
+def _write(out_dir: Optional[str], artifacts: Artifacts) -> None:
+    """Artifacts as files under ``out_dir``, or on stdout under ``# ==== name ====`` headers."""
+    if not out_dir:
+        for name, text in artifacts.items():
+            sys.stdout.write(f"# ==== {name} ====\n{text}")
+        return
+    path = Path(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            path = Path(out_dir) / name
+            path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _csv(rows: Sequence[Sequence[object]]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(list(row))
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
 # ------------------------------------------------------------- constraints
 
 
-STATUS_ADMISSIBLE = "admissible"
-STATUS_REJECTED = "rejected"
+def _arrow_table(spec: FibrationSpec) -> tuple[list[list[object]], str]:
+    """The constraints.csv rows and the constraints_log.txt text, from one walk of the arrows.
 
-
-def constraint_rows(spec: FibrationSpec):
-    """Admit/reject every (page, source) pair with a machine-checkable reason.
-
-    One CSV row per verdict of the spec's arrow table; the negative-fibre
-    row of each source is labelled ``>=`` its first page.
+    A row admits or rejects one (page, source) pair with a machine-checkable
+    reason; the negative-fibre row of each source is labelled ``>=`` its first page.
     """
-    rows = []
-    for r, (s, t), target, verdict in spec.arrows:
-        if target is None:
-            rows.append((f">={r}", s, t, "", "", STATUS_REJECTED, verdict))
-        elif verdict == ADMISSIBLE:
-            rows.append((str(r), s, t, *target, STATUS_ADMISSIBLE, ""))
-        else:
-            rows.append((str(r), s, t, *target, STATUS_REJECTED, verdict))
-    return rows
-
-
-def _constraints_log(spec: FibrationSpec, rows: list) -> str:
+    rows = [["page", "source_s", "source_t", "target_s", "target_t", "status", "reason"]]
     lines = [
         f"admissible-differential analysis, total degree <= {spec.degree_bound}",
         "base-row classes are permanent cycles: every differential out of "
@@ -114,55 +96,53 @@ def _constraints_log(spec: FibrationSpec, rows: list) -> str:
         lines.append(f"fibre degree {t} is only >=0: no source there is listed, "
                      "and arrows into it stay admissible")
     lines.append("")
+    admitted = []
     current = None
-    for page, s, t, ts, tt, status, reason in rows:
+    for r, (s, t), target, verdict in spec.arrows:
         if (s, t) != current:
             current = (s, t)
             lines.append(f"source ({s},{t}):")
-        if status == STATUS_ADMISSIBLE:
-            lines.append(f"  r={page}: target ({ts},{tt}) admissible")
-        elif reason == NEGATIVE_FIBRE:
-            lines.append(f"  r{page}: negative fibre degree, no target")
-        elif reason == BASE_ZERO:
-            lines.append(f"  r={page}: target ({ts},{tt}) vanishes, base degree {ts} is zero")
+        if target is None:
+            rows.append([f">={r}", s, t, "", "", "rejected", verdict])
+            lines.append(f"  r>={r}: negative fibre degree, no target")
+            continue
+        ts, tt = target
+        if verdict == ADMISSIBLE:
+            rows.append([r, s, t, ts, tt, "admissible", ""])
+            lines.append(f"  r={r}: target ({ts},{tt}) admissible")
+            admitted.append(f"  d_{r}: ({s},{t}) -> ({ts},{tt})")
         else:
-            lines.append(f"  r={page}: target ({ts},{tt}) vanishes, fibre degree {tt} is zero")
-    admitted = [row for row in rows if row[5] == STATUS_ADMISSIBLE]
-    lines.append("")
-    lines.append(f"admissible arrows: {len(admitted)}")
-    for page, s, t, ts, tt, _status, _reason in admitted:
-        lines.append(f"  d_{page}: ({s},{t}) -> ({ts},{tt})")
-    return "\n".join(lines) + "\n"
+            rows.append([r, s, t, ts, tt, "rejected", verdict])
+            zero = f"base degree {ts}" if verdict == BASE_ZERO else f"fibre degree {tt}"
+            lines.append(f"  r={r}: target ({ts},{tt}) vanishes, {zero} is zero")
+    lines += ["", f"admissible arrows: {len(admitted)}", *admitted]
+    return rows, "\n".join(lines) + "\n"
 
 
-def cmd_constraints(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
-    spec = cfg.fibration_spec()
-    rows = constraint_rows(spec)
-    header = ["page", "source_s", "source_t", "target_s", "target_t", "status", "reason"]
-    emitter.emit("constraints.csv", _csv([header] + rows))
-    emitter.emit("constraints_log.txt", _constraints_log(spec, rows))
-    return 0
+def cmd_constraints(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
+    rows, log = _arrow_table(cfg.fibration_spec())
+    return {"constraints.csv": _csv(rows), "constraints_log.txt": log}
 
 
 # ------------------------------------------------------------- e2 / einfty
 
 
-def cmd_e2(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
+def cmd_e2(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
     spec = cfg.fibration_spec()
     basis = build_e2(spec)
     rows = [["s", "t", "dim", "labels"]]
     for s, t in basis.bidegrees():
         labels = " ".join(spec.format_label(lab) for lab in basis.labels(s, t))
         rows.append([s, t, basis.dim(s, t), labels])
-    emitter.emit("e2.csv", _csv(rows))
+    artifacts = {"e2.csv": _csv(rows)}
     unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
     if unproven:
         lines = [f"starting page, total degree <= {spec.degree_bound}"]
         for t in unproven:
             lines.append(f"fibre degree {t} is only >=0: e2.csv lists no class there, "
                          "yet the degree is unproven, not zero")
-        emitter.emit("e2_log.txt", "\n".join(lines) + "\n")
-    return 0
+        artifacts["e2_log.txt"] = "\n".join(lines) + "\n"
+    return artifacts
 
 
 def _parse_bit_flags(flag: str, noun: str, pairs: list[str]) -> dict[str, int]:
@@ -178,19 +158,15 @@ def _parse_bit_flags(flag: str, noun: str, pairs: list[str]) -> dict[str, int]:
     return values
 
 
-def cmd_einfty(cfg: WorkbenchConfig, emitter: _Emitter, set_flags: list[str]) -> int:
+def cmd_einfty(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
     spec = cfg.fibration_spec()
-    values = _parse_bit_flags("--set", "name", set_flags)
+    values = _parse_bit_flags("--set", "name", args.set)
     assignment = resolve_assignment(spec, values)
     page, report = run_to_einfty(spec, assignment)
     rows = [["s", "t", "dim", "survivors"]]
     for s, t in page.reported_bidegrees():
         rows.append([s, t, page.dim(s, t), " ".join(page.describe(s, t))])
-    emitter.emit("einfty.csv", _csv(rows))
-    totals = [["degree", "dim"]] + [
-        [j, d] for j, d in enumerate(total_dims(report, spec.degree_bound))
-    ]
-    emitter.emit("einfty_totals.csv", _csv(totals))
+    totals = [["degree", "dim"], *enumerate(total_dims(report, spec.degree_bound))]
     lines = [f"limit page (r = {page.r}) for " + ", ".join(
         f"{name}={value}" for name, value in sorted(values.items())
     )]
@@ -200,30 +176,30 @@ def cmd_einfty(cfg: WorkbenchConfig, emitter: _Emitter, set_flags: list[str]) ->
             lines.append(f"  d_{r}: ({s},{t}) -> ({ts},{tt})")
     else:
         lines.append("all admissible differentials evaluated inside the window")
-    emitter.emit("einfty_log.txt", "\n".join(lines) + "\n")
-    return 0
+    return {
+        "einfty.csv": _csv(rows),
+        "einfty_totals.csv": _csv(totals),
+        "einfty_log.txt": "\n".join(lines) + "\n",
+    }
 
 
-def cmd_sweep(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
+def cmd_sweep(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
     spec = cfg.fibration_spec()
     names = list(spec.unknown_names())
     rows = [names + [f"deg{j}" for j in range(spec.degree_bound + 1)]]
     for key, report in sweep_unknowns(spec).items():
         values = [value for _name, value in key]
         rows.append(values + total_dims(report, spec.degree_bound))
-    emitter.emit("sweep.csv", _csv(rows))
-    return 0
+    return {"sweep.csv": _csv(rows)}
 
 
 # ------------------------------------------------------------- gauge
 
 
-def cmd_gauge(
-    cfg: WorkbenchConfig, emitter: _Emitter, k: int, overrides: list[str]
-) -> int:
-    parsed = _parse_bit_flags("--epsilon", "label", overrides)
+def cmd_gauge(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
+    parsed = _parse_bit_flags("--epsilon", "label", args.epsilon)
     spec = cfg.fibration_spec()
-    report = gauge_report(k, parsed, rule=cfg.epsilon_rule, spec=spec)
+    report = gauge_report(args.k, parsed, rule=cfg.epsilon_rule, spec=spec)
     header = ["k", "class", "branch"] + [
         name for name, _ in report.branches[0].values
     ] + [f"deg{j}" for j in range(spec.degree_bound + 1)]
@@ -234,7 +210,6 @@ def cmd_gauge(
             + [value for _name, value in branch.values]
             + list(branch.total_dims)
         )
-    emitter.emit("gauge_dims.csv", _csv(rows))
     lines = [
         f"bundle class k = {report.k}",
         f"residue class: {report.epsilon_label} (mod {cfg.epsilon_rule.modulus})",
@@ -251,15 +226,14 @@ def cmd_gauge(
     for r, (s, t), (ts, tt) in report.admissible:
         lines.append(f"  d_{r}: ({s},{t}) -> ({ts},{tt})")
     lines.append("")
-    lines.append(_constraints_log(spec, constraint_rows(spec)))
-    emitter.emit("gauge_log.txt", "\n".join(lines))
-    return 0
+    lines.append(_arrow_table(spec)[1])
+    return {"gauge_dims.csv": _csv(rows), "gauge_log.txt": "\n".join(lines)}
 
 
 # ------------------------------------------------------------- uct
 
 
-def cmd_uct(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
+def cmd_uct(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
     if cfg.homotopy is None:
         raise ValidationError("the uct command needs a homotopy section")
     rows = [["step", "degree", "value", "provenance"]]
@@ -274,21 +248,18 @@ def cmd_uct(cfg: WorkbenchConfig, emitter: _Emitter) -> int:
             rows.append([step, degree, str(entry), entry.citation])
     dims = fibre_truncation_dims(shifted)
     for degree, entry in dims.items():
-        if degree == 0:
-            provenance = "unit class of a path-connected fibre"
-        else:
-            provenance = (
-                f"ext of homology degree {degree - 1} plus hom of degree {degree}"
-            )
+        provenance = (
+            f"ext of homology degree {degree - 1} plus hom of degree {degree}"
+            if degree else "unit class of a path-connected fibre"
+        )
         rows.append(["cohomology_dim", degree, str(entry), provenance])
-    emitter.emit("uct.csv", _csv(rows))
-    return 0
+    return {"uct.csv": _csv(rows)}
 
 
 # ------------------------------------------------------------- hit
 
 
-def cmd_hit(cfg: WorkbenchConfig, emitter: _Emitter, bound: int) -> int:
+def cmd_hit(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
     if cfg.steenrod is None:
         raise ValidationError("the hit command needs a steenrod section")
     violations = validate_table(cfg.steenrod)
@@ -296,22 +267,20 @@ def cmd_hit(cfg: WorkbenchConfig, emitter: _Emitter, bound: int) -> int:
         raise ValidationError(
             "squaring table is invalid:\n" + format_violations(violations)
         )
-    report = hit_quotient(cfg.steenrod, bound)
+    report = hit_quotient(cfg.steenrod, args.bound)
     rows = [["degree", "total_dim", "hit_dim", "quotient_dim", "representatives"]]
     for row in report.rows:
         reps = " ".join(format_monomial(cfg.base, m) for m in row.representatives)
         rows.append([row.degree, row.total_dim, row.hit_dim, row.quotient_dim, reps])
-    emitter.emit("hit.csv", _csv(rows))
-    return 0
+    return {"hit.csv": _csv(rows)}
 
 
 # ------------------------------------------------------------- chart
 
 
-def cmd_chart(cfg: WorkbenchConfig, emitter: _Emitter, page: int, fmt: str) -> int:
-    chart = build_chart(cfg.fibration_spec(), page)
-    emitter.emit(f"chart_p{page}.{fmt}", render(chart, fmt))
-    return 0
+def cmd_chart(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
+    chart = build_chart(cfg.fibration_spec(), args.page)
+    return {f"chart_p{args.page}.{args.format}": render(chart, args.format)}
 
 
 # ------------------------------------------------------------- dispatch
@@ -319,17 +288,13 @@ def cmd_chart(cfg: WorkbenchConfig, emitter: _Emitter, page: int, fmt: str) -> i
 
 @functools.cache
 def build_parser() -> _Parser:
-    # each ``run`` looks its cmd_* up when called, so a patched module attribute is the one run
     parser = _Parser(prog="sseqlab", description=__doc__)
     parser.add_argument("--config", default="g2.cfg", help="configuration file")
     parser.add_argument("--out", default=None, help="artifact output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    constraints = sub.add_parser("constraints", help="admissible-differential table and proof log")
-    constraints.set_defaults(run=lambda cfg, out, args: cmd_constraints(cfg, out))
-    e2 = sub.add_parser("e2", help="starting-page basis per bidegree")
-    e2.set_defaults(run=lambda cfg, out, args: cmd_e2(cfg, out))
+    sub.add_parser("constraints", help="admissible-differential table and proof log")
+    sub.add_parser("e2", help="starting-page basis per bidegree")
     einfty = sub.add_parser("einfty", help="limit page for a resolved assignment")
-    einfty.set_defaults(run=lambda cfg, out, args: cmd_einfty(cfg, out, args.set))
     einfty.add_argument(
         "--set",
         action="append",
@@ -337,10 +302,8 @@ def build_parser() -> _Parser:
         metavar="NAME=BIT",
         help="resolve an unknown scalar (repeatable)",
     )
-    sweep = sub.add_parser("sweep", help="limit pages for every unknown assignment")
-    sweep.set_defaults(run=lambda cfg, out, args: cmd_sweep(cfg, out))
+    sub.add_parser("sweep", help="limit pages for every unknown assignment")
     gauge = sub.add_parser("gauge", help="per-class report for a bundle class")
-    gauge.set_defaults(run=lambda cfg, out, args: cmd_gauge(cfg, out, args.k, args.epsilon))
     gauge.add_argument("--k", type=int, required=True, help="bundle class")
     gauge.add_argument(
         "--epsilon",
@@ -349,13 +312,10 @@ def build_parser() -> _Parser:
         metavar="LABEL=BIT",
         help="override the scalar on a residue class (repeatable)",
     )
-    uct = sub.add_parser("uct", help="fibre cohomology derivation chain")
-    uct.set_defaults(run=lambda cfg, out, args: cmd_uct(cfg, out))
+    sub.add_parser("uct", help="fibre cohomology derivation chain")
     hit = sub.add_parser("hit", help="hit subspaces and indecomposable quotients")
-    hit.set_defaults(run=lambda cfg, out, args: cmd_hit(cfg, out, args.bound))
     hit.add_argument("--bound", type=int, required=True, help="top degree")
     chart = sub.add_parser("chart", help="render one page as SVG or TikZ")
-    chart.set_defaults(run=lambda cfg, out, args: cmd_chart(cfg, out, args.page, args.format))
     chart.add_argument("--page", type=int, required=True)
     chart.add_argument("--format", choices=["svg", "tikz"], required=True)
     return parser
@@ -364,7 +324,10 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(load_config(args.config), _Emitter(args.out), args)
+        # looked up per call, so a patched module attribute is the one run
+        command = globals()[f"cmd_{args.command}"]
+        _write(args.out, command(load_config(args.config), args))
+        return 0
     except SystemExit as exc:  # _Parser.error exits 1, --help 0
         return exc.code
     except InvariantBreach as exc:

@@ -78,23 +78,25 @@ class FibrationSpec(Record):
         gens0 = fibre_gens.get(0)
         if gens0 is None or len(gens0) != 1:
             raise ValidationError("fibre degree 0 must hold exactly the unit generator")
-        seen: set[str] = set()
+        degree_of: dict[str, int] = {}
         for degree, gens in fibre_gens.items():
             if degree < 0:
                 raise ValidationError(f"negative fibre degree {degree}")
             for g in gens:
                 if not g:
                     raise ValidationError("empty fibre generator name")
-                if g in seen:
+                if g in degree_of:
                     raise ValidationError(f"duplicate fibre generator {g!r}")
-                seen.add(g)
+                degree_of[g] = degree
         if any(d < 1 or self.fibre_dim(d) for d in unproven_degrees):
             raise ValidationError("an unproven fibre degree must be positive and hold no generator")
         names = [u.name for u in unknowns]
         if len(set(names)) != len(names):
             raise ValidationError("unknown scalar names must be distinct")
         for u in unknowns:
-            t = self.fibre_degree_of(u.generator)
+            t = degree_of.get(u.generator)
+            if t is None:
+                raise ValidationError(f"unknown {u.name}: unknown fibre generator {u.generator!r}")
             if u.generator == self.unit_gen:
                 raise ValidationError("the unit class never supports a differential")
             if u.target.is_zero():
@@ -106,6 +108,11 @@ class FibrationSpec(Record):
             if u.target.homogeneous_degree(self.base) != u.page:
                 raise ValidationError(
                     f"unknown {u.name}: target must be homogeneous of degree {u.page}"
+                )
+            first = next(v for v in unknowns if v.generator == u.generator)
+            if first is not u:  # both would key the one image of d_page(generator)
+                raise ValidationError(
+                    f"unknowns {first.name} and {u.name} both set d_{u.page}({u.generator})"
                 )
 
     @property
@@ -429,17 +436,15 @@ def _page(
     active = {spec.fibre_degree_of(g) for g in image_terms}
     unit = spec.unit_gen
     for (s, t), group in sorted(groups.items()):
-        if t not in active or t - r + 1 < 0 or group.dim == 0:
+        if t not in active or group.dim == 0:
             continue
+        # check_images forces r = t + 1, so the target is the base-row group (s + t + 1, 0),
+        # nonzero on E_2 because the source monomial times the image's is a monomial there
         target_bd = (s + r, t - r + 1)
-        if s + t > spec.degree_bound:
-            # target would land beyond the tracked window
-            if spec.e2_dim(*target_bd) > 0:
-                unevaluated.append((r, (s, t), target_bd))
+        if s + t > spec.degree_bound:  # the target lands beyond the tracked window
+            unevaluated.append((r, (s, t), target_bd))
             continue
-        target = groups.get(target_bd)
-        if target is None:
-            continue
+        target = groups[target_bd]
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
         target_index = {(m.exponents, g): i for i, (m, g) in enumerate(target.labels)}

@@ -16,6 +16,7 @@ import pytest
 
 import sseqlab.cli
 import sseqlab.config
+import sseqlab.errors
 import sseqlab.specseq
 import sseqlab.steenrod
 from sseqlab.cli import main
@@ -206,7 +207,89 @@ def test_chart_page_below_two_exits_one_and_writes_nothing(tmp_path, page):
     )
     assert (code, stdout) == (1, "")
     assert err == f"error: chart page must be >= 2 (pages start at E_2), got {page}\n"
-    assert not [p for p in out.rglob("*") if p.is_file()]
+    assert not out.exists()
+
+
+SMALL = "[base]\nx = 2\n"
+ONE_ARROW = SMALL + "[fibre]\n1 = e\n[unknowns]\n"
+G2_TEXT = (ROOT / "g2.cfg").read_text()
+
+# (config file name, its text, command, the one stderr line after "error: ")
+REFUSALS = {
+    "uct without homotopy": ("c.cfg", SMALL, ["uct"], "the uct command needs a homotopy section"),
+    "degree bound zero": (
+        "c.cfg", "degree_bound = 0\n" + SMALL, ["e2"], "line 1: degree_bound must be >= 1"
+    ),
+    "homotopy degree zero": (
+        "c.cfg", SMALL + "[homotopy]\n0 = Z ; c\n", ["e2"], "line 4: homotopy degrees start at 1"
+    ),
+    "duplicate derive": (
+        "c.cfg", SMALL + "[homotopy]\n3 = Z ; c\n[fibre]\nderive = homotopy\nderive = homotopy\n",
+        ["e2"], "line 7: duplicate derive line",
+    ),
+    "duplicate fibre degree": (
+        "c.cfg", SMALL + "[fibre]\n1 = e\n1 = f\n", ["e2"], "line 5: duplicate fibre degree 1"
+    ),
+    "duplicate unknown": (
+        "c.cfg", ONE_ARROW + "a = d2 e -> x\na = d2 e -> x\n", ["e2"],
+        "line 7: duplicate unknown 'a'",
+    ),
+    "epsilon modulus zero": (
+        "c.cfg", SMALL + "[epsilon]\nmodulus = 0\n", ["e2"],
+        "epsilon section: modulus must be positive",
+    ),
+    "epsilon known value five": (
+        "c.cfg", SMALL + "[epsilon]\nmodulus = 1\nclass = 0 : 5\n", ["e2"],
+        "epsilon section: known values must be 0 or 1",
+    ),
+    "hit bound below zero": (
+        "c.cfg", (ROOT / "onevar.cfg").read_text(), ["hit", "--bound", "-1"],
+        "bound must be nonnegative",
+    ),
+    "gauge override of an undeclared class": (
+        "c.cfg", G2_TEXT, ["gauge", "--k", "1", "--epsilon", "7=1"],
+        "override for unknown class '7'",
+    ),
+    "gauge without an unknown": (
+        "c.cfg", SMALL, ["gauge", "--k", "1"],
+        "the gauge pipeline expects exactly one unknown, the transgressive scalar",
+    ),
+    "einfty value for an undeclared unknown": (
+        "c.cfg", G2_TEXT, ["einfty", "--set", "nope=1"],
+        "value given for undeclared unknown 'nope'",
+    ),
+    "json top level is a list": ("c.json", "[1, 2]", ["e2"], "top level must be a JSON object"),
+    # both would key the image of d_2(e) by (generator, page), so the later would win silently
+    "two unknowns on one generator": (
+        "c.cfg", ONE_ARROW + "a = d2 e -> x\nb = d2 e -> x\n",
+        ["einfty", "--set", "a=1", "--set", "b=0"], "unknowns a and b both set d_2(e)",
+    ),
+    "unknown on an undeclared generator": (
+        "c.cfg", G2_TEXT.replace("eps = d6 u_5", "eps = d6 nope"), ["e2"],
+        "unknown eps: unknown fibre generator 'nope'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_exits_one_with_its_message_and_writes_nothing(tmp_path, case):
+    name, text, argv, message = REFUSALS[case]
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli("--config", str(tmp_path / name), "--out", str(out), *argv)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_an_invariant_breach_exits_two_and_writes_nothing(tmp_path, monkeypatch):
+    def breach(spec):
+        raise sseqlab.errors.InvariantBreach("x")
+
+    monkeypatch.setattr(sseqlab.cli, "sweep_unknowns", breach)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli("--config", G2, "--out", str(out), "sweep")
+    assert (code, stdout, err) == (2, "", "internal invariant breach: x\n")
+    assert not out.exists()
 
 
 def test_missing_config_exits_one():

@@ -727,6 +727,32 @@ def test_unknown_target_degree_checked():
         )
 
 
+def test_two_unknowns_on_one_generator_are_refused_by_name():
+    # both would set the one image of d_2(e), and the later would silently win
+    base = PolyAlgebraSpec.from_pairs([("x", 2)])
+    a, b, c = (UnknownScalar(n, "e", 2, base.gen("x")) for n in ("a", "b", "c"))
+    fibre = {0: (UNIT_GEN,), 1: ("e",)}
+    FibrationSpec(base, fibre, 4, (a,))
+    for unknowns, first, second in (((a, b), "a", "b"), ((c, a), "c", "a"), ((a, b, c), "a", "b")):
+        with pytest.raises(ValidationError) as caught:
+            FibrationSpec(base, fibre, 4, unknowns)
+        assert str(caught.value) == f"unknowns {first} and {second} both set d_2(e)"
+    # distinct generators in one fibre degree stay allowed
+    d = UnknownScalar("d", "f", 2, base.gen("x"))
+    FibrationSpec(base, {0: (UNIT_GEN,), 1: ("e", "f")}, 4, (a, d))
+
+
+def test_unknown_on_an_undeclared_generator_names_the_unknown():
+    with pytest.raises(ValidationError) as caught:
+        FibrationSpec(
+            SPEC.base,
+            {0: (UNIT_GEN,), 5: ("u_5",)},
+            10,
+            (UnknownScalar("eps", "nope", 6, SPEC.base.gen("x_6")),),
+        )
+    assert str(caught.value) == "unknown eps: unknown fibre generator 'nope'"
+
+
 # ---------------------------------------------------------------- sweep fork
 
 
