@@ -316,7 +316,7 @@ def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
     cols = m.cols
     y = b.bits << cols  # b sits under the row tags; x fills the bits below them
     for pivot, row in m._tagged_echelon:  # back-substitute, highest pivot first
-        if _parity(row & y):
+        if (row & y).bit_count() & 1:  # _parity, inlined
             if pivot >= cols:
                 return None  # a relation among the rows meets b oddly
             y |= 1 << pivot

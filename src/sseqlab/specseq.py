@@ -345,9 +345,9 @@ class PageGroup(Record):
     """One bidegree on one page: alive subspace modulo boundaries.
 
     Vectors live in coordinates over the fixed starting-page labels, so
-    every class remembers its ancestry.  ``cycles`` and ``boundaries``
-    are RREF, the boundaries inside the cycles' span.  Pages share the
-    groups no differential touches, so groups are immutable.
+    every class remembers its ancestry.  ``cycles`` Z and ``boundaries`` B
+    are RREF, B inside span Z, so B and the quotient reps span Z.  Pages
+    share the groups and halves no differential touches, so groups are immutable.
     """
 
     def __init__(
@@ -433,13 +433,14 @@ def _page(
             image = assignment.image_of(g, r)
             if image:
                 image_terms[g] = [n.exponents for n in image.sorted_terms()]
+    if not image_terms:  # d_r = 0: no matrix, and no arrow out of the window
+        return Page(spec, assignment, r, groups, unevaluated=tuple(sorted(set(flagged))))
     active = {spec.fibre_degree_of(g) for g in image_terms}
-    unit = spec.unit_gen
     for (s, t), group in sorted(groups.items()):
         if t not in active or group.dim == 0:
             continue
-        # check_images forces r = t + 1, so the target is the base-row group (s + t + 1, 0),
-        # nonzero on E_2 because the source monomial times the image's is a monomial there
+        # check_images forces r = t + 1, so the target is the base-row group (s + t + 1, 0), whose
+        # labels all carry the unit; it holds the source monomial times each image monomial
         target_bd = (s + r, t - r + 1)
         if s + t > spec.degree_bound:  # the target lands beyond the tracked window
             unevaluated.append((r, (s, t), target_bd))
@@ -447,13 +448,13 @@ def _page(
         target = groups[target_bd]
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
-        target_index = {(m.exponents, g): i for i, (m, g) in enumerate(target.labels)}
+        target_index = {m.exponents: i for i, (m, _g) in enumerate(target.labels)}
         # each label's image as target bits: the exponents of m * n, summed per term n
         label_bits = []
         for monomial, gen in group.labels:
             bits = 0
             for n in image_terms.get(gen, ()):
-                bits ^= 1 << target_index[(tuple(map(add, monomial.exponents, n)), unit)]
+                bits ^= 1 << target_index[tuple(map(add, monomial.exponents, n))]
             label_bits.append(bits)
         n_labels = len(target.labels)
         # an image's coordinates solve against [target reps | target boundaries]
@@ -461,9 +462,11 @@ def _page(
         rep_mask = (1 << len(target_reps)) - 1
         columns = []
         for v in source_reps:
-            bits = 0
-            for i in v.support:
-                bits ^= label_bits[i]
+            bits, support = 0, v.bits
+            while support:  # v.support, inlined
+                low = support & -support
+                bits ^= label_bits[low.bit_length() - 1]
+                support ^= low
             w = F2Vector(n_labels, bits)
             if not in_span(target.cycles, w):
                 raise ValidationError(
@@ -484,11 +487,9 @@ def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Pag
     """The starting page (r = 2), tracked through total degree N + 1."""
     _require_images(spec, assignment)
     basis = build_e2(spec, total_bound=spec.degree_bound + 1)
-    groups = {}
-    for bd in basis.bidegrees():
-        labels = basis.labels(*bd)
-        cycles = tuple(F2Vector.unit(len(labels), i) for i in range(len(labels)))
-        groups[bd] = PageGroup(labels, cycles, ())
+    sizes = set(map(len, basis.groups.values()))  # groups of one size share their unit vectors
+    units = {n: tuple(F2Vector.unit(n, i) for i in range(n)) for n in sizes}
+    groups = {bd: PageGroup(ls, units[len(ls)], ()) for bd, ls in sorted(basis.groups.items())}
     return _page(spec, assignment, 2, groups)
 
 
@@ -522,6 +523,9 @@ def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vect
 def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page:
     """Homology with respect to d_r: next page with kernels over images.
 
+    Only the half of a group that d_r touches is reduced again.  B lies in
+    span Z and RREF is canonical, so Z stays when no d_r leaves (B' and the
+    reps span Z), B stays when none enters, and Z' = B' when ker d_r is 0.
     ``order`` overrides the bidegree processing order; the result is
     independent of it because each bidegree is computed from the
     immutable previous-page state.
@@ -534,7 +538,7 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         if m2 is not None and not m2.matmul(m1).is_zero():
             raise InvariantBreach(f"d_{r} o d_{r} != 0 out of {src}")
     bidegrees = sorted(page.groups) if order is None else list(order)
-    if order is not None and set(bidegrees) != set(page.groups):
+    if order is not None and sorted(bidegrees) != sorted(page.groups):
         raise UsageError("processing order must cover exactly the page bidegrees")
     new_groups: dict[Bidegree, PageGroup] = {}
     for bd in bidegrees:
@@ -549,15 +553,15 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         reps = group.quotient_basis()
         n = len(group.labels)
         # boundaries gain the image of d_r coming in from (s - r, t + r - 1)
-        incoming = []
+        new_b = group.boundaries
         if m_in is not None:
             incoming = [_combine(n, reps, col) for col in m_in.transpose().row_bits]
-        new_b = tuple(row_reduce(list(group.boundaries) + incoming))
+            new_b = tuple(row_reduce(list(new_b) + incoming))
         # cycles shrink to the kernel of the outgoing differential
-        kept = reps
+        new_z = group.cycles
         if m_out is not None:
             kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
-        new_z = tuple(row_reduce(list(new_b) + kept))
+            new_z = tuple(row_reduce(list(new_b) + kept)) if kept else new_b
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)
     return _page(spec, assignment, r + 1, new_groups, page.unevaluated)
 

@@ -3,9 +3,17 @@
 import pytest
 
 from sseqlab.errors import UsageError, ValidationError
-from sseqlab.f2 import F2Matrix, F2Vector, in_span, reduce_against, row_reduce, solve
+from sseqlab.f2 import (
+    F2Matrix,
+    F2Vector,
+    in_span,
+    kernel_basis,
+    reduce_against,
+    row_reduce,
+    solve,
+)
 from sseqlab.graded import Polynomial, multiply
-from sseqlab.specseq import Page
+from sseqlab.specseq import Page, PageGroup, _combine, _page
 from sseqlab.steenrod import Violation
 
 
@@ -87,6 +95,40 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
 @pytest.fixture
 def page_reference():
     return _page_reference
+
+
+def _turn_reference(page):
+    """``specseq.turn_page`` re-reducing both halves of every group d_r touches.
+
+    The page engine used this loop before it kept the half d_r leaves
+    alone; every turned group's cycles and boundaries are compared against it.
+    """
+    r = page.r
+    new_groups = {}
+    for bd, group in sorted(page.groups.items()):
+        s, t = bd
+        m_in = page.differentials.get((s - r, t + r - 1))
+        m_out = page.differentials.get(bd)
+        if m_in is None and m_out is None:
+            new_groups[bd] = group
+            continue
+        reps = group.quotient_basis()
+        n = len(group.labels)
+        incoming = []
+        if m_in is not None:
+            incoming = [_combine(n, reps, col) for col in m_in.transpose().row_bits]
+        new_b = tuple(row_reduce(list(group.boundaries) + incoming))
+        kept = reps
+        if m_out is not None:
+            kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
+        new_z = tuple(row_reduce(list(new_b) + kept))
+        new_groups[bd] = PageGroup(group.labels, new_z, new_b)
+    return _page(page.spec, page.assignment, r + 1, new_groups, page.unevaluated)
+
+
+@pytest.fixture
+def turn_reference():
+    return _turn_reference
 
 
 def _total_square_reference(table, m):

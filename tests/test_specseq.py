@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -456,8 +458,51 @@ def test_turn_page_order_independent():
 
 def test_turn_page_refuses_an_order_that_misses_a_bidegree():
     page = initial_page(SPEC, assignment_for(1))
-    with pytest.raises(UsageError, match="processing order must cover"):
-        turn_page(page, order=sorted(page.groups)[1:])
+    bidegrees = sorted(page.groups)
+    for order in (bidegrees[1:], bidegrees + bidegrees[:1]):  # a missing, a repeated bidegree
+        with pytest.raises(UsageError, match="processing order must cover"):
+            turn_page(page, order=order)
+
+
+def test_turn_page_matches_the_two_half_reference_and_keeps_untouched_halves(turn_reference):
+    from sseqlab.specseq import _page
+
+    def check(page):
+        turned, reference, r = turn_page(page), turn_reference(page), page.r
+        counts = Counter()
+        for bd, group in page.groups.items():
+            new, ref = turned.groups[bd], reference.groups[bd]
+            assert (new.cycles, new.boundaries) == (ref.cycles, ref.boundaries)
+            if (bd[0] - r, bd[1] + r - 1) not in page.differentials:
+                assert new.boundaries is group.boundaries
+                counts["boundaries kept"] += bd in page.differentials
+            if bd not in page.differentials:
+                assert new.cycles is group.cycles
+                counts["cycles kept"] += new is not group
+            else:
+                counts["empty kernel"] += new.cycles is new.boundaries
+        assert (turned.differentials, turned.unevaluated) == (
+            reference.differentials, reference.unevaluated
+        )
+        return turned, counts
+
+    rng, scramble_rng = random.Random(1010), random.Random(1011)
+    counts = Counter()
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        page = initial_page(spec, assignment)
+        last_page = max((r for r, _, _ in admissible_differentials(spec)), default=1)
+        while page.r <= last_page:
+            groups = scrambled(page.groups, scramble_rng)
+            try:
+                counts += check(_page(spec, assignment, page.r, groups))[1]
+                counts["scrambled"] += 1
+            except ValidationError:  # an image in a vanished subquotient: no page to turn
+                pass
+            page, page_counts = check(page)
+            counts += page_counts
+    assert counts["scrambled"] > 200
+    assert min(counts[k] for k in ("boundaries kept", "cycles kept", "empty kernel")) > 100
 
 
 def test_composite_of_consecutive_differentials_is_zero():
@@ -472,6 +517,63 @@ def test_composite_of_consecutive_differentials_is_zero():
 
 
 # ---------------------------------------------------------------- limits
+
+
+def total_complex_dims(spec, assignment):
+    """dim H^n(B (x) F, d) for n <= N by dense F_2 elimination, d(m (x) g) = m * image(g).
+
+    The limit page's total dimensions must equal these.  Monomials are
+    exponent tuples and rows are integers: no page-engine or f2 code runs.
+    """
+    degrees, top = spec.base.degrees, spec.degree_bound + 1
+    cells = [[] for _ in range(top + 1)]  # the basis m (x) g of each total degree <= N + 1
+    for e in itertools.product(*(range(top // d + 1) for d in degrees)):
+        s = sum(map(mul, e, degrees))
+        for t, gens in spec.fibre_gens.items():
+            if s + t <= top:
+                cells[s + t] += [(e, g) for g in gens]
+    image = {g: set() for gens in spec.fibre_gens.values() for g in gens}
+    for (g, _r), poly in assignment.generator_images.items():
+        image[g] ^= {m.exponents for m in poly.terms}
+    ranks = [0]  # ranks[n] is the rank of d out of total degree n - 1
+    for n in range(top):
+        index = {cell: i for i, cell in enumerate(cells[n + 1])}
+        pivots = {}
+        for e, g in cells[n]:
+            row = 0
+            for f in image[g]:
+                row ^= 1 << index[(tuple(map(add, e, f)), spec.unit_gen)]
+            while row and row.bit_length() - 1 in pivots:
+                row ^= pivots[row.bit_length() - 1]
+            if row:
+                pivots[row.bit_length() - 1] = row
+        ranks.append(len(pivots))
+    return [len(cells[n]) - ranks[n] - ranks[n + 1] for n in range(top)]
+
+
+def test_limit_dims_equal_the_total_complex_homology_on_random_specs():
+    rng = random.Random(1010)
+    changed = 0
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        expected = total_complex_dims(spec, assignment)
+        assert total_dims(run_to_einfty(spec, assignment)[1], spec.degree_bound) == expected
+        zero = {key: Polynomial.zero() for key in assignment.generator_images}
+        changed += total_complex_dims(spec, DifferentialAssignment({}, zero)) != expected
+    assert changed > 50
+
+
+@pytest.mark.parametrize("window", [10, 24, 60])
+def test_limit_dims_equal_the_total_complex_homology_on_g2(window):
+    spec = g2_fibration_spec(window)
+    sweep = sweep_unknowns(spec)
+    expected = {}
+    for eps in (0, 1):
+        assignment = resolve_assignment(spec, {"eps": eps})
+        expected[eps] = total_complex_dims(spec, assignment)
+        assert total_dims(run_to_einfty(spec, assignment)[1], window) == expected[eps]
+        assert total_dims(sweep[(("eps", eps),)], window) == expected[eps]
+    assert expected[0] != expected[1]
 
 
 def test_collapse_branch_limit_equals_start():
