@@ -98,9 +98,8 @@ class F2Matrix(Record):
             raise UsageError("negative matrix dimension")
         if len(row_bits) != rows:
             raise UsageError("row count does not match row data")
-        for word in row_bits:
-            if word < 0 or word >> cols:
-                raise UsageError("row entries out of column range")
+        if row_bits and (min(row_bits) < 0 or max(row_bits) >> cols):
+            raise UsageError("row entries out of column range")
         self.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
 
     @classmethod
@@ -273,7 +272,11 @@ def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
 
 def in_span(basis: Sequence[F2Vector], v: F2Vector) -> bool:
     """Whether v lies in the span of an echelon basis (see ``reduce_against``)."""
-    return reduce_against(basis, v).is_zero()
+    bits = v.bits
+    for b in basis:
+        if bits & (row := b.bits) & -row:
+            bits ^= row
+    return not bits
 
 
 def rank(m: F2Matrix) -> int:

@@ -60,7 +60,7 @@ class Monomial(Record):
     """Exponent vector, one entry per generator of the ambient algebra; ordered by it."""
 
     def __init__(self, exponents: tuple[int, ...]) -> None:
-        if min(exponents, default=0) < 0:
+        if exponents and min(exponents) < 0:
             raise UsageError("negative exponent")
         self.__dict__["exponents"] = exponents
 

@@ -216,15 +216,16 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
     differential values are consulted.
     """
     out: list[Arrow] = []
+    base_dims = [spec.base_dim(s) for s in range(spec.degree_bound + 2)]  # targets reach N + 1
     for t in spec.fibre_degrees():
-        if t < 1:
+        if t < 1 or not spec.fibre_dim(t):
             continue
         for s in range(spec.degree_bound - t + 1):
-            if spec.e2_dim(s, t) == 0:
+            if base_dims[s] == 0:
                 continue
             for r in range(2, t + 2):
                 target = (s + r, t - r + 1)
-                if spec.base_dim(target[0]) == 0:
+                if base_dims[target[0]] == 0:
                     verdict = BASE_ZERO
                 elif spec.fibre_dim(target[1]) == 0 and target[1] not in spec.unproven_degrees:
                     verdict = FIBRE_ZERO
@@ -369,14 +370,18 @@ class PageGroup(Record):
 
     @cached_property
     def _quotient_reps(self) -> tuple[F2Vector, ...]:
-        """A cycle whose residue is nonzero is kept; the residue extends the echelon."""
-        echelon = list(self.boundaries)
+        """B is RREF, so ``reduce_against(B, .)`` is linear with kernel span B: a cycle lies
+        in span(B and the kept cycles) exactly when its residue lies in the span of theirs,
+        which a dict of the kept residues, keyed by lowest bit, decides."""
+        kept: dict[int, int] = {}
         reps = []
         for v in self.cycles:
-            residue = reduce_against(echelon, v)
-            if not residue.is_zero():
+            word = reduce_against(self.boundaries, v).bits
+            while word and (low := word & -word) in kept:
+                word ^= kept[low]
+            if word:
+                kept[low] = word
                 reps.append(v)
-                echelon.append(residue)
         return tuple(reps)
 
 
@@ -464,9 +469,8 @@ def _page(
         for v in source_reps:
             bits, support = 0, v.bits
             while support:  # v.support, inlined
-                low = support & -support
-                bits ^= label_bits[low.bit_length() - 1]
-                support ^= low
+                bits ^= label_bits[(support & -support).bit_length() - 1]
+                support &= support - 1
             w = F2Vector(n_labels, bits)
             if not in_span(target.cycles, w):
                 raise ValidationError(
@@ -514,9 +518,9 @@ def leibniz_extend(
 def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vector:
     """Sum of the reps whose index is a set bit of ``coefficients``."""
     bits = 0
-    for i, v in enumerate(reps):
-        if coefficients >> i & 1:
-            bits ^= v.bits
+    while coefficients:
+        bits ^= reps[(coefficients & -coefficients).bit_length() - 1].bits
+        coefficients &= coefficients - 1
     return F2Vector(length, bits)
 
 
@@ -555,7 +559,7 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         # boundaries gain the image of d_r coming in from (s - r, t + r - 1)
         new_b = group.boundaries
         if m_in is not None:
-            incoming = [_combine(n, reps, col) for col in m_in.transpose().row_bits]
+            incoming = [_combine(n, reps, col) for col in _transpose(m_in.row_bits, m_in.cols)]
             new_b = tuple(row_reduce(list(new_b) + incoming))
         # cycles shrink to the kernel of the outgoing differential
         new_z = group.cycles
@@ -574,9 +578,19 @@ def _last_page(spec: FibrationSpec) -> int:
 
 
 def _limit(page: Page, last_page: int) -> tuple[Page, EinftyReport]:
-    """Turn ``page`` past ``last_page``; the limit page and its report."""
+    """Turn ``page`` past ``last_page``; the limit page and its report.
+
+    A page with no d_r matrix turns into the same groups and adds no arrows, and
+    so does each page with no nonzero image: one ``_page`` call skips them all,
+    to the next page with an image or to ``last_page + 1``.
+    """
+    image_pages = {r for (_gen, r), image in page.assignment.generator_images.items() if image}
     while page.r <= last_page:
-        page = turn_page(page)
+        if page.differentials:
+            page = turn_page(page)
+        else:
+            r = min([p for p in image_pages if p > page.r] + [last_page + 1])
+            page = _page(page.spec, page.assignment, r, page.groups, page.unevaluated)
     bound = page.spec.degree_bound
     report: EinftyReport = {j: [] for j in range(bound + 1)}
     for (s, t), group in sorted(page.groups.items()):
@@ -610,20 +624,19 @@ def sweep_unknowns(
 ) -> dict[tuple[tuple[str, int], ...], EinftyReport]:
     """Limit reports for every point of F_2^unknowns, in binary order.
 
-    An unknown sets images on its own page only, so all points share the
-    pages before the first unknown's page, which are turned once; each
-    point then takes its own d_r on that page and turns on from there.
+    An unknown sets an image on its own page only, so no page before the
+    first unknown's page carries an image: every point sees the starting
+    page's groups there, with no arrow flagged.  Each point forks from
+    them onto that page with its own d_r, and ``_limit`` goes on from there.
     """
     names = spec.unknown_names()
     points = list(itertools.product((0, 1), repeat=len(names)))
     assignments = [resolve_assignment(spec, dict(zip(names, p))) for p in points]
     last_page = _last_page(spec)
     fork = min([u.page for u in spec.unknowns] + [last_page + 1])
-    page, flagged = initial_page(spec, assignments[0]), ()
-    while page.r < fork:
-        page, flagged = turn_page(page), page.unevaluated
+    start = initial_page(spec, assignments[0])
     out: dict[tuple[tuple[str, int], ...], EinftyReport] = {}
     for point, assignment in zip(points, assignments):
-        branch = _page(spec, assignment, page.r, page.groups, flagged)
+        branch = _page(spec, assignment, fork, start.groups)
         out[tuple(zip(names, point))] = _limit(branch, last_page)[1]
     return out

@@ -412,3 +412,32 @@ def test_negative_support_index_is_a_usage_error():
     with pytest.raises(UsageError, match="^support index out of range$"):
         F2Vector.unit(3, 3)
     assert F2Vector.from_support(3, [0, 2, 2]) == F2Vector(3, 5)
+
+
+def test_in_span_agrees_with_reduce_against_on_random_echelons():
+    rng = random.Random(1017)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        basis = row_reduce([F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, n))])
+        if rng.random() < 0.5:  # an echelon that is not RREF: a residue appended to it
+            extra = reduce_against(basis, F2Vector(n, rng.getrandbits(n)))
+            basis += [extra] if not extra.is_zero() else []
+        inside = F2Vector(n)
+        for b in basis:
+            inside = inside ^ b if rng.random() < 0.5 else inside
+        for v in (F2Vector(n), inside, F2Vector(n, rng.getrandbits(n))):
+            expected = reduce_against(basis, v).is_zero()
+            assert in_span(basis, v) == expected
+            seen.add((bool(basis), v.is_zero(), expected))
+    assert {(False, True, True), (True, True, True), (True, False, True), (True, False, False)} <= seen
+
+
+def test_matrix_refuses_a_row_outside_its_columns_and_accepts_no_rows():
+    for rows in ((-1,), (0, 1 << 3), (1 << 3, 0), (0, -2)):
+        with pytest.raises(UsageError, match="^row entries out of column range$"):
+            F2Matrix(len(rows), 3, rows)
+    with pytest.raises(UsageError, match="^row entries out of column range$"):
+        F2Matrix(1, 0, (1,))
+    assert F2Matrix(0, 3, ()).row_bits == () and F2Matrix(0, 0, ()).is_zero()
+    assert F2Matrix(2, 3, (0b111, 0)).row_bits == (0b111, 0)

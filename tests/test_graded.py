@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sseqlab.errors import ValidationError
+from sseqlab.errors import UsageError, ValidationError
 from sseqlab.graded import (
     Monomial,
     PolyAlgebraSpec,
@@ -190,3 +190,12 @@ def test_polynomial_text_round_trip():
 def test_parse_rejects_unknown_generator():
     with pytest.raises(ValidationError):
         parse_polynomial(BASE, "x_5")
+
+
+def test_monomial_refuses_a_negative_exponent_and_accepts_no_generators():
+    for exponents in ((-1,), (2, -1), (0, 0, -3)):
+        with pytest.raises(UsageError, match="^negative exponent$"):
+            Monomial(exponents)
+    unit = Monomial(())
+    assert unit.exponents == () and unit.is_unit()
+    assert Monomial((0, 2)).exponents == (0, 2)

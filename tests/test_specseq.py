@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sseqlab.errors import UsageError, ValidationError
-from sseqlab.f2 import F2Vector, row_reduce
+from sseqlab.f2 import F2Vector, reduce_against, row_reduce
 from sseqlab.gauge import g2_fibration_spec
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degree
 from sseqlab.homotopy import DimEntry, GradedDims
@@ -939,3 +939,89 @@ def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
     assert calls == {"initial_page": 1, "classify_arrows": 1}
     sweep_unknowns(spec)
     assert calls == {"initial_page": 2, "classify_arrows": 1}
+
+
+@pytest.mark.parametrize("window", [10, 24, 60])
+def test_a_g2_sweep_turns_only_the_page_its_d6_fires_on(window, monkeypatch):
+    import sseqlab.specseq as specseq
+
+    turned = []
+
+    def traced(page, **kwargs):
+        turned.append((page.r, dict(page.assignment.values)))
+        return turn_page(page, **kwargs)
+
+    monkeypatch.setattr(specseq, "turn_page", traced)
+    sweep_unknowns(g2_fibration_spec(window))
+    assert turned == [(6, {"eps": 1})]
+
+
+# ---------------------------------------------------------------- skipped pages
+
+
+def test_skipping_the_pages_no_image_fires_on_equals_turning_them(monkeypatch):
+    import sseqlab.specseq as specseq
+
+    calls = []  # pages_to_limit turns every page through this module's own turn_page
+    monkeypatch.setattr(specseq, "turn_page", lambda page: calls.append(page.r) or turn_page(page))
+    rng = random.Random(1010)
+    gapped = turned = skipped = 0
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        pages = pages_to_limit(spec, assignment)
+        r, _d, unevaluated, groups = pages[-1]
+        calls.clear()
+        page, report = run_to_einfty(spec, assignment)
+        assert (page.r, page.unevaluated) == (r, unevaluated)
+        assert list(page.groups) == list(groups)
+        for bd, group in groups.items():
+            got = page.groups[bd]
+            assert (got.cycles, got.boundaries) == (group.cycles, group.boundaries)
+        bound = spec.degree_bound
+        expected = {j: [] for j in range(bound + 1)}
+        for (s, t), group in sorted(groups.items()):
+            if s + t <= bound and group.dim:
+                expected[s + t].append(((s, t), group.dim))
+        assert report == expected
+        fired = sorted({r for (_g, r), image in assignment.generator_images.items() if image})
+        gapped += any(b - a > 1 for a, b in zip(fired, fired[1:]))
+        turned += len(calls)
+        skipped += len(pages) - 1 - len(calls)
+        assert calls == [r for r, d, _u, _g in pages[:-1] if d]  # exactly the pages with a d_r matrix
+    assert gapped > 30 and turned > 100 and skipped > 300
+
+
+def test_quotient_reps_reduce_each_cycle_once_against_the_boundaries(monkeypatch, greedy_reference):
+    import sseqlab.specseq as specseq
+
+    calls = []
+
+    def traced(basis, v):
+        calls.append((basis, v))
+        return reduce_against(basis, v)
+
+    monkeypatch.setattr(specseq, "reduce_against", traced)
+    rng = random.Random(1012)
+    groups = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+
+        def draw():
+            return [F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, n))]
+
+        boundaries = row_reduce(draw())
+        cycles = row_reduce(boundaries + draw())
+        groups.append(PageGroup(tuple(range(n)), tuple(cycles), tuple(boundaries)))
+    spec = g2_fibration_spec(24)
+    page = initial_page(spec, resolve_assignment(spec, {"eps": 1}))
+    while page.r <= 6:
+        page = turn_page(page)
+        # fresh groups: the page's own have their quotient kept from the turn
+        groups += [PageGroup(g.labels, g.cycles, g.boundaries) for g in page.groups.values()]
+    assert sum(bool(g.boundaries) for g in groups) > 200
+    for group in groups:
+        calls.clear()
+        reps = group.quotient_basis()
+        assert [v for _basis, v in calls] == list(group.cycles)
+        assert all(basis is group.boundaries for basis, _v in calls)
+        assert reps == greedy_reference(group.boundaries, group.cycles)

@@ -474,3 +474,46 @@ def test_peterson_and_kameko_bounds(qp_dims):
     """dim QP_2(d) <= 3 (Peterson) and dim QP_3(d) <= 21 (Kameko), in every degree."""
     assert max(qp_dims[2]) <= 3
     assert max(qp_dims[3]) <= 21
+
+
+# ---------------------------------------------------------------- the cited g2 table
+
+G2_TABLE = Path(__file__).parent / "data" / "g2_steenrod.cfg"
+
+
+def adem_checks(table, top):
+    """(checks, failures) of Sq^a Sq^b = sum_c binom(b-c-1, a-2c) Sq^(a+b-c) Sq^c for a < 2b.
+
+    One check per monomial m of degree d and pair a, b >= 1 with
+    d + a + b <= top; the right-hand side is summed from ``sq`` itself.
+    """
+    checks = failures = 0
+    for d in range(top + 1):
+        for m in basis_in_degree(table.algebra, d):
+            p = Polynomial.of(m)
+            for b in range(1, top - d + 1):
+                for a in range(1, min(2 * b, top - d - b + 1)):
+                    rhs = Polynomial.zero()
+                    for c in range(a // 2 + 1):
+                        if math.comb(b - c - 1, a - 2 * c) % 2:
+                            rhs = rhs + sq(table, a + b - c, sq(table, c, p))
+                    checks += 1
+                    failures += sq(table, a, sq(table, b, p)) != rhs
+    return checks, failures
+
+
+def test_the_cited_g2_table_is_valid_and_satisfies_every_adem_relation_through_21():
+    table = load_config(G2_TABLE).steenrod
+    assert validate_table(table) == []
+    assert adem_checks(table, 21) == (612, 0)
+    assert hit_quotient(table, 21).non_hit_degrees() == [0, 4, 12, 17]
+
+
+def test_the_g2_table_without_sq1_x6_passes_validation_but_fails_adem():
+    from sseqlab.config import parse_config
+
+    text = G2_TABLE.read_text()
+    assert text.count("sq1 x_6 = x_7\n") == 1
+    mutant = parse_config(text.replace("sq1 x_6 = x_7\n", "sq1 x_6 = 0\n")).steenrod
+    assert validate_table(mutant) == []
+    assert adem_checks(mutant, 21) == (612, 55)
