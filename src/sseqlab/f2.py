@@ -91,9 +91,10 @@ _set_bits = F2Vector.bits.__set__
 
 
 class F2Matrix(Record):
-    """Dense matrix over F_2 with bit-packed rows (row-major)."""
+    """Dense matrix over F_2 with bit-packed rows (row-major); the column words are kept once."""
 
-    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
+    def __init__(self, rows: int, cols: int, row_bits: Sequence[int]) -> None:
+        row_bits = tuple(row_bits)
         if rows < 0 or cols < 0:
             raise UsageError("negative matrix dimension")
         if len(row_bits) != rows:
@@ -125,7 +126,10 @@ class F2Matrix(Record):
             rows = columns[0].length
         if any(col.length != rows for col in columns):
             raise UsageError("column length mismatch")
-        return cls(rows, len(columns), _transpose([col.bits for col in columns], rows))
+        words = tuple(col.bits for col in columns)
+        m = cls(rows, len(words), _transpose(words, rows))
+        m.__dict__["_column_words"] = words  # seeded: never transposed back
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -141,17 +145,13 @@ class F2Matrix(Record):
     def column(self, j: int) -> F2Vector:
         if not 0 <= j < self.cols:
             raise UsageError(f"column {j} out of range")
-        bits = 0
-        for i, word in enumerate(self.row_bits):
-            if word >> j & 1:
-                bits |= 1 << i
-        return F2Vector(self.rows, bits)
+        return F2Vector(self.rows, self._column_words[j])
 
     def columns(self) -> list[F2Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return [F2Vector(self.rows, word) for word in self._column_words]
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, _transpose(self.row_bits, self.cols))
+        return F2Matrix(self.cols, self.rows, self._column_words)
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m*v, with v of length cols."""
@@ -166,11 +166,11 @@ class F2Matrix(Record):
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise UsageError("inner dimensions do not match")
-        other_t = other.transpose()
+        other_columns = other._column_words
         words = []
         for word in self.row_bits:
             out = 0
-            for j, col_word in enumerate(other_t.row_bits):
+            for j, col_word in enumerate(other_columns):
                 if _parity(word & col_word):
                     out |= 1 << j
             words.append(out)
@@ -183,18 +183,21 @@ class F2Matrix(Record):
         return "\n".join(str(self.row(i)) for i in range(self.rows))
 
     @cached_property
-    def _tagged_echelon(self) -> tuple[tuple[int, int], ...]:
-        """One semi-echelon of the rows, each tagged past ``cols`` with the original rows it sums.
+    def _column_words(self) -> tuple[int, ...]:
+        """Bit-packed columns: bit i of word j is entry (i, j)."""
+        return _transpose(self.row_bits, self.cols)
 
-        Row i enters as its word plus bit ``cols + i``.  Returns (pivot,
-        row) pairs, highest pivot first, so the rows whose column part
-        vanished (pivot >= ``cols``) lead: their tags span the relations
-        among the rows.  The matrix is frozen, so every ``solve`` against
-        it reads this one elimination.
+    @cached_property
+    def _column_echelon(self) -> dict[int, int]:
+        """One semi-echelon of the columns, column j tagged at bit ``rows + j``.
+
+        A column is kept (pivot below ``rows``) exactly when it is outside the
+        span of the columns before it, so the kept columns are the RREF pivot
+        columns, and a kept row's tags name only kept columns.  The matrix is
+        frozen, so every ``solve`` against it reads this one elimination.
         """
-        cols = self.cols
-        rows = _echelon(word | 1 << (cols + i) for i, word in enumerate(self.row_bits))
-        return tuple(sorted(rows.items(), reverse=True))
+        rows = self.rows
+        return _echelon(word | 1 << (rows + j) for j, word in enumerate(self._column_words))
 
 
 def _transpose(words: Sequence[int], width: int) -> tuple[int, ...]:
@@ -202,7 +205,7 @@ def _transpose(words: Sequence[int], width: int) -> tuple[int, ...]:
     out = [0] * width
     for i, word in enumerate(words):
         while word:
-            out[_lowest_bit(word)] |= 1 << i
+            out[(word & -word).bit_length() - 1] |= 1 << i  # _lowest_bit, inlined
             word &= word - 1
     return tuple(out)
 
@@ -237,7 +240,7 @@ def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
         row = rows[pivot]
         hits = (row & mask) ^ (1 << pivot)
         while hits:
-            row ^= rows[_lowest_bit(hits)]
+            row ^= rows[(hits & -hits).bit_length() - 1]  # _lowest_bit, inlined
             hits &= hits - 1
         rows[pivot] = row
     return sorted(rows.items())
@@ -267,7 +270,7 @@ def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
         row = b.bits
         if bits & row & -row:  # the row's pivot bit is set in the residue
             bits ^= row
-    return F2Vector(v.length, bits)
+    return v if bits == v.bits else F2Vector(v.length, bits)
 
 
 def in_span(basis: Sequence[F2Vector], v: F2Vector) -> bool:
@@ -276,6 +279,8 @@ def in_span(basis: Sequence[F2Vector], v: F2Vector) -> bool:
     for b in basis:
         if bits & (row := b.bits) & -row:
             bits ^= row
+            if not bits:
+                return True
     return not bits
 
 
@@ -287,6 +292,8 @@ def rank(m: F2Matrix) -> int:
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     """RREF basis of {v : m*v = 0}; size is cols - rank(m)."""
     reduced = _rref_words(m.row_bits)
+    if len(reduced) == m.cols:  # no free column
+        return []
     pivots = {p for p, _ in reduced}
     kernel_words = []
     for free in range(m.cols):
@@ -302,28 +309,29 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
 
 def image_basis(m: F2Matrix) -> list[F2Vector]:
     """RREF basis of the column space; size is rank(m)."""
-    return [F2Vector(m.rows, word) for _, word in _rref_words(m.transpose().row_bits)]
+    return [F2Vector(m.rows, word) for _, word in _rref_words(m._column_words)]
 
 
 def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
     """Some x with m*x = b (free variables 0), or None when b is outside the column space.
 
-    The elimination is kept per matrix: every solve against the same ``m``
-    reads b through the row tags of one semi-echelon.  b is outside the
-    column space exactly when some relation among the rows meets b oddly.
+    One column echelon is kept per matrix (``F2Matrix._column_echelon``), and
+    b is reduced by its lowest bit against it: a call costs one lookup per
+    pivot b meets, not the size of ``m``.  The tags of the rows used sum to x,
+    and they name only RREF pivot columns, so the free variables stay 0.
     """
     if b.length != m.rows:
         raise UsageError(
             f"right-hand side length {b.length} does not match row count {m.rows}"
         )
-    cols = m.cols
-    y = b.bits << cols  # b sits under the row tags; x fills the bits below them
-    for pivot, row in m._tagged_echelon:  # back-substitute, highest pivot first
-        if (row & y).bit_count() & 1:  # _parity, inlined
-            if pivot >= cols:
-                return None  # a relation among the rows meets b oddly
-            y |= 1 << pivot
-    return F2Vector(cols, y & ((1 << cols) - 1))
+    echelon, mask = m._column_echelon, (1 << m.rows) - 1
+    y = b.bits  # b below bit ``rows``; the tags of the rows used collect above it
+    while low := y & mask:
+        row = echelon.get((low & -low).bit_length() - 1)  # _lowest_bit, inlined
+        if row is None:
+            return None  # a pivot no column reaches: b is outside the column space
+        y ^= row
+    return F2Vector(m.cols, y >> m.rows)
 
 
 def quotient_dim(space: Sequence[F2Vector], subspace: Sequence[F2Vector]) -> int:

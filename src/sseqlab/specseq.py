@@ -352,10 +352,12 @@ class PageGroup(Record):
     """
 
     def __init__(
-        self, labels: tuple[Label, ...], cycles: tuple[F2Vector, ...],
-        boundaries: tuple[F2Vector, ...],
+        self, labels: Sequence[Label], cycles: Sequence[F2Vector],
+        boundaries: Sequence[F2Vector],
     ) -> None:
-        self.__dict__.update(labels=labels, cycles=cycles, boundaries=boundaries)
+        self.__dict__.update(
+            labels=tuple(labels), cycles=tuple(cycles), boundaries=tuple(boundaries)
+        )
 
     @property
     def dim(self) -> int:

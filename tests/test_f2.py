@@ -441,3 +441,71 @@ def test_matrix_refuses_a_row_outside_its_columns_and_accepts_no_rows():
         F2Matrix(1, 0, (1,))
     assert F2Matrix(0, 3, ()).row_bits == () and F2Matrix(0, 0, ()).is_zero()
     assert F2Matrix(2, 3, (0b111, 0)).row_bits == (0b111, 0)
+
+
+def _columns_reference(m):
+    """The columns of m read entry by entry from its rows."""
+    return [
+        F2Vector(m.rows, sum((word >> j & 1) << i for i, word in enumerate(m.row_bits)))
+        for j in range(m.cols)
+    ]
+
+
+def test_seeded_and_derived_column_words_agree(solve_reference):
+    rng = random.Random(2029)
+    for derived in _kernel_cases(rng):
+        columns = _columns_reference(derived)
+        seeded = F2Matrix.from_columns(columns, rows=derived.rows)
+        assert seeded == derived
+        rhs = [
+            F2Vector(derived.rows, rng.getrandbits(derived.rows)),
+            derived.apply(F2Vector(derived.cols, rng.getrandbits(derived.cols))),
+        ]
+        expected_transpose = F2Matrix(derived.cols, derived.rows, tuple(c.bits for c in columns))
+        for m in (seeded, derived):
+            assert [solve(m, b) for b in rhs] == [solve_reference(derived, b) for b in rhs]
+            assert [m.column(j) for j in range(m.cols)] == m.columns() == columns
+            assert m.transpose() == expected_transpose
+        assert image_basis(seeded) == image_basis(derived)
+
+
+def test_solve_reads_only_the_pivots_its_right_hand_side_meets(monkeypatch):
+    import sseqlab.f2 as f2
+
+    class CountingDict(dict):
+        """A pivot dict that counts each entry it is asked for or walks."""
+
+        reads = 0
+
+        def get(self, key, default=None):
+            CountingDict.reads += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            CountingDict.reads += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            CountingDict.reads += 1
+            return super().__contains__(key)
+
+        def __iter__(self):
+            CountingDict.reads += len(self)
+            return super().__iter__()
+
+        def items(self):
+            CountingDict.reads += len(self)
+            return super().items()
+
+        def values(self):
+            CountingDict.reads += len(self)
+            return super().values()
+
+    original = f2._echelon
+    monkeypatch.setattr(f2, "_echelon", lambda words: CountingDict(original(words)))
+    n = 64
+    m = F2Matrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))  # the identity, columns reversed
+    for i in (0, 17, 63, 17):
+        CountingDict.reads = 0
+        assert solve(m, F2Vector.unit(n, i)) == F2Vector.unit(n, n - 1 - i)
+        assert 1 <= CountingDict.reads <= 2

@@ -17,7 +17,7 @@ import pytest
 import sseqlab
 from sseqlab.config import WorkbenchConfig
 from sseqlab.chart import ChartSpec
-from sseqlab.f2 import F2Matrix, F2Vector
+from sseqlab.f2 import F2Matrix, F2Vector, rank, solve
 from sseqlab.gauge import DEFAULT_EPSILON_RULE, EpsilonRule, GaugeBranch, GaugeReport
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
 from sseqlab.homotopy import DimEntry, FGAbelianGroup, GradedDims, HomotopyTable, TableEntry
@@ -309,3 +309,25 @@ def test_monomials_sort_as_their_twins():
     assert [m.exponents for m in ours] == [m.exponents for m in theirs]
     with pytest.raises(TypeError):
         Monomial((1,)) < (1,)
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    # a list passed in is copied: an edit to it cannot get behind a kept elimination
+    row_bits = [1, 2]
+    m = F2Matrix(2, 2, row_bits)
+    assert m.row_bits == (1, 2) and m == F2Matrix(2, 2, (1, 2))
+    assert hash(m) == hash(F2Matrix(2, 2, (1, 2)))
+    assert solve(m, F2Vector(2, 3)) == F2Vector(2, 3)
+    row_bits[1] = 0
+    assert rank(m) == 2 and solve(m, F2Vector(2, 3)) == F2Vector(2, 3)
+    labels = [(Monomial((0,)), "1"), (Monomial((1,)), "u")]
+    cycles, boundaries = [F2Vector(2, 1), F2Vector(2, 2)], []
+    group = PageGroup(labels, cycles, boundaries)
+    twin = PageGroup(tuple(labels), tuple(cycles), ())
+    assert group == twin and hash(group) == hash(twin)
+    assert (group.labels, group.cycles, group.boundaries) == (twin.labels, twin.cycles, ())
+    cycles.pop()
+    labels.pop()
+    boundaries.append(F2Vector(2, 1))
+    assert group.dim == 2 and group.quotient_basis() == [F2Vector(2, 1), F2Vector(2, 2)]
+    assert len(group.labels) == 2 and group == twin
