@@ -126,10 +126,7 @@ class F2Matrix(Record):
             rows = columns[0].length
         if any(col.length != rows for col in columns):
             raise UsageError("column length mismatch")
-        words = tuple(col.bits for col in columns)
-        m = cls(rows, len(words), _transpose(words, rows))
-        m.__dict__["_column_words"] = words  # seeded: never transposed back
-        return m
+        return cls(len(columns), rows, tuple(col.bits for col in columns)).transpose()
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -151,7 +148,9 @@ class F2Matrix(Record):
         return [F2Vector(self.rows, word) for word in self._column_words]
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, self._column_words)
+        m = F2Matrix(self.cols, self.rows, self._column_words)
+        m.__dict__["_column_words"] = self.row_bits  # seeded: never transposed back
+        return m
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m*v, with v of length cols."""

@@ -9,6 +9,7 @@ so graded commutativity reduces to plain commutativity.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, total_ordering
+from operator import add
 from typing import Iterable
 
 from .errors import UsageError, ValidationError
@@ -55,14 +56,22 @@ class PolyAlgebraSpec(Record):
         return Polynomial(frozenset({Monomial((0,) * len(self.generators))}))
 
 
+_FIELD = 16  # bits per exponent in ``Monomial.packed``
+
+
 @total_ordering
 class Monomial(Record):
-    """Exponent vector, one entry per generator of the ambient algebra; ordered by it."""
+    """Exponents, one per generator, ordered as a tuple; ``packed``: exponent i at bit _FIELD*i."""
+
+    __slots__ = ("exponents", "packed")
 
     def __init__(self, exponents: tuple[int, ...]) -> None:
         if exponents and min(exponents) < 0:
             raise UsageError("negative exponent")
-        self.__dict__["exponents"] = exponents
+        if exponents and max(exponents) >> _FIELD:
+            raise UsageError(f"exponent {max(exponents)} does not fit a {_FIELD}-bit field")
+        _set_packed(self, sum(e << _FIELD * i for i, e in enumerate(exponents)))
+        _set_exponents(self, exponents)
 
     def __eq__(self, other: object) -> bool:  # the base's, inlined: monomials are hot set keys
         if other.__class__ is not self.__class__:
@@ -81,10 +90,24 @@ class Monomial(Record):
         return sum(e * d for e, d in zip(self.exponents, algebra.degrees))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        exponents = tuple(map(add, self.exponents, other.exponents))
+        if len(self.exponents) != len(other.exponents) or max(exponents, default=0) >> _FIELD:
+            return Monomial(exponents)  # cut to the shorter, as zip cuts; or a field would carry
+        return _monomial(exponents, self.packed + other.packed)
 
     def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not self.packed
+
+
+_set_exponents, _set_packed = Monomial.exponents.__set__, Monomial.packed.__set__
+
+
+def _monomial(exponents: tuple[int, ...], packed: int) -> Monomial:
+    """The trusted path: nonnegative exponents and their packing, set past the frozen setattr."""
+    m = object.__new__(Monomial)
+    _set_exponents(m, exponents)
+    _set_packed(m, packed)
+    return m
 
 
 class Polynomial(Record):
@@ -128,14 +151,14 @@ class Polynomial(Record):
 
 
 @lru_cache(maxsize=None)
-def _exponent_vectors(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+def _monomials(degrees: tuple[int, ...], d: int) -> tuple[Monomial, ...]:
     if not degrees:
-        return ((),) if d == 0 else ()
+        return (_monomial((), 0),) if d == 0 else ()
     head, tail = degrees[0], degrees[1:]
     out = []
     for e in range(d // head, -1, -1):
-        for rest in _exponent_vectors(tail, d - e * head):
-            out.append((e,) + rest)
+        for rest in _monomials(tail, d - e * head):
+            out.append(Monomial((e,) + rest.exponents))  # built and checked once
     return tuple(out)
 
 
@@ -143,7 +166,7 @@ def basis_in_degree(algebra: PolyAlgebraSpec, d: int) -> list[Monomial]:
     """All monomials of exact degree d, in descending lexicographic order."""
     if d < 0:
         return []
-    return [Monomial(exps) for exps in _exponent_vectors(algebra.degrees, d)]
+    return list(_monomials(algebra.degrees, d))
 
 
 def multiply(algebra: PolyAlgebraSpec, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -155,8 +178,8 @@ def multiply(algebra: PolyAlgebraSpec, p: Polynomial, q: Polynomial) -> Polynomi
 
 
 def _degree_dim(algebra: PolyAlgebraSpec, d: int) -> int:
-    """Number of monomials of exact degree d, counted without building them."""
-    return len(_exponent_vectors(algebra.degrees, d)) if d >= 0 else 0
+    """Number of monomials of exact degree d, read off the kept basis."""
+    return len(_monomials(algebra.degrees, d)) if d >= 0 else 0
 
 
 def poincare_dims(algebra: PolyAlgebraSpec, n: int) -> list[int]:

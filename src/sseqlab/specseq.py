@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -25,7 +24,6 @@ from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import (
     F2Matrix,
     F2Vector,
-    _transpose,
     in_span,
     kernel_basis,
     reduce_against,
@@ -98,7 +96,9 @@ class FibrationSpec(Record):
             if t is None:
                 raise ValidationError(f"unknown {u.name}: unknown fibre generator {u.generator!r}")
             if u.generator == self.unit_gen:
-                raise ValidationError("the unit class never supports a differential")
+                raise ValidationError(
+                    f"unknown {u.name}: the unit class never supports a differential"
+                )
             if u.target.is_zero():
                 raise ValidationError(f"unknown {u.name} needs a nonzero target")
             if u.page != t + 1:
@@ -432,17 +432,16 @@ def _page(
     """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
     matrices: dict[Bidegree, F2Matrix] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
-    # each generator's nonzero d_r image, as the exponents of its sorted base monomials;
-    # Leibniz then gives d(m (x) g) = m * d(g) on the base row
-    image_terms = {}
-    for gens in spec.fibre_gens.values():
-        for g in gens:
-            image = assignment.image_of(g, r)
-            if image:
-                image_terms[g] = [n.exponents for n in image.sorted_terms()]
+    # each generator's nonzero d_r image, as its packed base monomials; Leibniz then gives
+    # d(m (x) g) = m * d(g) on the base row, and a packed product is a sum
+    image_terms = {
+        g: [n.packed for n in image.terms]
+        for (g, page), image in assignment.generator_images.items() if page == r and image
+    }
     if not image_terms:  # d_r = 0: no matrix, and no arrow out of the window
         return Page(spec, assignment, r, groups, unevaluated=tuple(sorted(set(flagged))))
     active = {spec.fibre_degree_of(g) for g in image_terms}
+    coordinates: dict[tuple[int, int, int], F2Matrix] = {}
     for (s, t), group in sorted(groups.items()):
         if t not in active or group.dim == 0:
             continue
@@ -455,17 +454,20 @@ def _page(
         target = groups[target_bd]
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
-        target_index = {m.exponents: i for i, (m, _g) in enumerate(target.labels)}
-        # each label's image as target bits: the exponents of m * n, summed per term n
+        target_index = {m.packed: i for i, (m, _g) in enumerate(target.labels)}
+        # each label's image as target bits: m * n, summed per term n; the product lies
+        # in the target's degree, whose monomials all fit their fields, so nothing carries
         label_bits = []
         for monomial, gen in group.labels:
-            bits = 0
+            bits, packed = 0, monomial.packed
             for n in image_terms.get(gen, ()):
-                bits ^= 1 << target_index[tuple(map(add, monomial.exponents, n))]
+                bits ^= 1 << target_index[packed + n]
             label_bits.append(bits)
         n_labels = len(target.labels)
-        # an image's coordinates solve against [target reps | target boundaries]
-        coordinates = F2Matrix.from_columns(target_reps + list(target.boundaries), rows=n_labels)
+        # one [target reps | target boundaries] per (Z, B) pair, which same-size E_2 groups share
+        key = (id(target.cycles), id(target.boundaries), n_labels)
+        if key not in coordinates:
+            coordinates[key] = F2Matrix.from_columns([*target_reps, *target.boundaries], n_labels)
         rep_mask = (1 << len(target_reps)) - 1
         columns = []
         for v in source_reps:
@@ -479,13 +481,12 @@ def _page(
                     f"d_{r} image at {target_bd} lies in a vanished subquotient: "
                     "inconsistent assignment"
                 )
-            coords = solve(coordinates, w)
+            coords = solve(coordinates[key], w)
             assert coords is not None
             columns.append(coords.bits & rep_mask)
         if columns and target_reps:
-            matrices[(s, t)] = F2Matrix(
-                len(target_reps), len(columns), _transpose(columns, len(target_reps))
-            )
+            # the transpose of the images' coordinate rows; it keeps them as its column words
+            matrices[(s, t)] = F2Matrix(len(columns), len(target_reps), columns).transpose()
     return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
 
 
@@ -561,7 +562,7 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         # boundaries gain the image of d_r coming in from (s - r, t + r - 1)
         new_b = group.boundaries
         if m_in is not None:
-            incoming = [_combine(n, reps, col) for col in _transpose(m_in.row_bits, m_in.cols)]
+            incoming = [_combine(n, reps, col) for col in m_in._column_words]
             new_b = tuple(row_reduce(list(new_b) + incoming))
         # cycles shrink to the kernel of the outgoing differential
         new_z = group.cycles

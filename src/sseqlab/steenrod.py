@@ -25,6 +25,8 @@ from .graded import (
     Monomial,
     PolyAlgebraSpec,
     Polynomial,
+    _FIELD,
+    _monomial,
     basis_in_degree,
     multiply,
 )
@@ -183,11 +185,11 @@ def _total_square_monomial(table: SteenrodTable, m: Monomial) -> dict[int, Polyn
     algebra = table.algebra
     chain = []
     while m not in cache:
-        exponents = list(m.exponents)
-        j = max(k for k, e in enumerate(exponents) if e)
+        j = (m.packed.bit_length() - 1) // _FIELD  # the highest nonzero field
         chain.append((m, j))
+        exponents = list(m.exponents)
         exponents[j] -= 1
-        m = Monomial(tuple(exponents))
+        m = _monomial(tuple(exponents), m.packed - (1 << _FIELD * j))
     total = cache[m]
     for m, j in reversed(chain):
         gen, degree = algebra.generators[j]

@@ -268,6 +268,22 @@ REFUSALS = {
         "c.cfg", G2_TEXT.replace("eps = d6 u_5", "eps = d6 nope"), ["e2"],
         "unknown eps: unknown fibre generator 'nope'",
     ),
+    # the four refusals of an unknown that FibrationSpec makes, as a config reaches them
+    "unknown on the unit class": (
+        "c.cfg", ONE_ARROW + "e = d2 1 -> x\n", ["e2"],
+        "unknown e: the unit class never supports a differential",
+    ),
+    "unknown with target zero": (
+        "c.cfg", ONE_ARROW + "e = d2 e -> 0\n", ["e2"], "unknown e needs a nonzero target"
+    ),
+    "unknown off its transgression page": (
+        "c.cfg", ONE_ARROW + "e = d3 e -> x\n", ["e2"],
+        "unknown e: a base-row image forces page 2, got 3",
+    ),
+    "unknown target of the wrong degree": (
+        "c.cfg", ONE_ARROW + "e = d2 e -> x^2\n", ["e2"],
+        "unknown e: target must be homogeneous of degree 2",
+    ),
 }
 
 

@@ -1,6 +1,8 @@
 """Tests for graded polynomial algebras."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -199,3 +201,59 @@ def test_monomial_refuses_a_negative_exponent_and_accepts_no_generators():
     unit = Monomial(())
     assert unit.exponents == () and unit.is_unit()
     assert Monomial((0, 2)).exponents == (0, 2)
+
+
+# ---------------------------------------------------------------- packed monomials
+
+
+def test_packed_is_injective_and_adds_under_products():
+    rng = random.Random("packed-monomials")
+    for length in range(5):
+        seen = {}
+        for _ in range(300):
+            # small exponents collide often; ones near the 16-bit field edge test the width
+            top = rng.choice((3, 1 << 15))
+            a, b = (Monomial(tuple(rng.randint(0, top) for _ in range(length))) for _ in "ab")
+            for m in (a, b):
+                assert seen.setdefault(m.packed, m.exponents) == m.exponents
+            product = a * b
+            assert product.packed == a.packed + b.packed
+            assert product == Monomial(tuple(map(sum, zip(a.exponents, b.exponents))))
+            assert product.packed == Monomial(product.exponents).packed
+            assert product.is_unit() == all(e == 0 for e in product.exponents)
+        assert len(seen) > 200 or length == 0
+
+
+def test_equality_hash_and_order_stay_those_of_the_exponent_vector():
+    short, padded = Monomial((1,)), Monomial((1, 0))
+    assert short.packed == padded.packed and short != padded
+    assert len({short, padded}) == 2
+    rng = random.Random("monomial-keys")
+    for _ in range(200):
+        a, b = (Monomial((rng.randint(0, 3), rng.randint(0, 3))) for _ in "ab")
+        assert hash(a) == hash((a.exponents,))
+        assert (a == b, a < b, a <= b) == (
+            a.exponents == b.exponents, a.exponents < b.exponents, a.exponents <= b.exponents
+        )
+
+
+def test_a_monomial_is_slotted_and_survives_copy_and_pickle():
+    m = Monomial((3, 0, 65535))
+    assert not hasattr(m, "__dict__")
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and (clone.exponents, clone.packed) == (m.exponents, m.packed)
+    with pytest.raises(AttributeError):
+        m.packed = 0
+
+
+def test_negative_and_too_wide_exponents_are_refused_by_name():
+    with pytest.raises(UsageError, match="^negative exponent$"):
+        Monomial((1, -1))
+    with pytest.raises(UsageError, match="^exponent 65536 does not fit a 16-bit field$"):
+        Monomial((0, 65536))
+    assert Monomial((65535,)).packed == 65535
+    with pytest.raises(UsageError, match="^exponent 65536 does not fit a 16-bit field$"):
+        Monomial((65535, 2)) * Monomial((1, 0))
+    too_far = PolyAlgebraSpec.from_pairs([("t", 1)])
+    with pytest.raises(UsageError, match="^exponent 65536 does not fit a 16-bit field$"):
+        basis_in_degree(too_far, 65536)

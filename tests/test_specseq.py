@@ -1025,3 +1025,33 @@ def test_quotient_reps_reduce_each_cycle_once_against_the_boundaries(monkeypatch
         assert [v for _basis, v in calls] == list(group.cycles)
         assert all(basis is group.boundaries for basis, _v in calls)
         assert reps == greedy_reference(group.boundaries, group.cycles)
+
+
+# ---------------------------------------------------------------- built once
+
+
+def test_page_six_at_window_60_solves_against_one_matrix_per_subquotient(monkeypatch):
+    import sseqlab.f2 as f2
+    import sseqlab.specseq as specseq
+
+    spec = g2_fibration_spec(60)
+    assignment = resolve_assignment(spec, {"eps": 1})
+    start = initial_page(spec, assignment)
+    built = []
+    from_columns = f2.F2Matrix.from_columns.__func__
+
+    def traced_from_columns(cls, *args, **kwargs):
+        built.append(args)
+        return from_columns(cls, *args, **kwargs)
+
+    monkeypatch.setattr(f2.F2Matrix, "from_columns", classmethod(traced_from_columns))
+    page = specseq._page(spec, assignment, 6, start.groups)
+    # 51 d_6 sources; their targets share 15 (cycles, boundaries) pairs of the starting page
+    assert (len(page.differentials), len(built)) == (51, 15)
+
+    transposed = []
+    transpose = f2._transpose
+    monkeypatch.setattr(f2, "_transpose", lambda *args: transposed.append(args) or transpose(*args))
+    monkeypatch.setattr(specseq, "_page", lambda *args: None)  # count turn_page's own work only
+    turn_page(page)
+    assert transposed == []  # each d_6 matrix keeps the column words it was built from
