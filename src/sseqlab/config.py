@@ -387,42 +387,29 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
 # ------------------------------------------------------------- text
 
 
-def _strip_comment(line: str) -> str:
-    if line.lstrip().startswith("#"):
-        return ""
-    cut = line.find(" #")
-    return line[:cut] if cut >= 0 else line
-
-
-def _section(name: str) -> str:
-    if name not in _SECTIONS:
-        raise ValidationError(f"unknown section [{name}]")
-    return name
-
-
-def _setting(line: str) -> tuple[str, str]:
-    key, eq, value = line.partition("=")
-    if not eq:
-        raise ValidationError("expected key = value")
-    if not key.strip():
-        raise ValidationError("empty key")
-    return key.strip(), value.strip()
-
-
 def parse_config(text: str) -> WorkbenchConfig:
     problems: list[str] = []
     rows: dict[str, list[Row]] = {_TOP: []}
     current = _TOP  # lines under an unknown section are top-level keys
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition(" #")[0].strip()  # a comment runs from " #" or a leading "#"
+        if not line or line[0] == "#":
+            continue
         where = f"line {line_no}"
-        if line.startswith("[") and line.endswith("]"):
-            current = _located(problems, where, _section, line[1:-1].strip()) or _TOP
+        if line[0] == "[" and line[-1] == "]":
+            current = line[1:-1].strip()
+            if current not in _SECTIONS:
+                problems.append(f"{where}: unknown section [{current}]")
+                current = _TOP
             rows.setdefault(current, [])
-        elif line:
-            setting = _located(problems, where, _setting, line)
-            if setting:
-                rows[current].append((where, *setting))
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            problems.append(f"{where}: expected key = value")
+        elif not key.strip():
+            problems.append(f"{where}: empty key")
+        else:
+            rows[current].append((where, key.strip(), value.strip()))
     return _build(problems, rows)
 
 

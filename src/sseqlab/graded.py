@@ -90,9 +90,12 @@ class Monomial(Record):
         return sum(e * d for e, d in zip(self.exponents, algebra.degrees))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        exponents = tuple(map(add, self.exponents, other.exponents))
-        if len(self.exponents) != len(other.exponents) or max(exponents, default=0) >> _FIELD:
-            return Monomial(exponents)  # cut to the shorter, as zip cuts; or a field would carry
+        a, b = self.exponents, other.exponents
+        if len(a) != len(b):
+            raise UsageError(f"cannot multiply monomials of {len(a)} and {len(b)} exponents")
+        exponents = tuple(map(add, a, b))
+        if max(exponents, default=0) >> _FIELD:
+            return Monomial(exponents)  # a field would carry: refused there
         return _monomial(exponents, self.packed + other.packed)
 
     def is_unit(self) -> bool:

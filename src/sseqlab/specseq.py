@@ -527,15 +527,12 @@ def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vect
     return F2Vector(length, bits)
 
 
-def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page:
+def turn_page(page: Page) -> Page:
     """Homology with respect to d_r: next page with kernels over images.
 
     Only the half of a group that d_r touches is reduced again.  B lies in
     span Z and RREF is canonical, so Z stays when no d_r leaves (B' and the
     reps span Z), B stays when none enters, and Z' = B' when ker d_r is 0.
-    ``order`` overrides the bidegree processing order; the result is
-    independent of it because each bidegree is computed from the
-    immutable previous-page state.
     """
     spec, assignment, r = page.spec, page.assignment, page.r
     # composability: consecutive differential matrices must compose to zero
@@ -544,12 +541,8 @@ def turn_page(page: Page, *, order: Optional[Sequence[Bidegree]] = None) -> Page
         m2 = page.differentials.get(mid)
         if m2 is not None and not m2.matmul(m1).is_zero():
             raise InvariantBreach(f"d_{r} o d_{r} != 0 out of {src}")
-    bidegrees = sorted(page.groups) if order is None else list(order)
-    if order is not None and sorted(bidegrees) != sorted(page.groups):
-        raise UsageError("processing order must cover exactly the page bidegrees")
     new_groups: dict[Bidegree, PageGroup] = {}
-    for bd in bidegrees:
-        group = page.groups[bd]
+    for bd, group in sorted(page.groups.items()):
         s, t = bd
         m_in = page.differentials.get((s - r, t + r - 1))
         m_out = page.differentials.get(bd)

@@ -15,6 +15,7 @@ caller.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -110,12 +111,7 @@ class SteenrodTable(Record):
         return value
 
     def missing_entries(self) -> list[tuple[str, int]]:
-        out = []
-        for gen, degree in self.algebra.generators:
-            for i in range(degree + 1):
-                if self.action.get((gen, i)) is None:
-                    out.append((gen, i))
-        return out
+        return [(v.generator, v.i) for v in self._validated if v.kind == "missing"]
 
 
 def table_from_entries(
@@ -162,18 +158,13 @@ def _require_valid(table: SteenrodTable) -> None:
 
 
 def _convolve(
-    algebra: PolyAlgebraSpec,
-    f: dict[int, Polynomial],
-    g: dict[int, Polynomial],
+    algebra: PolyAlgebraSpec, f: dict[int, Polynomial], g: dict[int, Polynomial]
 ) -> dict[int, Polynomial]:
-    out: dict[int, Polynomial] = {}
+    terms: defaultdict[int, set[Monomial]] = defaultdict(set)
     for a, pa in f.items():
         for b, pb in g.items():
-            prod = multiply(algebra, pa, pb)
-            if prod.is_zero():
-                continue
-            out[a + b] = out.get(a + b, Polynomial.zero()) + prod
-    return {i: p for i, p in out.items() if not p.is_zero()}
+            terms[a + b] ^= multiply(algebra, pa, pb).terms
+    return {i: Polynomial(frozenset(t)) for i, t in terms.items() if t}
 
 
 def _total_square_monomial(table: SteenrodTable, m: Monomial) -> dict[int, Polynomial]:
@@ -208,10 +199,14 @@ def sq(table: SteenrodTable, i: int, p: Polynomial) -> Polynomial:
     if i < 0:
         raise UsageError("squaring index must be nonnegative")
     _require_valid(table)
-    out = Polynomial.zero()
+    n = len(table.algebra.generators)
+    terms: set[Monomial] = set()
     for m in p.terms:
-        out = out + _total_square_monomial(table, m).get(i, Polynomial.zero())
-    return out
+        if len(m.exponents) != n:
+            raise UsageError(f"monomial has {len(m.exponents)} exponents for {n} generators")
+        if part := _total_square_monomial(table, m).get(i):
+            terms ^= part.terms
+    return Polynomial(frozenset(terms))
 
 
 class DegreeHitData(Record):

@@ -258,6 +258,12 @@ REFUSALS = {
         "c.cfg", G2_TEXT, ["einfty", "--set", "nope=1"],
         "value given for undeclared unknown 'nope'",
     ),
+    "fibre degree below its derived lower bound": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = contains Z/2 + Z/2 ;")
+        .replace("derive = homotopy", "derive = homotopy\n5 = a").replace("d6 u_5", "d6 a"),
+        ["e2"], "fibre degree 5 declares fewer classes than the derived lower bound 2",
+    ),
     "json top level is a list": ("c.json", "[1, 2]", ["e2"], "top level must be a JSON object"),
     # both would key the image of d_2(e) by (generator, page), so the later would win silently
     "two unknowns on one generator": (

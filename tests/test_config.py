@@ -81,6 +81,17 @@ def test_unknown_section_and_key_rejected():
     assert "banana" in problems
 
 
+def test_line_syntax_of_sections_and_comments():
+    text = "# a whole-line comment\n[ base ]\nx = 2 # cut from ' #' on\n\t# indented\na#b = 3\n"
+    assert parse_config(text).base.generators == (("x", 2), ("a#b", 3))
+    with pytest.raises(ConfigError) as info:
+        parse_config("[]\nfoo = 1\n[base]\nx = 2\n")
+    assert info.value.problems == [
+        "line 1: unknown section []",
+        "line 2: unknown top-level key 'foo'",
+    ]
+
+
 def test_duplicate_generator_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config("[base]\nx = 2\nx = 4\n")

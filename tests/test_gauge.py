@@ -90,6 +90,11 @@ def test_override_contradicting_proved_value_rejected():
         gauge_report(4, overrides={"0": 1})
 
 
+def test_override_value_outside_f2_rejected():
+    with pytest.raises(ValidationError, match="^override values must be 0 or 1$"):
+        gauge_report(1, {"1,3": 2})
+
+
 def test_override_agreeing_with_proved_value_allowed():
     report = gauge_report(4, overrides={"0": 0})
     assert len(report.branches) == 1

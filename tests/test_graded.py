@@ -257,3 +257,10 @@ def test_negative_and_too_wide_exponents_are_refused_by_name():
     too_far = PolyAlgebraSpec.from_pairs([("t", 1)])
     with pytest.raises(UsageError, match="^exponent 65536 does not fit a 16-bit field$"):
         basis_in_degree(too_far, 65536)
+
+
+def test_monomials_of_different_lengths_do_not_multiply():
+    with pytest.raises(UsageError, match="^cannot multiply monomials of 1 and 2 exponents$"):
+        Monomial((1,)) * Monomial((1, 0))
+    with pytest.raises(UsageError, match="^cannot multiply monomials of 2 and 0 exponents$"):
+        Monomial((1, 1)) * Monomial(())

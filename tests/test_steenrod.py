@@ -205,6 +205,37 @@ def test_an_omitted_entry_is_reported_and_refused():
         hit_quotient(table, 4)
 
 
+def test_missing_entries_are_the_missing_violations():
+    past_degree = table_from_entries(ONE_VAR, {"t": {3: None}})  # None above deg t = 1
+    tables = [
+        suggest_g2_table(),
+        load_config(Path(__file__).parent.parent / "onevar.cfg").steenrod,
+        load_config(Path(__file__).parent / "data" / "g2_steenrod.cfg").steenrod,
+        past_degree,
+    ]
+    for table in tables:
+        missing = [(v.generator, v.i) for v in validate_table(table) if v.kind == "missing"]
+        assert table.missing_entries() == missing
+    assert past_degree.missing_entries() == [("t", 3)]
+    assert [str(v) for v in validate_table(past_degree)] == [
+        "Sq^3(t): missing: entry is marked user-supplied"
+    ]
+
+
+def test_negative_squaring_indices_are_refused_by_name():
+    with pytest.raises(ValidationError, match="^negative squaring index for t$"):
+        table_from_entries(ONE_VAR, {"t": {-1: ONE_VAR.gen("t")}})
+    with pytest.raises(UsageError, match="^squaring index must be nonnegative$"):
+        sq(one_var_table(), -1, t_power(1))
+
+
+def test_sq_refuses_a_monomial_of_another_algebra():
+    with pytest.raises(UsageError, match="^monomial has 2 exponents for 1 generators$"):
+        sq(one_var_table(), 1, Polynomial.of(Monomial((1, 1))))
+    with pytest.raises(UsageError, match="^monomial has 0 exponents for 1 generators$"):
+        sq(one_var_table(), 0, Polynomial.of(Monomial(())))
+
+
 # ---------------------------------------------------------------- squaring
 
 
