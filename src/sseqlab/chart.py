@@ -37,8 +37,8 @@ def build_chart(spec: FibrationSpec, page: int) -> ChartSpec:
     """Chart of the starting-page groups with the page's admissible arrows.
 
     Arrows are the bidegree-admissible differentials of the requested
-    page; each is labelled by the unknown scalar that governs it when
-    there is one, else by the page differential's name.
+    page; each is labelled by the unknown scalars that govern it, comma-joined
+    in declaration order, else by the page differential's name.
     """
     basis = build_e2(spec)
     dots = tuple(
@@ -48,12 +48,11 @@ def build_chart(spec: FibrationSpec, page: int) -> ChartSpec:
     for r, src, tgt in admissible_differentials(spec):
         if r != page:
             continue
-        label = f"d{r}"
-        for u in spec.unknowns:
-            if u.page == r and spec.fibre_degree_of(u.generator) == src[1]:
-                label = u.name
-                break
-        arrows.append((src, tgt, label))
+        names = [
+            u.name for u in spec.unknowns
+            if u.page == r and spec.fibre_degree_of(u.generator) == src[1]
+        ]
+        arrows.append((src, tgt, ",".join(names) or f"d{r}"))
     s_max = spec.degree_bound
     t_max = max((t for t in spec.fibre_degrees()), default=0)
     return ChartSpec(page, s_max, t_max, dots, tuple(arrows))

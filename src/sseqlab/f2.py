@@ -284,8 +284,8 @@ def in_span(basis: Sequence[F2Vector], v: F2Vector) -> bool:
 
 
 def rank(m: F2Matrix) -> int:
-    """Dimension of the row space (= column space) over F_2."""
-    return len(_rref_words(m.row_bits))
+    """Dimension of the row space (= column space) over F_2: the semi-echelon's row count."""
+    return len(_echelon(m.row_bits))
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:

@@ -141,16 +141,14 @@ def gauge_report(
     overrides: Optional[Mapping[str, int]] = None,
     *,
     rule: EpsilonRule = DEFAULT_EPSILON_RULE,
-    table: Optional[HomotopyTable] = None,
-    degree_bound: int = 10,
     spec: Optional[FibrationSpec] = None,
 ) -> GaugeReport:
     """Resolve eps for the class of k and run every remaining branch.
 
     Overrides inject conjectured values per class label; they are
-    rejected only when they contradict a proved value.  A prebuilt
-    fibration spec (with exactly one unknown, the transgressive scalar)
-    may replace the default assembly.
+    rejected only when they contradict a proved value.  ``spec`` (with
+    exactly one unknown, the transgressive scalar) defaults to
+    ``g2_fibration_spec()``; every branch runs from the spec's kept starting page.
     """
     overrides = dict(overrides or {})
     for label, value in overrides.items():
@@ -187,7 +185,7 @@ def gauge_report(
             f"class {label}: eps undetermined; both branches reported"
         )
     if spec is None:
-        spec = g2_fibration_spec(degree_bound=degree_bound, table=table)
+        spec = g2_fibration_spec()
     if len(spec.unknowns) != 1:
         raise ValidationError(
             "the gauge pipeline expects exactly one unknown, the transgressive scalar"

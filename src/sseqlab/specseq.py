@@ -151,6 +151,25 @@ class FibrationSpec(Record):
             sorted((r, src, tgt) for r, src, tgt, verdict in self.arrows if verdict == ADMISSIBLE)
         )
 
+    @cached_property
+    def last_page(self) -> int:
+        """The highest page an admissible arrow sits on, or 1 when none does."""
+        return max((r for r, _, _ in self.admissible), default=1)
+
+    @cached_property
+    def start_groups(self) -> Mapping[Bidegree, PageGroup]:
+        """The starting page's groups through total degree N + 1, built once, read-only.
+
+        Groups of one size share their unit vectors, so ``_page`` builds one
+        coordinate matrix per size.
+        """
+        basis = build_e2(self, total_bound=self.degree_bound + 1)
+        sizes = set(map(len, basis.groups.values()))
+        units = {n: tuple(F2Vector.unit(n, i) for i in range(n)) for n in sizes}
+        return MappingProxyType(
+            {bd: PageGroup(ls, units[len(ls)], ()) for bd, ls in sorted(basis.groups.items())}
+        )
+
     def format_label(self, label: Label) -> str:
         monomial, gen = label
         if gen == self.unit_gen:
@@ -491,13 +510,9 @@ def _page(
 
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:
-    """The starting page (r = 2), tracked through total degree N + 1."""
+    """The starting page (r = 2) over the spec's kept groups, through total degree N + 1."""
     _require_images(spec, assignment)
-    basis = build_e2(spec, total_bound=spec.degree_bound + 1)
-    sizes = set(map(len, basis.groups.values()))  # groups of one size share their unit vectors
-    units = {n: tuple(F2Vector.unit(n, i) for i in range(n)) for n in sizes}
-    groups = {bd: PageGroup(ls, units[len(ls)], ()) for bd, ls in sorted(basis.groups.items())}
-    return _page(spec, assignment, 2, groups)
+    return _page(spec, assignment, 2, spec.start_groups)
 
 
 def leibniz_extend(
@@ -569,32 +584,6 @@ def turn_page(page: Page) -> Page:
 EinftyReport = dict[int, list[tuple[Bidegree, int]]]
 
 
-def _last_page(spec: FibrationSpec) -> int:
-    return max((r for r, _, _ in spec.admissible), default=1)
-
-
-def _limit(page: Page, last_page: int) -> tuple[Page, EinftyReport]:
-    """Turn ``page`` past ``last_page``; the limit page and its report.
-
-    A page with no d_r matrix turns into the same groups and adds no arrows, and
-    so does each page with no nonzero image: one ``_page`` call skips them all,
-    to the next page with an image or to ``last_page + 1``.
-    """
-    image_pages = {r for (_gen, r), image in page.assignment.generator_images.items() if image}
-    while page.r <= last_page:
-        if page.differentials:
-            page = turn_page(page)
-        else:
-            r = min([p for p in image_pages if p > page.r] + [last_page + 1])
-            page = _page(page.spec, page.assignment, r, page.groups, page.unevaluated)
-    bound = page.spec.degree_bound
-    report: EinftyReport = {j: [] for j in range(bound + 1)}
-    for (s, t), group in sorted(page.groups.items()):
-        if s + t <= bound and group.dim:
-            report[s + t].append(((s, t), group.dim))
-    return page, report
-
-
 def run_to_einfty(
     spec: FibrationSpec, assignment: DifferentialAssignment
 ) -> tuple[Page, EinftyReport]:
@@ -602,12 +591,27 @@ def run_to_einfty(
 
     Returns the limit page and, per total degree, the surviving
     dimensions by bidegree (the associated graded of the filtration;
-    extension problems between filtration steps are not solved).
+    extension problems between filtration steps are not solved).  A page
+    with no d_r matrix turns into the same groups and adds no arrows, and
+    so does each page with no nonzero image: one ``_page`` call skips them
+    all, to the next page with an image or past the spec's last page.
     """
     missing = set(spec.unknown_names()) - set(assignment.values)
     if missing:
         raise UsageError(f"unresolved unknowns: {', '.join(sorted(missing))}")
-    return _limit(initial_page(spec, assignment), _last_page(spec))
+    page, last_page = initial_page(spec, assignment), spec.last_page
+    image_pages = {r for (_gen, r), image in assignment.generator_images.items() if image}
+    while page.r <= last_page:
+        if page.differentials:
+            page = turn_page(page)
+        else:
+            r = min([p for p in image_pages if p > page.r] + [last_page + 1])
+            page = _page(spec, assignment, r, page.groups, page.unevaluated)
+    report: EinftyReport = {j: [] for j in range(spec.degree_bound + 1)}
+    for (s, t), group in sorted(page.groups.items()):
+        if s + t <= spec.degree_bound and group.dim:
+            report[s + t].append(((s, t), group.dim))
+    return page, report
 
 
 def total_dims(report: EinftyReport, degree_bound: int) -> list[int]:
@@ -620,19 +624,10 @@ def sweep_unknowns(
 ) -> dict[tuple[tuple[str, int], ...], EinftyReport]:
     """Limit reports for every point of F_2^unknowns, in binary order.
 
-    An unknown sets an image on its own page only, so no page before the
-    first unknown's page carries an image: every point sees the starting
-    page's groups there, with no arrow flagged.  Each point forks from
-    them onto that page with its own d_r, and ``_limit`` goes on from there.
+    Every point is resolved before any page is built, so a refused point
+    refuses the sweep; each then runs from the spec's kept starting page.
     """
     names = spec.unknown_names()
-    points = list(itertools.product((0, 1), repeat=len(names)))
-    assignments = [resolve_assignment(spec, dict(zip(names, p))) for p in points]
-    last_page = _last_page(spec)
-    fork = min([u.page for u in spec.unknowns] + [last_page + 1])
-    start = initial_page(spec, assignments[0])
-    out: dict[tuple[tuple[str, int], ...], EinftyReport] = {}
-    for point, assignment in zip(points, assignments):
-        branch = _page(spec, assignment, fork, start.groups)
-        out[tuple(zip(names, point))] = _limit(branch, last_page)[1]
-    return out
+    points = [tuple(zip(names, p)) for p in itertools.product((0, 1), repeat=len(names))]
+    assignments = [resolve_assignment(spec, dict(point)) for point in points]
+    return {point: run_to_einfty(spec, a)[1] for point, a in zip(points, assignments)}

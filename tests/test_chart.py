@@ -3,6 +3,7 @@
 import pytest
 
 from sseqlab.chart import ChartSpec, build_chart, render, render_svg, render_tikz
+from sseqlab.config import parse_config
 from sseqlab.errors import ValidationError
 from sseqlab.gauge import g2_fibration_spec
 from sseqlab.specseq import FibrationSpec, UNIT_GEN
@@ -70,3 +71,22 @@ def test_unknown_format_rejected():
     chart = build_chart(SPEC, 6)
     with pytest.raises(ValidationError):
         render(chart, "png")
+
+
+def test_an_arrow_two_unknowns_govern_names_both():
+    cfg = parse_config(
+        "degree_bound = 10\n"
+        "[base]\nx = 6\ny = 6\nz = 2\n"
+        "[fibre]\n3 = w\n4 = q\n5 = u v\n"
+        "[unknowns]\neps = d6 u -> x\ndelta = d6 v -> y\ngamma = d4 w -> z^2\n"
+    )
+    spec = cfg.fibration_spec()
+    # declaration order, on every page-6 arrow out of fibre degree 5
+    assert build_chart(spec, 6).arrows == (
+        ((0, 5), (6, 0), "eps,delta"),
+        ((2, 5), (8, 0), "eps,delta"),
+        ((4, 5), (10, 0), "eps,delta"),
+    )
+    assert {label for _src, _tgt, label in build_chart(spec, 4).arrows} == {"gamma"}
+    assert {label for _src, _tgt, label in build_chart(spec, 2).arrows} == {"d2"}  # 5 -> 4
+    assert render_svg(build_chart(spec, 6)).count(">eps,delta</text>") == 3

@@ -85,6 +85,18 @@ def test_report_with_override_has_single_branch():
     assert report.branches[0].total_dims == (1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0)
 
 
+def test_both_open_branches_share_one_starting_page(monkeypatch):
+    import sseqlab.specseq as specseq
+
+    built = []
+    build_e2 = specseq.build_e2
+    monkeypatch.setattr(specseq, "build_e2", lambda *a, **kw: built.append(a) or build_e2(*a, **kw))
+    spec = g2_fibration_spec(24)  # a fresh spec: no starting page kept yet
+    report = gauge_report(1, spec=spec)
+    assert len(report.branches) == 2
+    assert len(built) == 1
+
+
 def test_override_contradicting_proved_value_rejected():
     with pytest.raises(ValidationError):
         gauge_report(4, overrides={"0": 1})
@@ -160,7 +172,7 @@ def test_report_stable_under_placeholder_variation():
             FGAbelianGroup.cyclic(2) + FGAbelianGroup.cyclic(3),
         ):
             table = g2_homotopy_table(FGAbelianGroup.cyclic(pi6_order), pi8)
-            assert gauge_report(1, table=table).payload() == reference
+            assert gauge_report(1, spec=g2_fibration_spec(table=table)).payload() == reference
 
 
 def test_extra_fibre_generators_must_sit_above_degree_five():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sseqlab.errors import UsageError, ValidationError
-from sseqlab.f2 import F2Vector, reduce_against, row_reduce
+from sseqlab.f2 import F2Vector, rank, reduce_against, row_reduce
 from sseqlab.gauge import g2_fibration_spec
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degree
 from sseqlab.homotopy import DimEntry, GradedDims
@@ -592,6 +592,82 @@ def test_limit_dims_equal_the_total_complex_homology_on_g2(window):
     assert expected[0] != expected[1]
 
 
+def filtered_reduction(spec, assignment):
+    """Every cell m (x) g of B (x) F through total degree N + 1, and the pairs d makes.
+
+    The cells are ordered by base degree s, descending, so each F^p = {s >= p}
+    is a prefix.  Each column d(cell) is reduced by its highest bit, against
+    the earlier columns' pivots; a pivot pairs its row cell with its column
+    cell, and the pair's gap in s is the page of the d_r that kills both.  A
+    cell is alive on page r when it is unpaired or its pair's gap is >= r.
+    Images beyond N + 1 are dropped, which moves no pair of a cell of total
+    degree <= N.  Monomials are exponent tuples and columns are integers: no
+    page-engine or f2 code runs.  Returns the cells' bidegrees and the gap
+    of each paired cell's pair.
+    """
+    degrees, top = spec.base.degrees, spec.degree_bound + 1
+    cells = []
+    for e in itertools.product(*(range(top // d + 1) for d in degrees)):
+        s = sum(map(mul, e, degrees))
+        for t, gens in spec.fibre_gens.items():
+            if s + t <= top:
+                cells += [(s, t, e, g) for g in gens]
+    cells.sort(key=lambda cell: -cell[0])
+    index = {(e, g): i for i, (_s, _t, e, g) in enumerate(cells)}
+    image = {g: set() for gens in spec.fibre_gens.values() for g in gens}
+    for (g, _r), poly in assignment.generator_images.items():
+        image[g] ^= {m.exponents for m in poly.terms}
+    pivots, gaps = {}, {}
+    for j, (s, _t, e, g) in enumerate(cells):
+        column = 0
+        for f in image[g]:
+            i = index.get((tuple(map(add, e, f)), spec.unit_gen))
+            if i is not None:
+                column ^= 1 << i
+        while column and (low := column.bit_length() - 1) in pivots:
+            column ^= pivots[low]
+        if column:
+            pivots[low] = column
+            gaps[low] = gaps[j] = cells[low][0] - s
+    return [(s, t) for s, t, _e, _g in cells], gaps
+
+
+def assert_pages_equal_the_filtered_reduction(spec, assignment):
+    """Group dims on every page and every bidegree <= N, and the rank of each d_r."""
+    bidegrees, gaps = filtered_reduction(spec, assignment)
+    pages = pages_to_limit(spec, assignment)
+    for r, _d, _u, groups in pages:
+        alive = Counter(
+            bd for i, bd in enumerate(bidegrees)
+            if sum(bd) <= spec.degree_bound and gaps.get(i, r) >= r
+        )
+        dims = {bd: g.dim for bd, g in groups.items() if sum(bd) <= spec.degree_bound}
+        assert {bd: n for bd, n in dims.items() if n} == alive
+    ranks = {r: sum(rank(m) for m in d.values()) for r, d, _u, _g in pages}
+    pairs = Counter(gaps.values())  # each pair holds two cells
+    assert {r: n // 2 for r, n in pairs.items()} == {r: n for r, n in ranks.items() if n}
+    return len(pages), sum(pairs.values()) // 2
+
+
+def test_every_page_equals_the_filtered_reduction_on_random_specs():
+    rng = random.Random(1010)
+    pages = pairs = 0
+    for _ in range(100):
+        n_pages, n_pairs = assert_pages_equal_the_filtered_reduction(*random_fibration(rng))
+        pages, pairs = pages + n_pages, pairs + n_pairs
+    assert pages > 700 and pairs > 1500
+
+
+@pytest.mark.parametrize("window", [10, 24, 60])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_every_page_equals_the_filtered_reduction_on_g2(window, eps):
+    spec = g2_fibration_spec(window)
+    _pages, pairs = assert_pages_equal_the_filtered_reduction(
+        spec, resolve_assignment(spec, {"eps": eps})
+    )
+    assert bool(pairs) == bool(eps)
+
+
 def test_collapse_branch_limit_equals_start():
     page, _ = run_to_einfty(SPEC, assignment_for(0))
     start = build_e2(SPEC)
@@ -937,7 +1013,7 @@ def test_sweep_fork_equals_per_point_runs_with_a_page_two_unknown():
 def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
     import sseqlab.specseq as specseq
 
-    calls = {"initial_page": 0, "classify_arrows": 0}
+    calls = {"build_e2": 0, "classify_arrows": 0}
 
     def counted(name):
         original = getattr(specseq, name)
@@ -952,9 +1028,9 @@ def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
         monkeypatch.setattr(specseq, name, counted(name))
     spec = g2_fibration_spec(24)  # a fresh spec: no arrow table cached yet
     sweep_unknowns(spec)
-    assert calls == {"initial_page": 1, "classify_arrows": 1}
+    assert calls == {"build_e2": 1, "classify_arrows": 1}
     sweep_unknowns(spec)
-    assert calls == {"initial_page": 2, "classify_arrows": 1}
+    assert calls == {"build_e2": 1, "classify_arrows": 1}
 
 
 @pytest.mark.parametrize("window", [10, 24, 60])
