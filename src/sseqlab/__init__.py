@@ -24,9 +24,10 @@ _EXPORTS = {  # module: the public names it defines
     "homotopy": "DimEntry FGAbelianGroup GradedDims HomotopyTable TableEntry connectivity "
     "ext1_to_f2 fibre_truncation_dims hom_to_f2 hurewicz_homology loopspace_shift "
     "uct_cohomology_dim",
-    "specseq": "BigradedBasis DifferentialAssignment FibrationSpec Page UnknownScalar "
-    "admissible_differentials build_e2 leibniz_extend resolve_assignment run_to_einfty "
-    "sweep_unknowns total_dims turn_page",
+    "fibration": "BigradedBasis FibrationSpec UnknownScalar admissible_differentials build_e2 "
+    "run_to_einfty",
+    "specseq": "DifferentialAssignment Page leibniz_extend resolve_assignment sweep_unknowns "
+    "total_dims turn_page",
     "steenrod": "HitReport SteenrodTable hit_quotient sq suggest_g2_table table_from_entries "
     "validate_table",
 }

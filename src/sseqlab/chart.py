@@ -9,8 +9,8 @@ integers, iteration orders are sorted, and nothing is timestamped.
 from __future__ import annotations
 
 from .errors import ValidationError
+from .fibration import Bidegree, FibrationSpec, admissible_differentials, build_e2
 from .record import Record
-from .specseq import Bidegree, FibrationSpec, admissible_differentials, build_e2
 
 CELL = 40  # pixel pitch of the grid
 MARGIN = 60

@@ -22,20 +22,14 @@ from typing import Optional, Sequence
 from . import _deferred
 from .config import WorkbenchConfig, load_config
 from .errors import InvariantBreach, SseqlabError, ValidationError
+from .fibration import ADMISSIBLE, BASE_ZERO, FibrationSpec, build_e2, run_to_einfty
 from .graded import format_monomial
 from .homotopy import fibre_truncation_dims, hurewicz_homology, loopspace_shift
-from .specseq import (
-    ADMISSIBLE,
-    BASE_ZERO,
-    FibrationSpec,
-    build_e2,
-    resolve_assignment,
-    run_to_einfty,
-    sweep_unknowns,
-    total_dims,
-)
 
 # only the command that calls one of these loads its module
+resolve_assignment = _deferred("specseq", "resolve_assignment")
+sweep_unknowns = _deferred("specseq", "sweep_unknowns")
+total_dims = _deferred("specseq", "total_dims")
 build_chart = _deferred("chart", "build_chart")
 render = _deferred("chart", "render")
 gauge_report = _deferred("gauge", "gauge_report")

@@ -3,7 +3,8 @@
 The text grammar is line oriented and strict: unknown sections or keys
 are errors, every problem names its line (in the JSON twin, its path), and
 ``emit_config`` produces a normalized form on which parse/emit is
-idempotent.
+idempotent.  The JSON reader and the emitter live in ``configio``, which
+loads on their first call.
 
 Sections::
 
@@ -46,7 +47,8 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import _deferred
 from .errors import ConfigError, UsageError, ValidationError
-from .graded import PolyAlgebraSpec, Polynomial, format_polynomial, parse_polynomial
+from .fibration import UNIT_GEN, FibrationSpec, UnknownScalar
+from .graded import PolyAlgebraSpec, Polynomial, parse_polynomial
 from .homotopy import (
     DimEntry,
     FGAbelianGroup,
@@ -56,12 +58,13 @@ from .homotopy import (
     loopspace_shift,
 )
 from .record import Record
-from .specseq import FibrationSpec, UNIT_GEN, UnknownScalar
 
 if TYPE_CHECKING:
     from .steenrod import SteenrodTable
 
 table_from_entries = _deferred("steenrod", "table_from_entries")  # loaded by a [steenrod] section
+parse_config_json = _deferred("configio", "parse_config_json")  # loaded by a .json config
+emit_config = _deferred("configio", "emit_config")
 _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
 _UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
 
@@ -413,117 +416,6 @@ def parse_config(text: str) -> WorkbenchConfig:
     return _build(problems, rows)
 
 
-# ------------------------------------------------------------- JSON twin
-
-
-def _members(where: str, body, kind: type) -> list[tuple[str, object, object]]:
-    """(path, key, member) for each member of a JSON list or object."""
-    if not isinstance(body, kind):
-        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}")
-    if kind is list:
-        return [(f"{where}[{i}]", i, member) for i, member in enumerate(body)]
-    return [(f"{where}.{key}", key, member) for key, member in body.items()]
-
-
-def _fields(entry, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """A JSON object holding every required field and no unknown one."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"expected a JSON object with {', '.join(required)}")
-    for name in required:
-        if name not in entry:
-            raise ValidationError(f"missing field {name!r}")
-    for name in entry:
-        if name not in required + optional:
-            raise ValidationError(f"unknown field {name!r}")
-    return entry
-
-
-def _words(member, noun: str = "names") -> str:
-    if not isinstance(member, list):
-        raise ValidationError(f"expected a JSON list of {noun}")
-    return " ".join(str(word) for word in member)
-
-
-def _json_generator(_index, pair) -> tuple[str, str]:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ValidationError("expected a [name, degree] pair")
-    return pair[0], pair[1]
-
-
-def _json_homotopy(degree, entry) -> tuple[str, str]:
-    _fields(entry, ("group",), ("exact", "citation"))
-    text = f"{'' if entry.get('exact', True) else TableEntry.INEXACT}{entry['group']}"
-    citation = entry.get("citation", "")
-    return degree, f"{text} ; {citation}" if citation else text
-
-
-def _json_unknown(_index, entry) -> tuple[str, str]:
-    u = _fields(entry, ("name", "page", "generator", "target"))
-    return u["name"], f"d{u['page']} {u['generator']} -> {u['target']}"
-
-
-def _json_class(_index, entry) -> tuple[str, str]:
-    _fields(entry, ("residues",), ("known",))
-    residues = _words(entry["residues"], "residues")
-    return "class", f"{residues} : {entry['known']}" if "known" in entry else residues
-
-
-def parse_config_json(text: str) -> WorkbenchConfig:
-    """JSON-equivalent import path; problems are located by JSON path."""
-    import json  # only here, so a CLI run on a text config never loads it
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON: {exc}"]) from None
-    if not isinstance(data, dict):
-        raise ConfigError(["top level must be a JSON object"])
-    problems: list[str] = []
-    rows: dict[str, list[Row]] = {_TOP: []}
-
-    def walk(section, where, body, kind, row):
-        """Add ``row(key, member)``, unless None, for each member of a JSON list or object."""
-        for path, key, member in _located(problems, where, _members, where, body, kind) or ():
-            found = _located(problems, path, row, key, member)
-            if found:
-                rows[section].append((path, str(found[0]), str(found[1])))
-
-    def fibre(key, member):
-        if key == "generators":
-            walk("fibre", "fibre.generators", member, dict, lambda d, n: (d, _words(n)))
-        elif key != "derive":
-            raise ValidationError(f"unknown field {key!r}")
-        elif member:
-            return "derive", "homotopy"
-
-    def epsilon(key, member):
-        if key == "classes":
-            walk("epsilon", "epsilon.classes", member, list, _json_class)
-        elif key != "modulus":
-            raise ValidationError(f"unknown field {key!r}")
-        else:
-            return "modulus", member
-
-    def steenrod(gen, table):
-        walk("steenrod", f"steenrod.{gen}", table, dict, lambda i, p: (f"sq{i} {gen}", p))
-
-    shapes = {
-        "base": (list, _json_generator),
-        "homotopy": (dict, _json_homotopy),
-        "fibre": (dict, fibre),
-        "unknowns": (list, _json_unknown),
-        "epsilon": (dict, epsilon),
-        "steenrod": (dict, steenrod),
-    }
-    for name, body in data.items():
-        if name in shapes:
-            rows[name] = []
-            walk(name, name, body, *shapes[name])
-        else:
-            rows[_TOP].append((name, name, str(body)))
-    return _build(problems, rows)
-
-
 def load_config(path) -> WorkbenchConfig:
     p = Path(path)
     try:
@@ -533,37 +425,3 @@ def load_config(path) -> WorkbenchConfig:
     if p.suffix == ".json":
         return parse_config_json(text)
     return parse_config(text)
-
-
-# ------------------------------------------------------------- emission
-
-
-def emit_config(cfg: WorkbenchConfig) -> str:
-    """Normalized text form; parse/emit round-trips are idempotent."""
-    out = [f"degree_bound = {cfg.degree_bound}", "", "[base]"]
-    out += [f"{name} = {degree}" for name, degree in cfg.base.generators]
-    if cfg.homotopy is not None:
-        out += ["", "[homotopy]"]
-        for degree, entry in cfg.homotopy.items():
-            suffix = f" ; {entry.citation}" if entry.citation else ""
-            out.append(f"{degree} = {entry}{suffix}")
-    if cfg.fibre_derive or cfg.fibre_explicit:
-        out += ["", "[fibre]"] + ["derive = homotopy"] * cfg.fibre_derive
-        out += [f"{d} = {' '.join(names)}" for d, names in sorted(cfg.fibre_explicit.items())]
-    if cfg.unknowns:
-        out += ["", "[unknowns]"]
-        for u in cfg.unknowns:
-            target = format_polynomial(cfg.base, u.target)
-            out.append(f"{u.name} = d{u.page} {u.generator} -> {target}")
-    if cfg.epsilon_given:
-        out += ["", "[epsilon]", f"modulus = {cfg.epsilon_rule.modulus}"]
-        for label, residues in cfg.epsilon_rule.classes:
-            known = cfg.epsilon_rule.known(label)
-            residue_text = " ".join(str(r) for r in residues)
-            out.append(f"class = {residue_text}" + ("" if known is None else f" : {known}"))
-    if cfg.steenrod is not None:
-        out += ["", "[steenrod]"]
-        for (gen, i), poly in sorted(cfg.steenrod.action.items()):
-            if poly is not None:
-                out.append(f"sq{i} {gen} = {format_polynomial(cfg.base, poly)}")
-    return "\n".join(out) + "\n"

@@ -33,10 +33,13 @@ DEFINED_IN = {
         "ext1_to_f2", "fibre_truncation_dims", "hom_to_f2", "hurewicz_homology",
         "loopspace_shift", "uct_cohomology_dim",
     ],
+    "fibration": [
+        "BigradedBasis", "FibrationSpec", "UnknownScalar", "admissible_differentials", "build_e2",
+        "run_to_einfty",
+    ],
     "specseq": [
-        "BigradedBasis", "DifferentialAssignment", "FibrationSpec", "Page", "UnknownScalar",
-        "admissible_differentials", "build_e2", "leibniz_extend", "resolve_assignment",
-        "run_to_einfty", "sweep_unknowns", "total_dims", "turn_page",
+        "DifferentialAssignment", "Page", "leibniz_extend", "resolve_assignment", "sweep_unknowns",
+        "total_dims", "turn_page",
     ],
     "steenrod": [
         "HitReport", "SteenrodTable", "hit_quotient", "sq", "suggest_g2_table",
@@ -80,19 +83,32 @@ def test_an_unknown_name_is_an_attribute_error():
         sseqlab.nope
 
 
-def test_importing_the_package_loads_no_submodule():
+def loaded_modules(probe: str) -> list[str]:
+    """The sseqlab modules a fresh, bytecode-free interpreter holds after each ``report()``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    probe = (
-        "import sys, sseqlab\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('sseqlab')))\n"
-        "sseqlab.EpsilonRule\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('sseqlab')))\n"
-    )
+    report = "def report(): print(*sorted(m for m in sys.modules if m.startswith('sseqlab')))\n"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT, env=env
+        [sys.executable, "-c", "import sys, sseqlab\n" + report + probe],
+        capture_output=True, text=True, cwd=ROOT, env=env,
     )
     assert result.returncode == 0, result.stderr
-    first, second = result.stdout.splitlines()
+    return result.stdout.splitlines()
+
+
+def test_importing_the_package_loads_no_submodule():
+    first, second = loaded_modules("report()\nsseqlab.EpsilonRule\nreport()\n")
     assert first == "sseqlab"
     assert "sseqlab.gauge" not in second and "sseqlab.config" in second
+
+
+def test_a_spec_and_its_arrows_load_no_page_engine():
+    probe = (
+        "spec = sseqlab.FibrationSpec(sseqlab.PolyAlgebraSpec.from_pairs([('a', 2)]),"
+        " {0: ('1',), 1: ('u',)}, 4)\n"
+        "sseqlab.admissible_differentials(spec)\n"
+        "report()\n"
+    )
+    (loaded,) = loaded_modules(probe)
+    assert "sseqlab.fibration" in loaded.split()
+    assert {"sseqlab.specseq", "sseqlab.f2"}.isdisjoint(loaded.split())

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -417,6 +418,7 @@ def test_page_and_reference_refuse_an_image_in_a_vanished_subquotient(page_refer
 
 
 def test_page_builds_no_monomial_and_e2_one_base_basis_per_degree(monkeypatch):
+    import sseqlab.fibration as fibration
     import sseqlab.specseq as specseq
 
     callers = []
@@ -427,14 +429,14 @@ def test_page_builds_no_monomial_and_e2_one_base_basis_per_degree(monkeypatch):
         return multiply(a, b)
 
     degrees = []
-    basis = specseq.basis_in_degree
+    basis = fibration.basis_in_degree  # build_e2 lists each base degree's monomials
 
     def traced_basis(algebra, d):
         degrees.append(d)
         return basis(algebra, d)
 
     monkeypatch.setattr(Monomial, "__mul__", traced_mul)
-    monkeypatch.setattr(specseq, "basis_in_degree", traced_basis)
+    monkeypatch.setattr(fibration, "basis_in_degree", traced_basis)
     spec = g2_fibration_spec(24)
     reports = sweep_unknowns(spec)
     assert total_dims(reports[(("eps", 1),)], 24) != total_dims(reports[(("eps", 0),)], 24)
@@ -951,12 +953,18 @@ def test_unknown_on_an_undeclared_generator_names_the_unknown():
 
 
 def per_point_reports(spec):
-    """The sweep as one full ``run_to_einfty`` per point, in binary order."""
+    """The sweep as one full ``run_to_einfty`` per point, in binary order, each on a fresh spec.
+
+    A pickled record is rebuilt through its constructor, so the copy is equal to ``spec``
+    but keeps no starting page: each point builds its own, not the sweep's shared one.
+    """
     names = spec.unknown_names()
     out = {}
     for point in itertools.product((0, 1), repeat=len(names)):
+        fresh = pickle.loads(pickle.dumps(spec))
+        assert fresh == spec and "start_groups" not in vars(fresh)
         values = dict(zip(names, point))
-        out[tuple(zip(names, point))] = run_to_einfty(spec, resolve_assignment(spec, values))[1]
+        out[tuple(zip(names, point))] = run_to_einfty(fresh, resolve_assignment(fresh, values))[1]
     return out
 
 
@@ -1011,12 +1019,13 @@ def test_sweep_fork_equals_per_point_runs_with_a_page_two_unknown():
 
 
 def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
+    import sseqlab.fibration as fibration
     import sseqlab.specseq as specseq
 
     calls = {"build_e2": 0, "classify_arrows": 0}
 
-    def counted(name):
-        original = getattr(specseq, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -1024,8 +1033,10 @@ def test_sweep_builds_the_starting_page_and_the_arrow_table_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(specseq, name, counted(name))
+    # each hook sits in the module that calls it: the page engine builds the starting
+    # page, and FibrationSpec.arrows walks the arrows
+    for module, name in ((specseq, "build_e2"), (fibration, "classify_arrows")):
+        monkeypatch.setattr(module, name, counted(module, name))
     spec = g2_fibration_spec(24)  # a fresh spec: no arrow table cached yet
     sweep_unknowns(spec)
     assert calls == {"build_e2": 1, "classify_arrows": 1}
