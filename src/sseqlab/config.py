@@ -40,7 +40,6 @@ identity component of the triple loop space).
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -57,7 +56,7 @@ from .homotopy import (
     fibre_truncation_dims,
     loopspace_shift,
 )
-from .record import Record
+from .record import Record, kept
 
 if TYPE_CHECKING:
     from .steenrod import SteenrodTable
@@ -137,7 +136,7 @@ class WorkbenchConfig(Record):
         """The engine input, derived once per config through the fibre consistency gate."""
         return self._spec
 
-    @cached_property
+    @kept
     def _spec(self) -> FibrationSpec:
         """Declared names must equal an exact derived count or reach a lower bound;
         an undeclared degree gets ``u_<d>`` names for its derived count.  An

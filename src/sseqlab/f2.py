@@ -1,21 +1,20 @@
 """Exact linear algebra over the two-element field.
 
-Vectors and matrix rows are bit-packed into Python integers: bit ``i``
-of a word is the coefficient of coordinate ``i``, so every row
-operation is a single XOR of arbitrary-width machine words.  An
-``F2Vector`` is a slotted immutable value: equal and hashed by
-(length, bits), checked on every construction, copy and unpickling.  All
-returned bases are in reduced row-echelon form, which makes equality
+Vectors and matrix rows are bit-packed into Python integers: bit ``i`` of a word is
+the coefficient of coordinate ``i``, so every row operation is a single XOR of
+arbitrary-width machine words.  An ``F2Vector`` is a slotted immutable value: equal and
+hashed by (length, bits).  The public constructors, copies and unpickling check their
+input; f2's own results, in range by construction, take the trusted path (``_vector``,
+``_matrix``).  All returned bases are in reduced row-echelon form, which makes equality
 of subspaces testable as equality of basis lists.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError
-from .record import Record
+from .record import Record, kept
 
 
 def _parity(word: int) -> int:
@@ -30,8 +29,8 @@ def _lowest_bit(word: int) -> int:
 class F2Vector(Record):
     """A vector in F_2^length, support held in the bits of one integer.
 
-    An immutable value compared and hashed by (length, bits); slotted, so
-    the vectors the engine builds by the thousand stay cheap.
+    An immutable value compared and hashed by (length, bits), its range checked here (not
+    in ``_vector``); slotted, so the vectors the engine builds by the thousand stay cheap.
     """
 
     __slots__ = ("length", "bits")
@@ -90,6 +89,14 @@ _set_length = F2Vector.length.__set__
 _set_bits = F2Vector.bits.__set__
 
 
+def _vector(length: int, bits: int) -> F2Vector:
+    """``F2Vector(length, bits)`` unchecked: only for bits proven to lie below ``length``."""
+    v = object.__new__(F2Vector)
+    _set_length(v, length)
+    _set_bits(v, bits)
+    return v
+
+
 class F2Matrix(Record):
     """Dense matrix over F_2 with bit-packed rows (row-major); the column words are kept once."""
 
@@ -126,7 +133,8 @@ class F2Matrix(Record):
             rows = columns[0].length
         if any(col.length != rows for col in columns):
             raise UsageError("column length mismatch")
-        return cls(len(columns), rows, tuple(col.bits for col in columns)).transpose()
+        words = tuple(col.bits for col in columns)
+        return _matrix(rows, len(words), _transpose(words, rows), words)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -137,20 +145,20 @@ class F2Matrix(Record):
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def row(self, i: int) -> F2Vector:
-        return F2Vector(self.cols, self.row_bits[i])
+        if not 0 <= i < self.rows:
+            raise UsageError(f"row {i} out of range")
+        return _vector(self.cols, self.row_bits[i])
 
     def column(self, j: int) -> F2Vector:
         if not 0 <= j < self.cols:
             raise UsageError(f"column {j} out of range")
-        return F2Vector(self.rows, self._column_words[j])
+        return _vector(self.rows, self._column_words[j])
 
     def columns(self) -> list[F2Vector]:
-        return [F2Vector(self.rows, word) for word in self._column_words]
+        return [_vector(self.rows, word) for word in self._column_words]
 
     def transpose(self) -> "F2Matrix":
-        m = F2Matrix(self.cols, self.rows, self._column_words)
-        m.__dict__["_column_words"] = self.row_bits  # seeded: never transposed back
-        return m
+        return _matrix(self.cols, self.rows, self._column_words, self.row_bits)
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product m*v, with v of length cols."""
@@ -173,7 +181,7 @@ class F2Matrix(Record):
                 if _parity(word & col_word):
                     out |= 1 << j
             words.append(out)
-        return F2Matrix(self.rows, other.cols, tuple(words))
+        return _matrix(self.rows, other.cols, tuple(words))
 
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.row_bits)
@@ -181,12 +189,12 @@ class F2Matrix(Record):
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(self.rows))
 
-    @cached_property
+    @kept
     def _column_words(self) -> tuple[int, ...]:
         """Bit-packed columns: bit i of word j is entry (i, j)."""
         return _transpose(self.row_bits, self.cols)
 
-    @cached_property
+    @kept
     def _column_echelon(self) -> dict[int, int]:
         """One semi-echelon of the columns, column j tagged at bit ``rows + j``.
 
@@ -197,6 +205,15 @@ class F2Matrix(Record):
         """
         rows = self.rows
         return _echelon(word | 1 << (rows + j) for j, word in enumerate(self._column_words))
+
+
+def _matrix(rows: int, cols: int, row_bits: tuple, column_words: Optional[tuple] = None):
+    """Unchecked ``F2Matrix``: a tuple of ``rows`` words below ``1 << cols``, and its transpose."""
+    m = object.__new__(F2Matrix)
+    m.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
+    if column_words is not None:
+        m.__dict__["_column_words"] = column_words
+    return m
 
 
 def _transpose(words: Sequence[int], width: int) -> tuple[int, ...]:
@@ -253,7 +270,7 @@ def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
     for v in vectors:
         if v.length != length:
             raise UsageError("vector length mismatch")
-    return [F2Vector(length, word) for _, word in _rref_words(v.bits for v in vectors)]
+    return [_vector(length, word) for _, word in _rref_words(v.bits for v in vectors)]
 
 
 def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:
@@ -303,12 +320,12 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
             if row >> free & 1:
                 word |= 1 << p
         kernel_words.append(word)
-    return [F2Vector(m.cols, word) for _, word in _rref_words(kernel_words)]
+    return [_vector(m.cols, word) for _, word in _rref_words(kernel_words)]
 
 
 def image_basis(m: F2Matrix) -> list[F2Vector]:
     """RREF basis of the column space; size is rank(m)."""
-    return [F2Vector(m.rows, word) for _, word in _rref_words(m._column_words)]
+    return [_vector(m.rows, word) for _, word in _rref_words(m._column_words)]
 
 
 def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
@@ -330,7 +347,7 @@ def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
         if row is None:
             return None  # a pivot no column reaches: b is outside the column space
         y ^= row
-    return F2Vector(m.cols, y >> m.rows)
+    return _vector(m.cols, y >> m.rows)
 
 
 def quotient_dim(space: Sequence[F2Vector], subspace: Sequence[F2Vector]) -> int:

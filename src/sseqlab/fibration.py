@@ -7,7 +7,6 @@ spec's kept starting page load them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -15,7 +14,7 @@ from .errors import ValidationError
 from .graded import (
     Monomial, PolyAlgebraSpec, Polynomial, _degree_dim, basis_in_degree, format_monomial,
 )
-from .record import Record
+from .record import Record, kept
 
 if TYPE_CHECKING:
     from .specseq import DifferentialAssignment, EinftyReport, Page, PageGroup
@@ -120,23 +119,23 @@ class FibrationSpec(Record):
     def unknown_names(self) -> tuple[str, ...]:
         return tuple(u.name for u in self.unknowns)
 
-    @cached_property
+    @kept
     def arrows(self) -> tuple[Arrow, ...]:
         return tuple(classify_arrows(self))  # the spec is frozen: walk once
 
-    @cached_property
+    @kept
     def admissible(self) -> tuple[tuple[int, Bidegree, Bidegree], ...]:
         """The admissible (page, source, target) triples of ``arrows``, sorted."""
         return tuple(
             sorted((r, src, tgt) for r, src, tgt, verdict in self.arrows if verdict == ADMISSIBLE)
         )
 
-    @cached_property
+    @kept
     def last_page(self) -> int:
         """The highest page an admissible arrow sits on, or 1 when none does."""
         return max((r for r, _, _ in self.admissible), default=1)
 
-    @cached_property
+    @kept
     def start_groups(self) -> Mapping[Bidegree, PageGroup]:
         """The starting page's groups through total degree N + 1, built once, read-only."""
         from .specseq import start_groups  # the page engine loads with the first page

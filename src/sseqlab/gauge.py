@@ -10,20 +10,18 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from . import _deferred
 from .config import DEFAULT_EPSILON_RULE, EpsilonRule, WorkbenchConfig
 from .errors import ValidationError
+from .fibration import (
+    Bidegree, FibrationSpec, UnknownScalar, admissible_differentials, run_to_einfty,
+)
 from .graded import PolyAlgebraSpec
 from .homotopy import FGAbelianGroup, HomotopyTable, TableEntry
 from .record import Record
-from .specseq import (
-    Bidegree,
-    FibrationSpec,
-    UnknownScalar,
-    admissible_differentials,
-    resolve_assignment,
-    run_to_einfty,
-    total_dims,
-)
+
+resolve_assignment = _deferred("specseq", "resolve_assignment")  # loaded by the first branch
+total_dims = _deferred("specseq", "total_dims")
 
 G2_BASE = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_6", 6), ("x_7", 7)])
 

@@ -8,12 +8,12 @@ so graded commutativity reduces to plain commutativity.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 from operator import add
 from typing import Iterable
 
 from .errors import UsageError, ValidationError
-from .record import Record
+from .record import Record, kept
 
 
 class PolyAlgebraSpec(Record):
@@ -32,11 +32,11 @@ class PolyAlgebraSpec(Record):
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "PolyAlgebraSpec":
         return cls(tuple((str(n), int(d)) for n, d in pairs))
 
-    @cached_property
+    @kept
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    @cached_property
+    @kept
     def degrees(self) -> tuple[int, ...]:
         return tuple(degree for _, degree in self.generators)
 

@@ -5,6 +5,8 @@ them and stores them in the instance ``__dict__`` (or slots).  The base gives wh
 a frozen dataclass would, with no code generated at import: fields that cannot be
 assigned or deleted, equality of class and field tuple, the hash of that tuple, a
 ``Name(field=value, ...)`` repr, and copies and pickles rebuilt through ``__init__``.
+A ``kept`` attribute is derived from the fields on first read and stored in the instance
+``__dict__``; it stays frozen and takes no lock (``functools.cached_property`` does before 3.12).
 """
 
 from operator import attrgetter
@@ -49,3 +51,19 @@ class Record:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._plain()  # __init__ checks, and wraps mappings, again
+
+
+class kept:
+    """``func(record)``, stored on first read in the ``__dict__``, which shadows this non-data
+    descriptor; first reads racing in two threads may both compute it, but keep the first."""
+
+    def __init__(self, func) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        return record.__dict__.setdefault(self.name, self.func(record))

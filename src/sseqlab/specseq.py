@@ -16,19 +16,19 @@ are recorded as out-of-scope, never silently zeroed.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import F2Matrix, F2Vector, in_span, kernel_basis, reduce_against, row_reduce, solve
+from .f2 import _matrix, _transpose, _vector  # unchecked: for values in range by construction
 from .fibration import (  # re-exported: what the page engine reads of a spec
     ADMISSIBLE, BASE_ZERO, FIBRE_ZERO, NEGATIVE_FIBRE, UNIT_GEN, Arrow, Bidegree, BigradedBasis,
     FibrationSpec, Label, UnknownScalar, admissible_differentials, build_e2, classify_arrows,
     run_to_einfty,
 )
 from .graded import Polynomial
-from .record import Record
+from .record import Record, kept
 
 
 class DifferentialAssignment(Record):
@@ -158,7 +158,7 @@ class PageGroup(Record):
         """
         return list(self._quotient_reps)
 
-    @cached_property
+    @kept
     def _quotient_reps(self) -> tuple[F2Vector, ...]:
         """B is RREF, so ``reduce_against(B, .)`` is linear with kernel span B: a cycle lies
         in span(B and the kept cycles) exactly when its residue lies in the span of theirs,
@@ -263,7 +263,7 @@ def _page(
             while support:  # v.support, inlined
                 bits ^= label_bits[(support & -support).bit_length() - 1]
                 support &= support - 1
-            w = F2Vector(n_labels, bits)
+            w = _vector(n_labels, bits)
             if not in_span(target.cycles, w):
                 raise ValidationError(
                     f"d_{r} image at {target_bd} lies in a vanished subquotient: "
@@ -272,9 +272,9 @@ def _page(
             coords = solve(coordinates[key], w)
             assert coords is not None
             columns.append(coords.bits & rep_mask)
-        if columns and target_reps:
-            # the transpose of the images' coordinate rows; it keeps them as its column words
-            matrices[(s, t)] = F2Matrix(len(columns), len(target_reps), columns).transpose()
+        if columns and target_reps:  # the images' coordinates are its column words
+            n_reps, columns = len(target_reps), tuple(columns)
+            matrices[(s, t)] = _matrix(n_reps, len(columns), _transpose(columns, n_reps), columns)
     return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
 
 
@@ -286,7 +286,7 @@ def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
     """
     basis = build_e2(spec, total_bound=spec.degree_bound + 1)
     sizes = set(map(len, basis.groups.values()))
-    units = {n: tuple(F2Vector.unit(n, i) for i in range(n)) for n in sizes}
+    units = {n: tuple(_vector(n, 1 << i) for i in range(n)) for n in sizes}
     return MappingProxyType(
         {bd: PageGroup(ls, units[len(ls)], ()) for bd, ls in sorted(basis.groups.items())}
     )
@@ -322,7 +322,7 @@ def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vect
     while coefficients:
         bits ^= reps[(coefficients & -coefficients).bit_length() - 1].bits
         coefficients &= coefficients - 1
-    return F2Vector(length, bits)
+    return _vector(length, bits)
 
 
 def turn_page(page: Page) -> Page:

@@ -16,7 +16,6 @@ caller.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -31,7 +30,7 @@ from .graded import (
     basis_in_degree,
     multiply,
 )
-from .record import Record
+from .record import Record, kept
 
 
 class Violation(Record):
@@ -64,7 +63,7 @@ class SteenrodTable(Record):
         totals = {Monomial((0,) * len(algebra.generators)): {0: algebra.unit()}}  # Sq(1) = 1
         self.__dict__.update(algebra=algebra, action=MappingProxyType(dict(action)), _totals=totals)
 
-    @cached_property
+    @kept
     def _validated(self) -> tuple[Violation, ...]:
         """Every invariant on every entry and every slot up to its degree, by generator, index."""
         algebra, action = self.algebra, self.action

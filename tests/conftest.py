@@ -6,6 +6,7 @@ from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import (
     F2Matrix,
     F2Vector,
+    _transpose,
     in_span,
     kernel_basis,
     reduce_against,
@@ -255,3 +256,21 @@ def _validate_table_reference(table):
 @pytest.fixture
 def validate_table_reference():
     return _validate_table_reference
+
+
+def _assert_checked(*values):
+    """Each F_2 value, or each in a collection (None skipped), equals its twin built by the
+    checking public constructor, and a matrix's column words are the transpose of its rows."""
+    for value in values:
+        if isinstance(value, F2Vector):
+            assert F2Vector(value.length, value.bits) == value
+        elif isinstance(value, F2Matrix):
+            assert F2Matrix(value.rows, value.cols, value.row_bits) == value
+            assert value._column_words == _transpose(value.row_bits, value.cols)
+        elif value is not None:
+            _assert_checked(*value)
+
+
+@pytest.fixture
+def assert_checked():
+    return _assert_checked

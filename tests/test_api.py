@@ -112,3 +112,16 @@ def test_a_spec_and_its_arrows_load_no_page_engine():
     (loaded,) = loaded_modules(probe)
     assert "sseqlab.fibration" in loaded.split()
     assert {"sseqlab.specseq", "sseqlab.f2"}.isdisjoint(loaded.split())
+
+
+def test_the_default_spec_and_its_chart_load_no_page_engine():
+    probe = (
+        "spec = sseqlab.g2_fibration_spec(10)\n"
+        "spec.admissible\n"
+        "from sseqlab.chart import build_chart\n"
+        "build_chart(spec, 6)\n"
+        "report()\n"
+    )
+    (loaded,) = loaded_modules(probe)
+    assert {"sseqlab.gauge", "sseqlab.chart"} <= set(loaded.split())
+    assert {"sseqlab.specseq", "sseqlab.f2"}.isdisjoint(loaded.split())

@@ -512,3 +512,32 @@ def test_solve_reads_only_the_pivots_its_right_hand_side_meets(monkeypatch):
         CountingDict.reads = 0
         assert solve(m, F2Vector.unit(n, i)) == F2Vector.unit(n, n - 1 - i)
         assert 1 <= CountingDict.reads <= 2
+
+
+def test_row_refuses_an_index_outside_its_rows():
+    m = F2Matrix(2, 3, (1, 6))
+    assert [m.row(0), m.row(1)] == [F2Vector(3, 1), F2Vector(3, 6)]
+    for i in (-1, 2):
+        with pytest.raises(UsageError, match=f"^row {i} out of range$"):
+            m.row(i)
+    with pytest.raises(UsageError, match="^row 0 out of range$"):
+        F2Matrix(0, 3, ()).row(0)
+
+
+def test_trusted_results_equal_their_checked_twins(assert_checked):
+    rng = random.Random(2030)
+    solvable = 0
+    for m in _kernel_cases(rng):
+        other = F2Matrix(m.cols, 5, tuple(rng.getrandbits(5) for _ in range(m.cols)))
+        inside = m.apply(F2Vector(m.cols, rng.getrandbits(m.cols)))
+        solved = solve(m, inside)
+        solvable += solved is not None
+        columns = m.columns()
+        assert_checked(
+            row_reduce([m.row(i) for i in range(m.rows)]), kernel_basis(m), image_basis(m),
+            solved, solve(m, F2Vector(m.rows, rng.getrandbits(m.rows))),
+            [m.column(j) for j in range(m.cols)], columns, m.transpose(),
+            m.transpose().transpose(), F2Matrix.from_columns(columns, m.rows),
+            F2Matrix.from_columns([], m.rows), m.matmul(other), m.transpose().matmul(m),
+        )
+    assert solvable == 400

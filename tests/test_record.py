@@ -9,8 +9,11 @@ repr, equality and copies treat that copy as the dict it was built from.
 
 import copy
 import dataclasses
+import functools
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +21,9 @@ import sseqlab
 from sseqlab.config import WorkbenchConfig
 from sseqlab.chart import ChartSpec
 from sseqlab.f2 import F2Matrix, F2Vector, rank, solve
-from sseqlab.gauge import DEFAULT_EPSILON_RULE, EpsilonRule, GaugeBranch, GaugeReport
+from sseqlab.gauge import (
+    DEFAULT_EPSILON_RULE, EpsilonRule, GaugeBranch, GaugeReport, g2_fibration_spec,
+)
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
 from sseqlab.homotopy import DimEntry, FGAbelianGroup, GradedDims, HomotopyTable, TableEntry
 from sseqlab.specseq import (
@@ -29,7 +34,7 @@ from sseqlab.specseq import (
     PageGroup,
     UnknownScalar,
 )
-from sseqlab.record import Record
+from sseqlab.record import FrozenRecordError, Record, kept
 from sseqlab.steenrod import (
     DegreeHitData,
     HitReport,
@@ -331,3 +336,91 @@ def test_sequence_fields_are_stored_as_tuples():
     boundaries.append(F2Vector(2, 1))
     assert group.dim == 2 and group.quotient_basis() == [F2Vector(2, 1), F2Vector(2, 2)]
     assert len(group.labels) == 2 and group == twin
+
+
+def test_no_module_keeps_an_attribute_through_cached_property():
+    from sseqlab import config, f2, fibration, graded, specseq, steenrod
+
+    kept_names = []
+    for module in (config, f2, fibration, graded, specseq, steenrod):
+        for cls in [v for v in vars(module).values() if isinstance(v, type)]:
+            for name, attr in vars(cls).items():
+                assert not isinstance(attr, functools.cached_property), (cls, name)
+                kept_names += [f"{cls.__name__}.{name}"] if isinstance(attr, kept) else []
+    assert {"FibrationSpec.arrows", "F2Matrix._column_echelon", "PageGroup._quotient_reps",
+            "WorkbenchConfig._spec", "SteenrodTable._validated"} <= set(kept_names)
+
+
+def test_a_kept_attribute_is_computed_once_and_stays_frozen():
+    calls = []
+
+    class Doubled(Record):
+        def __init__(self, n: int) -> None:
+            self.__dict__["n"] = n
+
+        @kept
+        def double(self) -> int:
+            """Twice n."""
+            calls.append(self.n)
+            return 2 * self.n
+
+    record = Doubled(3)
+    assert record.double == 6 and record.double == 6 and calls == [3]
+    assert Doubled.double.func.__qualname__.endswith("Doubled.double")
+    assert Doubled.double.__doc__ == "Twice n."
+    assert record == Doubled(3) and record._key(record) == (3,)  # a kept value is no field
+    spec = g2_fibration_spec(10)
+    arrows = spec.arrows
+    for obj, name in ((record, "double"), (spec, "arrows"), (spec, "start_groups")):
+        with pytest.raises(FrozenRecordError):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenRecordError):
+            delattr(obj, name)
+    assert record.double == 6 and calls == [3] and spec.arrows is arrows
+
+
+def test_threads_reading_kept_attributes_first_all_see_the_one_value():
+    """8 threads on fresh shared objects, switching every microsecond: no read may see a
+    half-stored or different value (equality is the invariant; two threads may both compute)."""
+    rng = random.Random(2031)
+    n = 24
+    words = tuple(rng.getrandbits(n) for _ in range(n))
+    rhs = F2Vector(n, rng.getrandbits(n))
+    boundaries = sseqlab.f2.row_reduce([F2Vector(n, rng.getrandbits(n)) for _ in range(5)])
+    cycles = sseqlab.f2.row_reduce(boundaries + [F2Vector(n, rng.getrandbits(n)) for _ in range(9)])
+
+    def fresh():
+        group = PageGroup(tuple(range(n)), tuple(cycles), tuple(boundaries))
+        return g2_fibration_spec(10), group, F2Matrix(n, n, words)
+
+    def read(objects):
+        spec, group, matrix = objects
+        return spec.arrows, dict(spec.start_groups), group.quotient_basis(), solve(matrix, rhs)
+
+    expected = read(fresh())
+    rounds = [fresh() for _ in range(30)]
+    workers = 8
+    barrier = threading.Barrier(workers)
+    seen = [[] for _ in range(workers)]
+
+    def work(k):
+        try:
+            for objects in rounds:
+                barrier.wait(timeout=30)
+                seen[k].append(read(objects))
+        except BaseException:
+            barrier.abort()  # a thread that stops early stops the rest, which fall short
+            raise
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(values == [expected] * len(rounds) for values in seen)

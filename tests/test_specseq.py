@@ -1,6 +1,5 @@
 """Tests for the spectral sequence engine."""
 
-import functools
 import itertools
 import json
 import pickle
@@ -273,7 +272,7 @@ def test_each_group_computes_its_quotient_basis_once_per_sweep(window, monkeypat
         computed.setdefault(id(group), [group, 0])[1] += 1
         return original(group)
 
-    reps = functools.cached_property(counted)
+    reps = type(PageGroup.__dict__["_quotient_reps"])(counted)  # the descriptor that runs
     reps.__set_name__(PageGroup, "_quotient_reps")
     monkeypatch.setattr(PageGroup, "_quotient_reps", reps)
     calls = []
@@ -333,6 +332,20 @@ def pages_to_limit(spec, assignment):
         page = turn_page(page)
         pages.append(page)
     return [(p.r, p.differentials, p.unevaluated, p.groups) for p in pages]
+
+
+@pytest.mark.parametrize("window", [10, 24])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_every_group_and_differential_equals_its_checked_twin(window, eps, assert_checked):
+    spec = g2_fibration_spec(window)
+    pages = pages_to_limit(spec, resolve_assignment(spec, {"eps": eps}))
+    for _r, differentials, _unevaluated, groups in pages:
+        for group in groups.values():
+            assert_checked(group.cycles, group.boundaries, group.quotient_basis())
+            n = len(group.labels)
+            assert all(v.length == n for v in (*group.cycles, *group.boundaries))
+        assert_checked(differentials.values())
+    assert any(differentials for _r, differentials, _u, _g in pages) == bool(eps)
 
 
 def test_page_matches_the_per_support_reference_on_random_specs(monkeypatch, page_reference):
