@@ -306,10 +306,14 @@ def rank(m: F2Matrix) -> int:
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """RREF basis of {v : m*v = 0}; size is cols - rank(m)."""
-    reduced = _rref_words(m.row_bits)
-    if len(reduced) == m.cols:  # no free column
+    """RREF basis of {v : m*v = 0}; size is cols - rank(m).
+
+    One semi-echelon decides the rank; only a free column needs its rows back-substituted.
+    """
+    echelon = _echelon(m.row_bits)
+    if len(echelon) == m.cols:  # no free column
         return []
+    reduced = _rref_words(echelon.values())
     pivots = {p for p, _ in reduced}
     kernel_words = []
     for free in range(m.cols):

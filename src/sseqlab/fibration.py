@@ -7,6 +7,7 @@ spec's kept starting page load them.
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -182,7 +183,7 @@ def build_e2(spec: FibrationSpec, *, total_bound: Optional[int] = None) -> Bigra
             if s not in bases:
                 bases[s] = basis_in_degree(spec.base, s)
             if bases[s]:
-                groups[(s, t)] = tuple((m, g) for m in bases[s] for g in gens)
+                groups[(s, t)] = tuple(itertools.product(bases[s], gens))
     return BigradedBasis(bound, groups)
 
 
@@ -207,6 +208,7 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
     """
     out: list[Arrow] = []
     base_dims = [spec.base_dim(s) for s in range(spec.degree_bound + 2)]  # targets reach N + 1
+    live = {t for t, gens in spec.fibre_gens.items() if gens}.union(spec.unproven_degrees)
     for t in spec.fibre_degrees():
         if t < 1 or not spec.fibre_dim(t):
             continue
@@ -217,7 +219,7 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
                 target = (s + r, t - r + 1)
                 if base_dims[target[0]] == 0:
                     verdict = BASE_ZERO
-                elif spec.fibre_dim(target[1]) == 0 and target[1] not in spec.unproven_degrees:
+                elif target[1] not in live:
                     verdict = FIBRE_ZERO
                 else:
                     verdict = ADMISSIBLE

@@ -20,6 +20,7 @@ class PolyAlgebraSpec(Record):
     """Polynomial algebra F_2[g_1, ..., g_n] with deg(g_i) >= 1."""
 
     def __init__(self, generators: tuple[tuple[str, int], ...]) -> None:
+        generators = tuple(generators)
         names = [name for name, _ in generators]
         if len(set(names)) != len(names):
             raise ValidationError("generator names must be distinct")
@@ -66,6 +67,7 @@ class Monomial(Record):
     __slots__ = ("exponents", "packed")
 
     def __init__(self, exponents: tuple[int, ...]) -> None:
+        exponents = tuple(exponents)
         if exponents and min(exponents) < 0:
             raise UsageError("negative exponent")
         if exponents and max(exponents) >> _FIELD:

@@ -282,14 +282,20 @@ def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
     """The starting page's groups through total degree N + 1, read-only; the spec keeps them.
 
     Groups of one size share their unit vectors, so ``_page`` builds one
-    coordinate matrix per size.
+    coordinate matrix per size, and their quotient reps: the first group of
+    a size computes them, and the others are seeded with its tuple.
     """
     basis = build_e2(spec, total_bound=spec.degree_bound + 1)
     sizes = set(map(len, basis.groups.values()))
     units = {n: tuple(_vector(n, 1 << i) for i in range(n)) for n in sizes}
-    return MappingProxyType(
-        {bd: PageGroup(ls, units[len(ls)], ()) for bd, ls in sorted(basis.groups.items())}
-    )
+    groups, reps = {}, {}
+    for bd, labels in sorted(basis.groups.items()):
+        group = groups[bd] = PageGroup(labels, units[len(labels)], ())
+        if len(labels) in reps:
+            group.__dict__["_quotient_reps"] = reps[len(labels)]
+        else:
+            reps[len(labels)] = group._quotient_reps
+    return MappingProxyType(groups)
 
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:

@@ -327,6 +327,26 @@ def test_kernels_equal_the_full_rref_reference(monkeypatch, rref_reference, solv
     assert solvable > 50 and unsolvable > 50
 
 
+def test_a_full_rank_kernel_runs_no_back_substitution(monkeypatch, rref_reference):
+    import sseqlab.f2 as f2
+
+    rng = random.Random(2027)
+    full = deficient = 0
+    for m in _kernel_cases(rng):
+        if len(rref_reference(m.row_bits)) == m.cols:
+            with monkeypatch.context() as patch:
+                patch.setattr(f2, "_rref_words", lambda words: pytest.fail("back-substitution ran"))
+                assert kernel_basis(m) == []
+            full += 1
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(f2, "_rref_words", rref_reference)
+                expected = kernel_basis(m)
+            assert kernel_basis(m) == expected and len(expected) > 0
+            deficient += 1
+    assert full > 50 and deficient > 50
+
+
 def test_solve_keeps_one_elimination_per_matrix(monkeypatch, solve_reference):
     import sseqlab.f2 as f2
 

@@ -203,6 +203,17 @@ def test_monomial_refuses_a_negative_exponent_and_accepts_no_generators():
     assert Monomial((0, 2)).exponents == (0, 2)
 
 
+def test_records_built_from_lists_equal_their_tuple_twins():
+    for built, twin in (
+        (Monomial([1, 0]), Monomial((1, 0))),
+        (PolyAlgebraSpec([("x", 2)]), PolyAlgebraSpec((("x", 2),))),
+    ):
+        assert built == twin and hash(built) == hash(twin)
+        assert len({built, twin}) == 1
+    assert Monomial([1, 0]).exponents == (1, 0)
+    assert PolyAlgebraSpec([("x", 2)]).generators == (("x", 2),)
+
+
 # ---------------------------------------------------------------- packed monomials
 
 

@@ -265,28 +265,32 @@ def test_quotient_basis_matches_reference_on_random_nested_spaces(greedy_referen
 
 @pytest.mark.parametrize("window", [10, 24])
 def test_each_group_computes_its_quotient_basis_once_per_sweep(window, monkeypatch):
-    computed = {}  # id -> [group, computations]; the group is held so no id is reused
+    """Each distinct (cycles, boundaries) pair is computed once: same-size starting-page
+    groups share theirs, and a group read again (``_page``'s source and target, then
+    ``turn_page``) reads its kept reps."""
+    computed = Counter()  # (cycles, boundaries) -> computations
     original = PageGroup.__dict__["_quotient_reps"].func
 
     def counted(group):
-        computed.setdefault(id(group), [group, 0])[1] += 1
+        computed[group.cycles, group.boundaries] += 1
         return original(group)
 
     reps = type(PageGroup.__dict__["_quotient_reps"])(counted)  # the descriptor that runs
     reps.__set_name__(PageGroup, "_quotient_reps")
     monkeypatch.setattr(PageGroup, "_quotient_reps", reps)
-    calls = []
+    reads = []  # (group, reps returned); the group is held so no id is reused
     quotient_basis = PageGroup.quotient_basis
 
     def traced(group):
-        calls.append(id(group))
-        return quotient_basis(group)
+        reads.append((group, quotient_basis(group)))
+        return reads[-1][1]
 
     monkeypatch.setattr(PageGroup, "quotient_basis", traced)
     sweep_unknowns(g2_fibration_spec(window))
-    assert computed and all(n == 1 for _group, n in computed.values())
-    assert set(calls) == set(computed)
-    assert len(calls) > len(computed)  # _page (source and target) and turn_page share one result
+    assert computed and set(computed.values()) == {1}
+    assert {(group.cycles, group.boundaries) for group, _ in reads} == set(computed)
+    assert all(got == list(original(group)) for group, got in reads)
+    assert len(reads) > len({id(group) for group, _ in reads}) > sum(computed.values())
 
 
 def test_mutating_a_quotient_basis_leaves_the_group_unchanged():
@@ -332,6 +336,25 @@ def pages_to_limit(spec, assignment):
         page = turn_page(page)
         pages.append(page)
     return [(p.r, p.differentials, p.unevaluated, p.groups) for p in pages]
+
+
+def assert_start_reps_are_fresh(spec):
+    """Every starting-page group's reps, seeded or computed, equal a fresh computation."""
+    compute = PageGroup.__dict__["_quotient_reps"].func
+    groups = spec.start_groups
+    assert all("_quotient_reps" in group.__dict__ for group in groups.values())
+    for group in groups.values():
+        assert group.quotient_basis() == list(compute(group))
+        assert len(group.quotient_basis()) == group.dim == len(group.labels)
+    return len(groups) - len({len(group.labels) for group in groups.values()})
+
+
+def test_seeded_starting_reps_equal_a_fresh_computation():
+    seeded = sum(assert_start_reps_are_fresh(g2_fibration_spec(n)) for n in (10, 24, 60))
+    rng = random.Random(1010)
+    for _ in range(100):
+        seeded += assert_start_reps_are_fresh(random_fibration(rng)[0])
+    assert seeded > 100  # groups that read a same-size group's tuple
 
 
 @pytest.mark.parametrize("window", [10, 24])
