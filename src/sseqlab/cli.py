@@ -24,7 +24,7 @@ from .config import WorkbenchConfig, load_config
 from .errors import InvariantBreach, SseqlabError, ValidationError
 from .fibration import ADMISSIBLE, BASE_ZERO, FibrationSpec, build_e2, run_to_einfty
 from .graded import format_monomial
-from .homotopy import fibre_truncation_dims, hurewicz_homology, loopspace_shift
+from .homotopy import FIBRE_TOP, fibre_truncation_dims, hurewicz_homology, loopspace_shift
 
 # only the command that calls one of these loads its module
 resolve_assignment = _deferred("specseq", "resolve_assignment")
@@ -232,7 +232,7 @@ def cmd_uct(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
         raise ValidationError("the uct command needs a homotopy section")
     rows = [["step", "degree", "value", "provenance"]]
     shifted = loopspace_shift(cfg.homotopy, 3)
-    homology = hurewicz_homology(shifted, 5)
+    homology = hurewicz_homology(shifted, FIBRE_TOP)
     for step, entries in (
         ("input", cfg.homotopy.items()),
         ("shifted", shifted.items()),

@@ -283,9 +283,17 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are positive")
         if degree in fibre_explicit:
             raise ValidationError(f"duplicate fibre degree {degree}")
-        if not value.split():
+        names = value.split()
+        if not names:
             raise ValidationError("fibre line needs at least one generator name")
-        fibre_explicit[degree] = tuple(value.split())
+        seen = {g for gens in fibre_explicit.values() for g in gens}
+        for name in names:
+            if name == UNIT_GEN:
+                raise ValidationError(f"fibre generator {name!r} is the unit's name")
+            if name in seen:
+                raise ValidationError(f"duplicate fibre generator {name!r}")
+            seen.add(name)
+        fibre_explicit[degree] = tuple(names)
 
     unknowns: list[UnknownScalar] = []
     def unknown(key, value):

@@ -230,8 +230,11 @@ class GradedDims(Record):
         return sorted(self.dims.items())
 
 
-def fibre_truncation_dims(table: HomotopyTable, top: int = 5) -> GradedDims:
-    """Mod-2 cohomology dims of the fibre in degrees 0..top.
+FIBRE_TOP = 5  # the fibre's cohomology is derived in degrees 0..FIBRE_TOP
+
+
+def fibre_truncation_dims(table: HomotopyTable) -> GradedDims:
+    """Mod-2 cohomology dims of the fibre in degrees 0..FIBRE_TOP.
 
     Chains the Hurewicz transfer and universal coefficients on an
     (already loop-shifted) table.  A dimension is a lower bound when
@@ -239,11 +242,11 @@ def fibre_truncation_dims(table: HomotopyTable, top: int = 5) -> GradedDims:
     mod-2 Hom and Ext only grow as torsion is added, so the computed
     value bounds every structure consistent with the table.
     """
-    homology = hurewicz_homology(table, top)
+    homology = hurewicz_homology(table, FIBRE_TOP)
     # degree-0 homology of a path-connected space
     homology[0] = TableEntry(FGAbelianGroup.free(1), True, "path-connected")
     dims = {0: DimEntry(1, True)}
-    for j in range(1, top + 1):
+    for j in range(1, FIBRE_TOP + 1):
         below, here = homology[j - 1], homology[j]
         value = uct_cohomology_dim(below.group, here.group)
         dims[j] = DimEntry(value, below.exact and here.exact)

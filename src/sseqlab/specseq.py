@@ -36,26 +36,26 @@ class DifferentialAssignment(Record):
 
     Images are base-row polynomials keyed by (generator, page); a zero
     polynomial is an explicit declaration that the differential
-    vanishes; both maps are read-only copies.  ``_checked``, outside the
-    fields, is the spec whose ``check_images`` this assignment passed.
+    vanishes; both maps are read-only copies.  Nothing is checked here:
+    a run checks the assignment against its spec with ``check_images``.
     """
 
     def __init__(
         self, values: Mapping[str, int], generator_images: Mapping[tuple[str, int], Polynomial]
     ) -> None:
         values, images = MappingProxyType(dict(values)), MappingProxyType(dict(generator_images))
-        self.__dict__.update(values=values, generator_images=images, _checked=None)
+        self.__dict__.update(values=values, generator_images=images)
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
         return self.generator_images.get((gen, r))
 
 
-def resolve_assignment(
-    spec: FibrationSpec,
-    values: Mapping[str, int],
-    extra_images: Optional[Mapping[tuple[str, int], Polynomial]] = None,
-) -> DifferentialAssignment:
-    """Turn unknown values (plus optional direct images) into an assignment."""
+def resolve_assignment(spec: FibrationSpec, values: Mapping[str, int]) -> DifferentialAssignment:
+    """Turn unknown values into an assignment: each unknown's image is its target, or zero.
+
+    The values are checked here, before any page is built; the spec-level
+    checks of ``check_images`` come when a run starts.
+    """
     names = set(spec.unknown_names())
     for name in values:
         if name not in names:
@@ -66,29 +66,22 @@ def resolve_assignment(
     for name, v in values.items():
         if v not in (0, 1):
             raise ValidationError(f"unknown {name!r} must be 0 or 1, got {v!r}")
-    images: dict[tuple[str, int], Polynomial] = {}
-    for u in spec.unknowns:
-        images[(u.generator, u.page)] = (
-            u.target if values[u.name] else Polynomial.zero()
-        )
-    for (gen, r), poly in (extra_images or {}).items():
-        if (gen, r) in images and images[(gen, r)] != poly:
-            raise UsageError(f"conflicting image for d_{r}({gen})")
-        images[(gen, r)] = poly
-    assignment = DifferentialAssignment(values, images)
-    check_images(spec, assignment)
-    return assignment
+    images = {
+        (u.generator, u.page): u.target if values[u.name] else Polynomial.zero()
+        for u in spec.unknowns
+    }
+    return DifferentialAssignment(values, images)
 
 
 def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
-    """Validate an assignment's generator images against the spec.
+    """Validate an assignment against the spec: the one gate, where each run starts.
 
-    Every image must sit on page >= 2, and a nonzero one must be a
-    transgression onto the base row, homogeneous of its page's degree.
-    Every generator that supports an admissible transgression needs a
-    declared image (possibly zero), and no fibre degree in the window may
-    be unproven: its missing classes could support or kill any class.
-    A passed check is kept on the assignment, where ``initial_page`` reads it.
+    ``initial_page`` calls it, and so does ``leibniz_extend`` given a page.  No
+    fibre degree in the window may be unproven: its missing classes could
+    support or kill any class.  Every image must sit on page >= 2, and a
+    nonzero one must be a transgression onto the base row, homogeneous of its
+    page's degree.  Every generator that supports an admissible transgression
+    needs a declared image (possibly zero), and every unknown a value.
     """
     unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
     if unproven:
@@ -119,12 +112,9 @@ def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> Non
                 raise UsageError(
                     f"no image declared for d_{r}({gen}); declare it (possibly zero)"
                 )
-    object.__setattr__(assignment, "_checked", spec)
-
-
-def _require_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
-    if assignment._checked is not spec:
-        check_images(spec, assignment)
+    missing = set(spec.unknown_names()) - set(assignment.values)
+    if missing:
+        raise UsageError(f"unresolved unknowns: {', '.join(sorted(missing))}")
 
 
 # ------------------------------------------------------------------ pages
@@ -300,7 +290,7 @@ def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
 
 def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Page:
     """The starting page (r = 2) over the spec's kept groups, through total degree N + 1."""
-    _require_images(spec, assignment)
+    check_images(spec, assignment)
     return _page(spec, assignment, 2, spec.start_groups)
 
 
@@ -318,7 +308,7 @@ def leibniz_extend(
     if page is None:
         page = initial_page(spec, assignment)
     else:
-        _require_images(spec, assignment)
+        check_images(spec, assignment)
     return _page(spec, assignment, r, page.groups).differentials
 
 
@@ -382,9 +372,6 @@ def limit_page(
     so does each page with no nonzero image: one ``_page`` call skips them
     all, to the next page with an image or past the spec's last page.
     """
-    missing = set(spec.unknown_names()) - set(assignment.values)
-    if missing:
-        raise UsageError(f"unresolved unknowns: {', '.join(sorted(missing))}")
     page, last_page = initial_page(spec, assignment), spec.last_page
     image_pages = {r for (_gen, r), image in assignment.generator_images.items() if image}
     while page.r <= last_page:
@@ -410,8 +397,8 @@ def sweep_unknowns(
 ) -> dict[tuple[tuple[str, int], ...], EinftyReport]:
     """Limit reports for every point of F_2^unknowns, in binary order.
 
-    Every point is resolved before any page is built, so a refused point
-    refuses the sweep; each then runs from the spec's kept starting page.
+    Every point's values are checked before any page is built, spec-level refusals
+    come at the first run, and each point runs from the spec's kept starting page.
     """
     names = spec.unknown_names()
     points = [tuple(zip(names, p)) for p in itertools.product((0, 1), repeat=len(names))]

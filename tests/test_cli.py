@@ -123,6 +123,25 @@ def test_gauge_k4_single_branch():
     assert data_rows == ["4,0,0,0,1,0,0,0,1,1,1,1,1,1,1"]  # k, class, branch, eps, dims
 
 
+def test_gauge_class_with_a_known_nonzero_residue_is_pinned_by_the_rule(tmp_path):
+    # class 2 holds no residue 0, so its known value is the rule's, not the trivial bundle's
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((ROOT / "g2.cfg").read_text().replace("class = 2\n", "class = 2 : 0\n"))
+    code, out, err = run_cli("--config", str(cfg), "gauge", "--k", "2")
+    assert (code, err) == (0, "")
+    assert "\nclass 2: eps = 0 is pinned by the residue rule\n" in out
+    csv_part = out.split("# ==== gauge_log.txt ====")[0]
+    assert [l[:6] for l in csv_part.splitlines() if l.startswith("2,")] == ["2,2,0,"]
+
+
+def test_uct_input_row_shows_a_free_rank_above_one(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((ROOT / "g2.cfg").read_text().replace("3 = Z ;", "3 = Z^2 ;"))
+    code, out, err = run_cli("--config", str(cfg), "uct")
+    assert (code, err) == (0, "")
+    assert "\ninput,3,Z^2,Mimura-Toda\n" in out
+
+
 def test_gauge_k1_two_branches():
     code, out, _ = run_cli("--config", G2, "gauge", "--k", "1")
     assert code == 0
@@ -290,6 +309,49 @@ REFUSALS = {
     "unknown target of the wrong degree": (
         "c.cfg", ONE_ARROW + "e = d2 e -> x^2\n", ["e2"],
         "unknown e: target must be homogeneous of degree 2",
+    ),
+    # a fibre name the spec would find twice is refused at its own line
+    "fibre generator on two lines": (
+        "c.cfg", G2_TEXT.replace("derive = homotopy", "derive = homotopy\n6 = v\n7 = v"),
+        ["e2"], "line 26: duplicate fibre generator 'v'",
+    ),
+    "fibre generator twice on one line": (
+        "c.cfg", G2_TEXT.replace("derive = homotopy", "derive = homotopy\n6 = v v"),
+        ["e2"], "line 25: duplicate fibre generator 'v'",
+    ),
+    "fibre generator named as the unit": (
+        "c.cfg", G2_TEXT.replace("derive = homotopy", "derive = homotopy\n6 = 1"),
+        ["e2"], "line 25: fibre generator '1' is the unit's name",
+    ),
+    "json fibre generator in two degrees": (
+        "c.json", '{"base": [["x", 2]], "fibre": {"generators": {"1": ["e"], "3": ["e"]}}}',
+        ["e2"], "fibre.generators.3: duplicate fibre generator 'e'",
+    ),
+    "empty factor in a target": (
+        "c.cfg", G2_TEXT.replace("-> x_6\n", "-> x_6*\n"), ["e2"],
+        "line 27: empty factor in monomial 'x_6*'",
+    ),
+    "exponent that is not an integer": (
+        "c.cfg", G2_TEXT.replace("-> x_6\n", "-> x_6^a\n"), ["e2"],
+        "line 27: bad exponent 'a' in 'x_6^a'",
+    ),
+    "negative exponent": (
+        "c.cfg", G2_TEXT.replace("-> x_6\n", "-> x_6^-1\n"), ["e2"],
+        "line 27: negative exponent in 'x_6^-1'",
+    ),
+    "negative free rank": (
+        "c.cfg", G2_TEXT.replace("3 = Z ;", "3 = Z^-1 ;"), ["e2"],
+        "line 16: free rank must be nonnegative",
+    ),
+    "torsion coefficient one": (
+        "c.cfg", G2_TEXT.replace("3 = Z ;", "3 = Z/1 ;"), ["e2"],
+        "line 16: torsion coefficients must be >= 2",
+    ),
+    "json epsilon field unknown": (
+        "c.json",
+        '{"base": [["x", 2]], "epsilon": {"modulus": 1, "classes": [{"residues": [0]}], '
+        '"nope": 1}}',
+        ["e2"], "epsilon.nope: unknown field 'nope'",
     ),
 }
 

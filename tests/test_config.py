@@ -593,3 +593,24 @@ def test_negative_square_and_mixed_degree_target_name_their_line():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.problems == [f"line {line}: polynomial is not homogeneous: degrees [4, 6]"]
+
+
+@pytest.mark.parametrize(
+    "lines, generators, where, message",
+    [
+        ("1 = e\n3 = e\n", {"1": ["e"], "3": ["e"]}, ("line 5", "fibre.generators.3"),
+         "duplicate fibre generator 'e'"),
+        ("1 = e e\n", {"1": ["e", "e"]}, ("line 4", "fibre.generators.1"),
+         "duplicate fibre generator 'e'"),
+        ("1 = 1\n", {"1": ["1"]}, ("line 4", "fibre.generators.1"),
+         "fibre generator '1' is the unit's name"),
+    ],
+    ids=["on two lines", "twice on one line", "the unit's name"],
+)
+def test_a_fibre_name_the_spec_would_see_twice_names_its_line(lines, generators, where, message):
+    with pytest.raises(ConfigError) as text_err:
+        parse_config("[base]\nx = 2\n[fibre]\n" + lines)
+    assert text_err.value.problems == [f"{where[0]}: {message}"]
+    with pytest.raises(ConfigError) as json_err:
+        parse_config_json(json.dumps({"base": [["x", 2]], "fibre": {"generators": generators}}))
+    assert json_err.value.problems == [f"{where[1]}: {message}"]

@@ -239,9 +239,6 @@ def make_twin(record, fields, options):
             spec_fields.append((item[0], object, dataclasses.field(default_factory=dict)))
         else:
             spec_fields.append((item[0], object, dataclasses.field(default=item[1])))
-    if record is DifferentialAssignment:
-        hidden = dataclasses.field(default=None, init=False, repr=False, compare=False)
-        spec_fields.append(("_checked", object, hidden))
     return dataclasses.make_dataclass(record.__name__, spec_fields, **{"frozen": True, **options})
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sseqlab.config import parse_config
 from sseqlab.errors import UsageError, ValidationError
 from sseqlab.f2 import F2Vector, rank, reduce_against, row_reduce
 from sseqlab.gauge import g2_fibration_spec
@@ -145,21 +146,10 @@ def test_leibniz_requires_images_for_admissible_generators():
         leibniz_extend(SPEC, empty, 6)
 
 
-def test_resolve_rejects_image_landing_off_base_row():
-    with pytest.raises(ValidationError):
-        resolve_assignment(
-            SPEC, {"eps": 0}, extra_images={("u_5", 3): SPEC.base.gen("x_4")}
-        )
-
-
 ASSIGNMENT_REFUSALS = {
     "value outside F_2": (
         lambda: resolve_assignment(SPEC, {"eps": 2}),
         ValidationError, "unknown 'eps' must be 0 or 1, got 2",
-    ),
-    "extra image against the unknown's": (
-        lambda: resolve_assignment(SPEC, {"eps": 1}, {("u_5", 6): Polynomial.zero()}),
-        UsageError, "conflicting image for d_6(u_5)",
     ),
     "image on page one": (
         lambda: check_images(SPEC, DifferentialAssignment({}, {("u_5", 1): Polynomial.zero()})),
@@ -168,6 +158,11 @@ ASSIGNMENT_REFUSALS = {
     "image of the wrong degree": (
         lambda: check_images(SPEC, DifferentialAssignment({}, {("u_5", 6): SPEC.base.gen("x_4")})),
         ValidationError, "image of d_6(u_5) must be homogeneous of degree 6",
+    ),
+    "image off its page": (
+        lambda: check_images(SPEC, DifferentialAssignment({}, {("u_5", 3): SPEC.base.gen("x_4")})),
+        ValidationError,
+        "nonzero image of d_3(u_5) cannot land on the base row (transgression page is 6)",
     ),
 }
 
@@ -325,7 +320,7 @@ def random_fibration(rng):
                 images[(g, r)] = Polynomial.zero()
             terms = [m for m in basis_in_degree(base, t + 1) if rng.random() < 0.6]
             images[(g, t + 1)] = Polynomial.of(*terms)
-    return spec, resolve_assignment(spec, {}, images)
+    return spec, DifferentialAssignment({}, images)
 
 
 def pages_to_limit(spec, assignment):
@@ -763,11 +758,34 @@ def test_run_requires_resolved_unknowns():
 
 
 def test_run_refuses_a_hand_built_assignment_that_omits_a_value():
-    # every image is declared, so check_images passes; only the run's own check refuses it
+    # every image is declared; the image check's last rule refuses the missing value
     assignment = DifferentialAssignment({}, {("u_5", 6): SPEC.base.gen("x_6")})
-    check_images(SPEC, assignment)
-    with pytest.raises(UsageError, match="unresolved unknowns: eps"):
-        run_to_einfty(SPEC, assignment)
+    for call in (check_images, run_to_einfty):
+        with pytest.raises(UsageError) as info:
+            call(SPEC, assignment)
+        assert str(info.value) == "unresolved unknowns: eps"
+
+
+def test_a_spec_with_an_unproven_degree_is_refused_where_each_run_starts():
+    # pi_6 only known to contain Z/3: fibre degree 3 is >=0, which no value can refuse
+    text = (Path(__file__).resolve().parents[1] / "g2.cfg").read_text()
+    spec = parse_config(text.replace("6 = Z/3", "6 = contains Z/3")).fibration_spec()
+    assignment = resolve_assignment(spec, {"eps": 1})
+    assert isinstance(assignment, DifferentialAssignment)
+    runs = {
+        "run_to_einfty": lambda: run_to_einfty(spec, assignment),
+        "initial_page": lambda: initial_page(spec, assignment),
+        "leibniz_extend": lambda: leibniz_extend(spec, assignment, 6),
+        "leibniz_extend given a page": lambda: leibniz_extend(
+            spec, assignment, 6, page=initial_page(SPEC, assignment_for(1))
+        ),
+    }
+    for name, run in runs.items():
+        with pytest.raises(UsageError) as info:
+            run()
+        assert str(info.value).startswith(
+            "fibre degree 3 is only bounded below (>=0), so no page can be turned"
+        ), name
 
 
 def test_kept_values_refuse_the_edits_that_once_got_past_their_checks():
