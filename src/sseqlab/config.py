@@ -93,17 +93,10 @@ class EpsilonRule(Record):
         self.__dict__.update(modulus=modulus, classes=classes, known_values=known_values)
 
     def label_of(self, k: int) -> str:
-        residue = k % self.modulus
-        for label, residues in self.classes:
-            if residue in residues:
-                return label
-        raise AssertionError("partition invariant violated")
+        return next(label for label, residues in self.classes if k % self.modulus in residues)
 
     def known(self, label: str) -> Optional[int]:
-        for lab, value in self.known_values:
-            if lab == label:
-                return value
-        return None
+        return dict(self.known_values).get(label)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.classes)
@@ -114,6 +107,14 @@ DEFAULT_EPSILON_RULE = EpsilonRule(
     classes=(("0", (0,)), ("2", (2,)), ("1,3", (1, 3))),
     known_values=(("0", 0),),
 )
+
+
+class FibreNameClash(ValidationError):
+    """A declared fibre name that a derived degree's class would also get; ``name`` locates it."""
+
+    def __init__(self, name: str, degree: int) -> None:
+        super().__init__(f"fibre generator {name!r} is the name derived for fibre degree {degree}")
+        self.name = name
 
 
 class WorkbenchConfig(Record):
@@ -139,9 +140,9 @@ class WorkbenchConfig(Record):
     @kept
     def _spec(self) -> FibrationSpec:
         """Declared names must equal an exact derived count or reach a lower bound;
-        an undeclared degree gets ``u_<d>`` names for its derived count.  An
-        undeclared ``>=0`` degree gets none and is recorded as unproven, not zero.
-        """
+        an undeclared degree gets ``u_<d>`` names for its derived count, which no
+        declared name may take.  An undeclared ``>=0`` degree gets none and is
+        recorded as unproven, not zero."""
         if 0 in self.fibre_explicit:
             raise ValidationError(_UNIT_DEGREE)
         dims = {}
@@ -151,6 +152,7 @@ class WorkbenchConfig(Record):
             derived = fibre_truncation_dims(loopspace_shift(self.homotopy, 3))
             dims = {degree: entry for degree, entry in derived.items() if degree}
         fibre: dict[int, tuple[str, ...]] = {0: (UNIT_GEN,)}
+        declared = {g for gens in self.fibre_explicit.values() for g in gens}
         for degree in {**dims, **self.fibre_explicit}:
             names = self.fibre_explicit.get(degree)
             entry = dims.get(degree, DimEntry(0, exact=False))  # not derived: any count
@@ -159,6 +161,8 @@ class WorkbenchConfig(Record):
                     f"u_{degree}_{i}" if entry.value > 1 else f"u_{degree}"
                     for i in range(entry.value)
                 )
+                for name in declared.intersection(names):
+                    raise FibreNameClash(name, degree)
             elif entry.exact and len(names) != entry.value:
                 raise ValidationError(
                     f"fibre degree {degree} contradicts the derived truncation "
@@ -389,8 +393,10 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     # the consistency gate runs at parse time so bad configs never load; its spec is kept
     try:
         cfg.fibration_spec()
-    except ValidationError as exc:
-        raise ConfigError([str(exc)]) from None
+    except ValidationError as exc:  # a derived name's clash is located at its declaring row
+        clash = getattr(exc, "name", None)
+        where = [w for w, _d, names in rows.get("fibre", ()) if clash in names.split()]
+        raise ConfigError([": ".join([*where, str(exc)])]) from None
     return cfg
 
 

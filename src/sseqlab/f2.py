@@ -263,14 +263,13 @@ def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
 
 
 def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    length = vectors[0].length
+    """RREF basis of the span, each distinct word reduced once; a row equal to an input is it."""
+    length, given = vectors[0].length if vectors else 0, {}
     for v in vectors:
         if v.length != length:
             raise UsageError("vector length mismatch")
-    return [_vector(length, word) for _, word in _rref_words(v.bits for v in vectors)]
+        given.setdefault(v.bits, v)
+    return [given.get(word) or _vector(length, word) for _, word in _rref_words(given)]
 
 
 def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:

@@ -199,6 +199,17 @@ class Page(Record):
             if sum(bd) <= self.spec.degree_bound and group.dim > 0
         )
 
+    @kept
+    def _images(self) -> Mapping[Bidegree, tuple[F2Vector, ...]]:
+        """Each d_r's images by source: the sums of the target reps its columns name.  ``_page``
+        seeds the images it checked, which differ by boundaries: the next page is the same."""
+        r, images = self.r, {}
+        for (s, t), m in self.differentials.items():
+            target = self.groups[(s + r, t - r + 1)]
+            reps, n = target.quotient_basis(), len(target.labels)
+            images[(s, t)] = tuple(_combine(n, reps, col) for col in m._column_words)
+        return MappingProxyType(images)
+
 
 def _page(
     spec: FibrationSpec,
@@ -209,6 +220,7 @@ def _page(
 ) -> Page:
     """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
     matrices: dict[Bidegree, F2Matrix] = {}
+    images: dict[Bidegree, tuple[F2Vector, ...]] = {}
     unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
     # each generator's nonzero d_r image, as its packed base monomials; Leibniz then gives
     # d(m (x) g) = m * d(g) on the base row, and a packed product is a sum
@@ -247,7 +259,7 @@ def _page(
         if key not in coordinates:
             coordinates[key] = F2Matrix.from_columns([*target_reps, *target.boundaries], n_labels)
         rep_mask = (1 << len(target_reps)) - 1
-        columns = []
+        columns, vectors = [], []
         for v in source_reps:
             bits, support = 0, v.bits
             while support:  # v.support, inlined
@@ -262,10 +274,14 @@ def _page(
             coords = solve(coordinates[key], w)
             assert coords is not None
             columns.append(coords.bits & rep_mask)
+            vectors.append(w)
         if columns and target_reps:  # the images' coordinates are its column words
             n_reps, columns = len(target_reps), tuple(columns)
             matrices[(s, t)] = _matrix(n_reps, len(columns), _transpose(columns, n_reps), columns)
-    return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
+            images[(s, t)] = tuple(vectors)
+    page = Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
+    page.__dict__["_images"] = MappingProxyType(images)  # the checked images, as turn_page reads
+    return page
 
 
 def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
@@ -344,16 +360,14 @@ def turn_page(page: Page) -> Page:
             # recomputing would give back the same RREF cycles and boundaries
             new_groups[bd] = group
             continue
-        reps = group.quotient_basis()
-        n = len(group.labels)
-        # boundaries gain the image of d_r coming in from (s - r, t + r - 1)
+        # boundaries gain the images of d_r coming in from (s - r, t + r - 1), as _page built them
         new_b = group.boundaries
         if m_in is not None:
-            incoming = [_combine(n, reps, col) for col in m_in._column_words]
-            new_b = tuple(row_reduce(list(new_b) + incoming))
+            new_b = tuple(row_reduce([*new_b, *page._images[(s - r, t + r - 1)]]))
         # cycles shrink to the kernel of the outgoing differential
         new_z = group.cycles
         if m_out is not None:
+            reps, n = group.quotient_basis(), len(group.labels)
             kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
             new_z = tuple(row_reduce(list(new_b) + kept)) if kept else new_b
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)

@@ -323,6 +323,24 @@ REFUSALS = {
         "c.cfg", G2_TEXT.replace("derive = homotopy", "derive = homotopy\n6 = 1"),
         ["e2"], "line 25: fibre generator '1' is the unit's name",
     ),
+    # a declared name that an undeclared derived degree's class would also get
+    "fibre generator named as a derived class": (
+        "c.cfg", G2_TEXT.replace("derive = homotopy", "derive = homotopy\n7 = u_5"),
+        ["e2"], "line 25: fibre generator 'u_5' is the name derived for fibre degree 5",
+    ),
+    "fibre generator named as one of two derived classes": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = Z/2 + Z/2 ;").replace("d6 u_5", "d6 u_5_0")
+        .replace("derive = homotopy", "derive = homotopy\n6 = v u_5_1"),
+        ["e2"], "line 25: fibre generator 'u_5_1' is the name derived for fibre degree 5",
+    ),
+    "json fibre generator named as a derived class": (
+        "c.json",
+        '{"base": [["x", 2]], "homotopy": {"3": {"group": "Z"}, "4": {"group": "0"}, '
+        '"5": {"group": "0"}, "6": {"group": "0"}, "7": {"group": "0"}, '
+        '"8": {"group": "Z/2"}}, "fibre": {"derive": true, "generators": {"7": ["u_5"]}}}',
+        ["e2"], "fibre.generators.7: fibre generator 'u_5' is the name derived for fibre degree 5",
+    ),
     "json fibre generator in two degrees": (
         "c.json", '{"base": [["x", 2]], "fibre": {"generators": {"1": ["e"], "3": ["e"]}}}',
         ["e2"], "fibre.generators.3: duplicate fibre generator 'e'",
@@ -459,7 +477,7 @@ def test_out_at_an_existing_file_exits_one(tmp_path):
 def test_each_op_derives_and_checks_its_inputs_once(monkeypatch):
     # counted where each result is computed: the fibre truncation derived by the
     # config gate, the arrow walk, a squaring table's verdict, and the image
-    # check, whose verdict stays on each resolved assignment
+    # check, which runs where each branch's run starts
     calls = Counter()
 
     def counted(name, fn):

@@ -614,3 +614,38 @@ def test_a_fibre_name_the_spec_would_see_twice_names_its_line(lines, generators,
     with pytest.raises(ConfigError) as json_err:
         parse_config_json(json.dumps({"base": [["x", 2]], "fibre": {"generators": generators}}))
     assert json_err.value.problems == [f"{where[1]}: {message}"]
+
+
+def _derived_homotopy(pi_8):
+    """pi_3..pi_8 of a group whose triple loop space derives ``pi_8``'s classes in degree 5."""
+    groups = {"3": "Z", "4": "0", "5": "0", "6": "0", "7": "0", "8": pi_8}
+    text = "".join(f"{d} = {g}\n" for d, g in groups.items())
+    return text, {d: {"group": g} for d, g in groups.items()}
+
+
+@pytest.mark.parametrize(
+    "pi_8, degree, names, message",
+    [
+        ("Z/2", "7", ["u_5"], "fibre generator 'u_5' is the name derived for fibre degree 5"),
+        ("Z/2 + Z/2", "6", ["v", "u_5_1"],
+         "fibre generator 'u_5_1' is the name derived for fibre degree 5"),
+    ],
+    ids=["one derived class", "one of two derived classes"],
+)
+def test_a_declared_name_a_derived_class_gets_is_refused_at_its_line(
+    pi_8, degree, names, message
+):
+    text, homotopy = _derived_homotopy(pi_8)
+    declared = f"{degree} = {' '.join(names)}\n"
+    with pytest.raises(ConfigError) as text_err:
+        parse_config(f"[base]\nx = 2\n[homotopy]\n{text}[fibre]\nderive = homotopy\n{declared}")
+    assert text_err.value.problems == [f"line 12: {message}"]
+    data = {"base": [["x", 2]], "homotopy": homotopy,
+            "fibre": {"derive": True, "generators": {degree: names}}}
+    with pytest.raises(ConfigError) as json_err:
+        parse_config_json(json.dumps(data))
+    assert json_err.value.problems == [f"fibre.generators.{degree}: {message}"]
+    # renamed, the declaration stands beside the derived classes
+    renamed = parse_config(f"[base]\nx = 2\n[homotopy]\n{text}[fibre]\nderive = homotopy\n"
+                           f"{degree} = {' '.join(n + 'x' for n in names)}\n")
+    assert renamed.fibration_spec().fibre_dim(5) == len(pi_8.split("+"))

@@ -347,6 +347,36 @@ def test_a_full_rank_kernel_runs_no_back_substitution(monkeypatch, rref_referenc
     assert full > 50 and deficient > 50
 
 
+def test_row_reduce_gives_back_the_inputs_already_in_rref(rref_reference):
+    # the rows of a random RREF among zero vectors, repeats (the same object and equal twins)
+    # and, in half the cases, random rows: the output is the reference's, and a row equal to
+    # an input is that input object
+    rng = random.Random(2028)
+    given_back = all_given = 0
+    for _ in range(400):
+        cols = rng.randint(1, 24)
+        words = [rng.getrandbits(cols) for _ in range(rng.randint(1, cols))]
+        reduced = [F2Vector(cols, word) for _, word in rref_reference(words)]
+        vectors = reduced + [F2Vector(cols, 0)] * rng.randint(1, 2)
+        vectors += rng.choices(reduced, k=2) if reduced else []
+        vectors += [F2Vector(cols, v.bits) for v in rng.sample(reduced, len(reduced) // 2)]
+        noisy = rng.random() < 0.5
+        vectors += [F2Vector(cols, rng.getrandbits(cols)) for _ in range(3 * noisy)]
+        rng.shuffle(vectors)
+        out = row_reduce(vectors)
+        assert [(v.length, v.bits) for v in out] == [
+            (cols, word) for _, word in rref_reference(v.bits for v in vectors)
+        ]
+        for row in out:
+            twins = [v for v in vectors if v.bits == row.bits]
+            assert not twins or any(row is v for v in twins)
+            given_back += bool(twins)
+        if not noisy:
+            assert all(any(row is v for v in vectors) for row in out)
+            all_given += 1
+    assert given_back > 1000 and all_given > 150
+
+
 def test_solve_keeps_one_elimination_per_matrix(monkeypatch, solve_reference):
     import sseqlab.f2 as f2
 

@@ -21,6 +21,7 @@ from sseqlab.record import FrozenRecordError
 from sseqlab.specseq import (
     DifferentialAssignment,
     FibrationSpec,
+    Page,
     PageGroup,
     UNIT_GEN,
     UnknownScalar,
@@ -552,6 +553,57 @@ def test_turn_page_matches_the_two_half_reference_and_keeps_untouched_halves(tur
             counts += page_counts
     assert counts["scrambled"] > 200
     assert min(counts[k] for k in ("boundaries kept", "cycles kept", "empty kernel")) > 100
+
+
+def assert_kept_images_turn_as_rep_sums(spec, assignment, turn_reference):
+    """Every page turns, through the images ``_page`` kept, into what its hand-built twin (no
+    kept images, so the fallback's rep sums) and the two-half reference turn into.
+
+    Returns how many pages kept images other than the rep sums (they differ by boundaries).
+    """
+    page, differ = initial_page(spec, assignment), 0
+    while page.r <= spec.last_page:
+        twin = Page(spec, assignment, page.r, page.groups, page.differentials, page.unevaluated)
+        assert "_images" not in twin.__dict__
+        assert "_images" in page.__dict__ or not page.differentials  # seeded, not yet computed
+        turned = turn_page(page)
+        assert turned == turn_page(twin) == turn_reference(page)
+        if page.differentials:
+            assert page._images.keys() == twin._images.keys() == page.differentials.keys()
+            differ += page._images != twin._images
+        page = turned
+    return differ
+
+
+@pytest.mark.parametrize("window", [10, 24, 60])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_kept_images_turn_as_rep_sums_on_g2(window, eps, turn_reference):
+    spec = g2_fibration_spec(window)
+    assignment = resolve_assignment(spec, {"eps": eps})
+    # d_6 is g2's one differential and lands on empty boundaries, so its images are rep sums
+    assert assert_kept_images_turn_as_rep_sums(spec, assignment, turn_reference) == 0
+
+
+def test_kept_images_turn_as_rep_sums_on_random_specs(turn_reference):
+    rng = random.Random(1012)
+    differ = sum(
+        assert_kept_images_turn_as_rep_sums(*random_fibration(rng), turn_reference)
+        for _ in range(100)
+    )
+    assert differ > 0  # some kept images carry boundaries the rep sums leave out
+
+
+def test_each_new_boundary_row_at_page_six_is_one_of_its_kept_images():
+    spec = g2_fibration_spec(60)
+    page = initial_page(spec, resolve_assignment(spec, {"eps": 1}))
+    while page.r < 6:
+        page = turn_page(page)
+    assert not any(group.boundaries for group in page.groups.values())  # d_6 is the first
+    assert "_images" in page.__dict__  # the images _page checked, not rep sums computed now
+    images = {id(v) for vectors in page._images.values() for v in vectors}
+    rows = [v for group in turn_page(page).groups.values() for v in group.boundaries]
+    assert len(images) == 258 and len(rows) == 258
+    assert all(id(v) in images for v in rows)
 
 
 def test_composite_of_consecutive_differentials_is_zero():
