@@ -41,11 +41,10 @@ identity component of the triple loop space).
 from __future__ import annotations
 
 from pathlib import Path
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import _deferred
-from .errors import ConfigError, UsageError, ValidationError
+from .errors import ConfigError, DeclaredNameError, UsageError, ValidationError
 from .fibration import UNIT_GEN, FibrationSpec, UnknownScalar
 from .graded import PolyAlgebraSpec, Polynomial, parse_polynomial
 from .homotopy import (
@@ -56,7 +55,7 @@ from .homotopy import (
     fibre_truncation_dims,
     loopspace_shift,
 )
-from .record import Record, kept
+from .record import Record, frozen_copy, kept
 
 if TYPE_CHECKING:
     from .steenrod import SteenrodTable
@@ -109,14 +108,6 @@ DEFAULT_EPSILON_RULE = EpsilonRule(
 )
 
 
-class FibreNameClash(ValidationError):
-    """A declared fibre name that a derived degree's class would also get; ``name`` locates it."""
-
-    def __init__(self, name: str, degree: int) -> None:
-        super().__init__(f"fibre generator {name!r} is the name derived for fibre degree {degree}")
-        self.name = name
-
-
 class WorkbenchConfig(Record):
     """A parsed configuration; ``fibre_explicit`` is kept as a read-only copy."""
 
@@ -129,7 +120,7 @@ class WorkbenchConfig(Record):
     ) -> None:
         self.__dict__.update(
             base=base, degree_bound=degree_bound, homotopy=homotopy, fibre_derive=fibre_derive,
-            fibre_explicit=MappingProxyType(dict(fibre_explicit or {})), unknowns=unknowns,
+            fibre_explicit=frozen_copy(fibre_explicit or {}), unknowns=unknowns,
             epsilon_rule=epsilon_rule, epsilon_given=epsilon_given, steenrod=steenrod,
         )
 
@@ -142,7 +133,7 @@ class WorkbenchConfig(Record):
         """Declared names must equal an exact derived count or reach a lower bound;
         an undeclared degree gets ``u_<d>`` names for its derived count, which no
         declared name may take.  An undeclared ``>=0`` degree gets none and is
-        recorded as unproven, not zero."""
+        recorded as unproven, not zero.  A refusal names a declared generator."""
         if 0 in self.fibre_explicit:
             raise ValidationError(_UNIT_DEGREE)
         dims = {}
@@ -161,17 +152,20 @@ class WorkbenchConfig(Record):
                     f"u_{degree}_{i}" if entry.value > 1 else f"u_{degree}"
                     for i in range(entry.value)
                 )
-                for name in declared.intersection(names):
-                    raise FibreNameClash(name, degree)
+                for name in filter(declared.__contains__, names):  # the first, in order
+                    raise DeclaredNameError(
+                        f"fibre generator {name!r} is the name derived for fibre degree {degree}",
+                        "fibre", name,
+                    )
             elif entry.exact and len(names) != entry.value:
-                raise ValidationError(
+                raise DeclaredNameError(
                     f"fibre degree {degree} contradicts the derived truncation "
-                    f"(derived {entry.value}, declared {len(names)})"
+                    f"(derived {entry.value}, declared {len(names)})", "fibre", names[0],
                 )
             elif len(names) < entry.value:
-                raise ValidationError(
+                raise DeclaredNameError(
                     f"fibre degree {degree} declares fewer classes than the "
-                    f"derived lower bound {entry.value}"
+                    f"derived lower bound {entry.value}", "fibre", names[0],
                 )
             if names:
                 fibre[degree] = names
@@ -393,11 +387,16 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     # the consistency gate runs at parse time so bad configs never load; its spec is kept
     try:
         cfg.fibration_spec()
-    except ValidationError as exc:  # a derived name's clash is located at its declaring row
-        clash = getattr(exc, "name", None)
-        where = [w for w, _d, names in rows.get("fibre", ()) if clash in names.split()]
+    except ValidationError as exc:  # a refusal about one declared name is located at its row
+        section, name = getattr(exc, "subject", (None, None))
+        where = [w for w, k, v in rows.get(section, ()) if _declares(section, k, v, name)]
         raise ConfigError([": ".join([*where, str(exc)])]) from None
     return cfg
+
+
+def _declares(section: str, key: str, value: str, name: str) -> bool:
+    """Whether a row declares ``name``: a ``fibre`` degree row lists it, an unknown's is its key."""
+    return key == name if section == "unknowns" else key != "derive" and name in value.split()
 
 
 # ------------------------------------------------------------- text

@@ -18,6 +18,14 @@ class ValidationError(SseqlabError, ValueError):
     """User-supplied data failed a validation gate (config, table, override)."""
 
 
+class DeclaredNameError(ValidationError):
+    """A refusal about one declared name; ``subject``, (section, name), lets a config locate it."""
+
+    def __init__(self, message: str, section: str, name: str) -> None:
+        super().__init__(message)
+        self.subject = (section, name)
+
+
 class ConfigError(ValidationError):
     """Configuration text failed to parse; carries located messages."""
 

@@ -242,24 +242,28 @@ def _echelon(words: Iterable[int]) -> dict[int, int]:
     return rows
 
 
-def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
-    """Reduced row-echelon form of bit-packed rows.
+def _rref(words: Iterable[int]) -> tuple[list[int], dict[int, int]]:
+    """RREF of bit-packed rows: the pivots (lowest set bits), sorted once, and pivot -> row.
 
-    Returns (pivot index, row word) pairs sorted by pivot; zero rows are
-    dropped.  Pivot of a row is its lowest set bit.  The rows go into a
-    semi-echelon, and one back-substitution, highest pivot first, clears
-    each pivot column outside its own row.
-    """
+    Highest pivot first, each row of the semi-echelon is cleared of the pivots ``above`` it;
+    a row that meets none is already reduced.  Zero rows are dropped."""
     rows = _echelon(words)
-    mask = sum(1 << pivot for pivot in rows)
-    for pivot in sorted(rows, reverse=True):
-        row = rows[pivot]
-        hits = (row & mask) ^ (1 << pivot)
-        while hits:
-            row ^= rows[(hits & -hits).bit_length() - 1]  # _lowest_bit, inlined
-            hits &= hits - 1
-        rows[pivot] = row
-    return sorted(rows.items())
+    pivots, above = sorted(rows), 0
+    for pivot in reversed(pivots):
+        if hits := rows[pivot] & above:
+            row = rows[pivot]
+            while hits:
+                row ^= rows[(hits & -hits).bit_length() - 1]  # _lowest_bit, inlined
+                hits &= hits - 1
+            rows[pivot] = row
+        above |= 1 << pivot
+    return pivots, rows
+
+
+def _rref_words(words: Iterable[int]) -> list[tuple[int, int]]:
+    """The RREF (``_rref``) as (pivot index, row word) pairs, sorted by pivot."""
+    pivots, rows = _rref(words)
+    return [(pivot, rows[pivot]) for pivot in pivots]
 
 
 def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
@@ -269,7 +273,8 @@ def row_reduce(vectors: Sequence[F2Vector]) -> list[F2Vector]:
         if v.length != length:
             raise UsageError("vector length mismatch")
         given.setdefault(v.bits, v)
-    return [given.get(word) or _vector(length, word) for _, word in _rref_words(given)]
+    pivots, rows = _rref(given)
+    return [given.get(word) or _vector(length, word) for word in map(rows.__getitem__, pivots)]
 
 
 def reduce_against(basis: Sequence[F2Vector], v: F2Vector) -> F2Vector:

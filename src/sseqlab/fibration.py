@@ -8,14 +8,13 @@ spec's kept starting page load them.
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .errors import ValidationError
+from .errors import DeclaredNameError, ValidationError
 from .graded import (
     Monomial, PolyAlgebraSpec, Polynomial, _degree_dim, basis_in_degree, format_monomial,
 )
-from .record import Record, kept
+from .record import Record, frozen_copy, kept
 
 if TYPE_CHECKING:
     from .specseq import DifferentialAssignment, EinftyReport, Page, PageGroup
@@ -46,7 +45,7 @@ class FibrationSpec(Record):
         degree_bound: int = 10, unknowns: tuple[UnknownScalar, ...] = (),
         unproven_degrees: frozenset[int] = frozenset(),  # no generator, only bounded below by 0
     ) -> None:
-        fibre_gens = MappingProxyType(dict(fibre_gens))
+        fibre_gens = frozen_copy(fibre_gens)
         self.__dict__.update(
             base=base, fibre_gens=fibre_gens, degree_bound=degree_bound, unknowns=unknowns,
             unproven_degrees=unproven_degrees,
@@ -73,27 +72,22 @@ class FibrationSpec(Record):
             raise ValidationError("unknown scalar names must be distinct")
         for u in unknowns:
             t = degree_of.get(u.generator)
-            if t is None:
-                raise ValidationError(f"unknown {u.name}: unknown fibre generator {u.generator!r}")
-            if u.generator == self.unit_gen:
-                raise ValidationError(
-                    f"unknown {u.name}: the unit class never supports a differential"
-                )
-            if u.target.is_zero():
-                raise ValidationError(f"unknown {u.name} needs a nonzero target")
-            if u.page != t + 1:
-                raise ValidationError(
-                    f"unknown {u.name}: a base-row image forces page {t + 1}, got {u.page}"
-                )
-            if u.target.homogeneous_degree(self.base) != u.page:
-                raise ValidationError(
-                    f"unknown {u.name}: target must be homogeneous of degree {u.page}"
-                )
             first = next(v for v in unknowns if v.generator == u.generator)
-            if first is not u:  # both would key the one image of d_page(generator)
-                raise ValidationError(
-                    f"unknowns {first.name} and {u.name} both set d_{u.page}({u.generator})"
-                )
+            if t is None:
+                problem = f"unknown {u.name}: unknown fibre generator {u.generator!r}"
+            elif u.generator == self.unit_gen:
+                problem = f"unknown {u.name}: the unit class never supports a differential"
+            elif u.target.is_zero():
+                problem = f"unknown {u.name} needs a nonzero target"
+            elif u.page != t + 1:
+                problem = f"unknown {u.name}: a base-row image forces page {t + 1}, got {u.page}"
+            elif u.target.homogeneous_degree(self.base) != u.page:
+                problem = f"unknown {u.name}: target must be homogeneous of degree {u.page}"
+            elif first is not u:  # both would key the one image of d_page(generator)
+                problem = f"unknowns {first.name} and {u.name} both set d_{u.page}({u.generator})"
+            else:
+                continue
+            raise DeclaredNameError(problem, "unknowns", u.name)  # a config locates it at u's row
 
     @property
     def unit_gen(self) -> str:
@@ -155,7 +149,7 @@ class BigradedBasis(Record):
     """Tensor-product basis labels per bidegree with s + t <= bound, a read-only copy."""
 
     def __init__(self, degree_bound: int, groups: Mapping[Bidegree, tuple[Label, ...]]) -> None:
-        self.__dict__.update(degree_bound=degree_bound, groups=MappingProxyType(dict(groups)))
+        self.__dict__.update(degree_bound=degree_bound, groups=frozen_copy(groups))
 
     def dim(self, s: int, t: int) -> int:
         return len(self.groups.get((s, t), ()))
@@ -215,6 +209,7 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
         for s in range(spec.degree_bound - t + 1):
             if base_dims[s] == 0:
                 continue
+            source = (s, t)  # one tuple per source, shared by its pages' arrows
             for r in range(2, t + 2):
                 target = (s + r, t - r + 1)
                 if base_dims[target[0]] == 0:
@@ -223,8 +218,8 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
                     verdict = FIBRE_ZERO
                 else:
                     verdict = ADMISSIBLE
-                out.append((r, (s, t), target, verdict))
-            out.append((t + 2, (s, t), None, NEGATIVE_FIBRE))
+                out.append((r, source, target, verdict))
+            out.append((t + 2, source, None, NEGATIVE_FIBRE))
     return out
 
 

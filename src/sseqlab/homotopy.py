@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping, Optional
 
 from .errors import IncompleteTableError, UsageError, ValidationError
-from .record import Record
+from .record import Record, frozen_copy
 
 
 class FGAbelianGroup(Record):
@@ -217,7 +217,7 @@ class GradedDims(Record):
     """Dimensions per degree, a read-only copy; degree 0 is pinned to 1 (path-connected)."""
 
     def __init__(self, dims: Optional[Mapping[int, DimEntry]] = None) -> None:
-        dims = MappingProxyType(dict(dims or {}))
+        dims = frozen_copy(dims or {})
         zero = dims.get(0)
         if zero is not None and not (zero.value == 1 and zero.exact):
             raise ValidationError("degree-0 dimension must be exactly 1")

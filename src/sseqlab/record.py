@@ -11,6 +11,7 @@ A ``kept`` attribute is derived from the fields on first read and stored in the 
 
 from operator import attrgetter
 from types import MappingProxyType
+from typing import Mapping
 
 
 class FrozenRecordError(AttributeError):
@@ -51,6 +52,15 @@ class Record:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._plain()  # __init__ checks, and wraps mappings, again
+
+
+def frozen_copy(mapping: Mapping) -> MappingProxyType:
+    """A read-only copy, independent of ``mapping``; a proxy's dict is copied in C by its copy()."""
+    try:  # a proxy over another mapping may copy to no dict, or have no copy()
+        copied = mapping.copy() if type(mapping) is MappingProxyType else None
+    except AttributeError:
+        copied = None
+    return MappingProxyType(copied if type(copied) is dict else dict(mapping))
 
 
 class kept:

@@ -28,7 +28,7 @@ from .fibration import (  # re-exported: what the page engine reads of a spec
     run_to_einfty,
 )
 from .graded import Polynomial
-from .record import Record, kept
+from .record import Record, frozen_copy, kept
 
 
 class DifferentialAssignment(Record):
@@ -43,7 +43,7 @@ class DifferentialAssignment(Record):
     def __init__(
         self, values: Mapping[str, int], generator_images: Mapping[tuple[str, int], Polynomial]
     ) -> None:
-        values, images = MappingProxyType(dict(values)), MappingProxyType(dict(generator_images))
+        values, images = frozen_copy(values), frozen_copy(generator_images)
         self.__dict__.update(values=values, generator_images=images)
 
     def image_of(self, gen: str, r: int) -> Optional[Polynomial]:
@@ -133,11 +133,12 @@ class PageGroup(Record):
         self, labels: Sequence[Label], cycles: Sequence[F2Vector],
         boundaries: Sequence[F2Vector],
     ) -> None:
-        self.__dict__.update(
-            labels=tuple(labels), cycles=tuple(cycles), boundaries=tuple(boundaries)
-        )
+        fields = self.__dict__  # one store per field: no keyword dict per group
+        fields["labels"] = tuple(labels)
+        fields["cycles"] = tuple(cycles)
+        fields["boundaries"] = tuple(boundaries)
 
-    @property
+    @kept
     def dim(self) -> int:
         return len(self.cycles) - len(self.boundaries)
 
@@ -175,8 +176,8 @@ class Page(Record):
         unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = (),
     ) -> None:
         self.__dict__.update(
-            spec=spec, assignment=assignment, r=r, groups=MappingProxyType(dict(groups)),
-            differentials=MappingProxyType(dict(differentials or {})), unevaluated=unevaluated,
+            spec=spec, assignment=assignment, r=r, groups=frozen_copy(groups),
+            differentials=frozen_copy(differentials or {}), unevaluated=unevaluated,
         )
 
     def dim(self, s: int, t: int) -> int:
@@ -256,8 +257,9 @@ def _page(
         n_labels = len(target.labels)
         # one [target reps | target boundaries] per (Z, B) pair, which same-size E_2 groups share
         key = (id(target.cycles), id(target.boundaries), n_labels)
-        if key not in coordinates:
-            coordinates[key] = F2Matrix.from_columns([*target_reps, *target.boundaries], n_labels)
+        if key not in coordinates:  # built from its words, as the d_r blocks below are
+            words = tuple(v.bits for v in (*target_reps, *target.boundaries))
+            coordinates[key] = _matrix(n_labels, len(words), _transpose(words, n_labels), words)
         rep_mask = (1 << len(target_reps)) - 1
         columns, vectors = [], []
         for v in source_reps:

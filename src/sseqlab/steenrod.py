@@ -16,7 +16,6 @@ caller.
 from __future__ import annotations
 
 from collections import defaultdict
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import UsageError, ValidationError
@@ -30,7 +29,7 @@ from .graded import (
     basis_in_degree,
     multiply,
 )
-from .record import Record, kept
+from .record import Record, frozen_copy, kept
 
 
 class Violation(Record):
@@ -61,7 +60,7 @@ class SteenrodTable(Record):
         action: Mapping[tuple[str, int], Optional[Polynomial]],
     ) -> None:
         totals = {Monomial((0,) * len(algebra.generators)): {0: algebra.unit()}}  # Sq(1) = 1
-        self.__dict__.update(algebra=algebra, action=MappingProxyType(dict(action)), _totals=totals)
+        self.__dict__.update(algebra=algebra, action=frozen_copy(action), _totals=totals)
 
     @kept
     def _validated(self) -> tuple[Violation, ...]:

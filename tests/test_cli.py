@@ -234,6 +234,19 @@ SMALL = "[base]\nx = 2\n"
 ONE_ARROW = SMALL + "[fibre]\n1 = e\n[unknowns]\n"
 G2_TEXT = (ROOT / "g2.cfg").read_text()
 
+# a JSON config deriving its fibre from pi_3 = Z and pi_8 = {group}, and declaring {fibre}
+JSON_DERIVED = (
+    '{{"base": [["x", 2]], "homotopy": {{"3": {{"group": "Z"}}, "4": {{"group": "0"}}, '
+    '"5": {{"group": "0"}}, "6": {{"group": "0"}}, "7": {{"group": "0"}}, '
+    '"8": {{"group": {group}}}}}, "fibre": {{"derive": true, "generators": {{{fibre}}}}}}}'
+)
+# a JSON config whose second unknown sets d_2 of the generator {second}
+JSON_UNKNOWNS = (
+    '{{"base": [["x", 2]], "fibre": {{"generators": {{"1": ["e"]}}}}, "unknowns": ['
+    '{{"name": "a", "page": 2, "generator": "e", "target": "x"}}, '
+    '{{"name": "b", "page": 2, "generator": "{second}", "target": "x"}}]}}'
+)
+
 # (config file name, its text, command, the one stderr line after "error: ")
 REFUSALS = {
     "uct without homotopy": ("c.cfg", SMALL, ["uct"], "the uct command needs a homotopy section"),
@@ -282,33 +295,33 @@ REFUSALS = {
         "c.cfg",
         G2_TEXT.replace("8 = contains Z/2 ;", "8 = contains Z/2 + Z/2 ;")
         .replace("derive = homotopy", "derive = homotopy\n5 = a").replace("d6 u_5", "d6 a"),
-        ["e2"], "fibre degree 5 declares fewer classes than the derived lower bound 2",
+        ["e2"], "line 25: fibre degree 5 declares fewer classes than the derived lower bound 2",
     ),
     "json top level is a list": ("c.json", "[1, 2]", ["e2"], "top level must be a JSON object"),
     # both would key the image of d_2(e) by (generator, page), so the later would win silently
     "two unknowns on one generator": (
         "c.cfg", ONE_ARROW + "a = d2 e -> x\nb = d2 e -> x\n",
-        ["einfty", "--set", "a=1", "--set", "b=0"], "unknowns a and b both set d_2(e)",
+        ["einfty", "--set", "a=1", "--set", "b=0"], "line 7: unknowns a and b both set d_2(e)",
     ),
     "unknown on an undeclared generator": (
         "c.cfg", G2_TEXT.replace("eps = d6 u_5", "eps = d6 nope"), ["e2"],
-        "unknown eps: unknown fibre generator 'nope'",
+        "line 27: unknown eps: unknown fibre generator 'nope'",
     ),
     # the four refusals of an unknown that FibrationSpec makes, as a config reaches them
     "unknown on the unit class": (
         "c.cfg", ONE_ARROW + "e = d2 1 -> x\n", ["e2"],
-        "unknown e: the unit class never supports a differential",
+        "line 6: unknown e: the unit class never supports a differential",
     ),
     "unknown with target zero": (
-        "c.cfg", ONE_ARROW + "e = d2 e -> 0\n", ["e2"], "unknown e needs a nonzero target"
+        "c.cfg", ONE_ARROW + "e = d2 e -> 0\n", ["e2"], "line 6: unknown e needs a nonzero target"
     ),
     "unknown off its transgression page": (
         "c.cfg", ONE_ARROW + "e = d3 e -> x\n", ["e2"],
-        "unknown e: a base-row image forces page 2, got 3",
+        "line 6: unknown e: a base-row image forces page 2, got 3",
     ),
     "unknown target of the wrong degree": (
         "c.cfg", ONE_ARROW + "e = d2 e -> x^2\n", ["e2"],
-        "unknown e: target must be homogeneous of degree 2",
+        "line 6: unknown e: target must be homogeneous of degree 2",
     ),
     # a fibre name the spec would find twice is refused at its own line
     "fibre generator on two lines": (
@@ -370,6 +383,46 @@ REFUSALS = {
         '{"base": [["x", 2]], "epsilon": {"modulus": 1, "classes": [{"residues": [0]}], '
         '"nope": 1}}',
         ["e2"], "epsilon.nope: unknown field 'nope'",
+    ),
+    # the spec gate's refusals about one fibre degree or one unknown, at the row declaring it
+    "fibre degree contradicting its exact derived count": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = Z/2 ;")
+        .replace("derive = homotopy", "derive = homotopy\n5 = a b").replace("d6 u_5", "d6 a"),
+        ["e2"], "line 25: fibre degree 5 contradicts the derived truncation (derived 1, declared 2)",
+    ),
+    # the derive row's value is no generator: only the degree row declares 'homotopy'
+    "fibre generator named as the derive value": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = Z/2 ;")
+        .replace("derive = homotopy", "derive = homotopy\n5 = homotopy b")
+        .replace("d6 u_5", "d6 homotopy"),
+        ["e2"], "line 25: fibre degree 5 contradicts the derived truncation (derived 1, declared 2)",
+    ),
+    "fibre generators named as both derived classes": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = Z/2 + Z/2 ;").replace("d6 u_5", "d6 u_5_0")
+        .replace("derive = homotopy", "derive = homotopy\n6 = u_5_0\n7 = u_5_1"),
+        ["e2"], "line 25: fibre generator 'u_5_0' is the name derived for fibre degree 5",
+    ),
+    "json fibre degree contradicting its exact derived count": (
+        "c.json", JSON_DERIVED.format(group='"Z/2"', fibre='"5": ["a", "b"]'), ["e2"],
+        "fibre.generators.5: fibre degree 5 contradicts the derived truncation "
+        "(derived 1, declared 2)",
+    ),
+    "json fibre degree below its derived lower bound": (
+        "c.json",
+        JSON_DERIVED.format(group='"Z/2 + Z/2", "exact": false', fibre='"6": ["v"], "5": ["a"]'),
+        ["e2"], "fibre.generators.5: fibre degree 5 declares fewer classes than the derived "
+        "lower bound 2",
+    ),
+    "json unknown on an undeclared generator": (
+        "c.json", JSON_UNKNOWNS.format(second="nope"), ["e2"],
+        "unknowns[1]: unknown b: unknown fibre generator 'nope'",
+    ),
+    "json two unknowns on one generator": (
+        "c.json", JSON_UNKNOWNS.format(second="e"), ["e2"],
+        "unknowns[1]: unknowns a and b both set d_2(e)",
     ),
 }
 
@@ -629,6 +682,19 @@ def child_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     return env
+
+
+def test_a_refusal_reads_the_same_under_every_hash_seed(tmp_path):
+    # two declared names clash with the two derived ones; the first derived name is reported
+    name, text, argv, message = REFUSALS["fibre generators named as both derived classes"]
+    (tmp_path / name).write_text(text)
+    for seed in range(8):
+        result = subprocess.run(
+            [sys.executable, "-m", "sseqlab", "--config", str(tmp_path / name), *argv],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(child_env(), PYTHONHASHSEED=str(seed)),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_cli_start_up_loads_no_code_generator_or_json():

@@ -55,7 +55,7 @@ def test_the_fibre_cohomology_vanishes_in_degrees_one_to_four_and_not_in_five(tm
     ]
     # with no 2-torsion in pi_8(G_2) no degree-5 class is derived, and the config gate refuses
     assert run(tmp_path, ["uct"], edited("\n8 = contains Z/2", "\n8 = 0")) == (
-        1, "", "error: unknown eps: unknown fibre generator 'u_5'\n"
+        1, "", "error: line 27: unknown eps: unknown fibre generator 'u_5'\n"
     )
 
 

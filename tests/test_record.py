@@ -14,6 +14,9 @@ import pickle
 import random
 import sys
 import threading
+from collections import ChainMap, OrderedDict
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 
@@ -292,6 +295,62 @@ def test_record_matches_its_dataclass_twin(record, fields, options, draw):
         else:
             with pytest.raises(TypeError):
                 r < record(*other)
+
+
+class NoCopy(Mapping):
+    """A read-only mapping with no ``copy()``, over a dict it shares."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+# each way a caller's mapping may reach a record: the view and the dict behind it, which
+# the caller keeps and edits; only a view over a dict is copied by its own copy()
+VIEWS = {
+    "view over a dict": lambda d: (MappingProxyType(d), d),
+    "view over an OrderedDict": lambda d: (MappingProxyType(o := OrderedDict(d)), o),
+    "view over a ChainMap": lambda d: (MappingProxyType(ChainMap({}, d)), d),
+    "view over a mapping with no copy()": lambda d: (MappingProxyType(NoCopy(d)), d),
+}
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_a_record_built_from_a_read_only_view_keeps_a_copy_of_its_own(view):
+    rng = random.Random(f"views-{view}")
+    users = set()
+    for record, _fields, _options, draw in RECORDS:
+        for _ in range(5):
+            args = draw(rng)
+            at = [i for i, arg in enumerate(args) if isinstance(arg, dict)]
+            users.update([record.__name__] if at else [])
+            wrapped, behind = list(args), []
+            for i in at:
+                wrapped[i], kept_dict = VIEWS[view](args[i])
+                behind.append(kept_dict)
+            built, expected = record(*wrapped), record(*args)
+            for d in behind:  # the caller edits what the view shows
+                d.clear()
+                d["edited"] = None
+            assert built == expected and repr(built) == repr(expected)
+            for i in at:
+                field = getattr(built, record._fields[i])
+                assert type(field) is MappingProxyType and type(field.copy()) is dict
+                assert "edited" not in field
+                with pytest.raises(TypeError):
+                    field["edited"] = None
+    assert users >= {
+        "DifferentialAssignment", "Page", "FibrationSpec", "BigradedBasis", "WorkbenchConfig",
+        "SteenrodTable", "GradedDims",
+    }
 
 
 def test_every_exported_class_is_a_record():

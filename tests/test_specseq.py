@@ -345,6 +345,19 @@ def assert_start_reps_are_fresh(spec):
     return len(groups) - len({len(group.labels) for group in groups.values()})
 
 
+def test_a_group_keeps_the_dim_its_cycles_and_boundaries_give_on_random_specs():
+    rng = random.Random(1013)
+    groups = 0
+    for _ in range(100):
+        for _r, _d, _u, page_groups in pages_to_limit(*random_fibration(rng)):
+            for group in page_groups.values():
+                assert group.dim == len(group.cycles) - len(group.boundaries)
+                assert group.dim == len(group.quotient_basis())
+                assert group.__dict__["dim"] == group.dim  # kept from its first read
+                groups += 1
+    assert groups > 1000
+
+
 def test_seeded_starting_reps_equal_a_fresh_computation():
     seeded = sum(assert_start_reps_are_fresh(g2_fibration_spec(n)) for n in (10, 24, 60))
     rng = random.Random(1010)
@@ -861,6 +874,13 @@ def test_kept_values_refuse_the_edits_that_once_got_past_their_checks():
             edit[(2, 4)] = None
     with pytest.raises(FrozenRecordError):
         page.r = 2
+    group = page.groups[(6, 5)]  # at total degree N + 1: no d_6 out of it is evaluated
+    assert group.dim == 1
+    with pytest.raises(FrozenRecordError):
+        group.dim = 0
+    with pytest.raises(FrozenRecordError):
+        del group.dim
+    assert group.dim == len(group.cycles) - len(group.boundaries) == 1
     assert dims.entry(0) == DimEntry(1) and basis.dim(2, 4) == 0 and page.dim(2, 4) == 0
     assert run_to_einfty(SPEC, assignment) == (page, report)
 
@@ -1246,17 +1266,16 @@ def test_page_six_at_window_60_solves_against_one_matrix_per_subquotient(monkeyp
     spec = g2_fibration_spec(60)
     assignment = resolve_assignment(spec, {"eps": 1})
     start = initial_page(spec, assignment)
-    built = []
-    from_columns = f2.F2Matrix.from_columns.__func__
-
-    def traced_from_columns(cls, *args, **kwargs):
-        built.append(args)
-        return from_columns(cls, *args, **kwargs)
-
-    monkeypatch.setattr(f2.F2Matrix, "from_columns", classmethod(traced_from_columns))
+    built, solved = [], []
+    matrix, solve = specseq._matrix, specseq.solve
+    monkeypatch.setattr(specseq, "_matrix", lambda *args: built.append(matrix(*args)) or built[-1])
+    monkeypatch.setattr(specseq, "solve", lambda m, b: solved.append(m) or solve(m, b))
     page = specseq._page(spec, assignment, 6, start.groups)
-    # 51 d_6 sources; their targets share 15 (cycles, boundaries) pairs of the starting page
-    assert (len(page.differentials), len(built)) == (51, 15)
+    # 51 d_6 sources; their targets share 15 (cycles, boundaries) pairs of the starting page,
+    # and _page builds one coordinate matrix for each, from its words, beside the 51 blocks
+    coordinates = {id(m): m for m in solved}
+    assert (len(page.differentials), len(coordinates), len(built)) == (51, 15, 51 + 15)
+    assert set(coordinates) <= {id(m) for m in built}
 
     transposed = []
     transpose = f2._transpose
