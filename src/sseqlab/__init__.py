@@ -26,8 +26,7 @@ _EXPORTS = {  # module: the public names it defines
     "uct_cohomology_dim",
     "fibration": "BigradedBasis FibrationSpec UnknownScalar admissible_differentials build_e2 "
     "run_to_einfty",
-    "specseq": "DifferentialAssignment Page leibniz_extend resolve_assignment sweep_unknowns "
-    "total_dims turn_page",
+    "specseq": "DifferentialAssignment Page resolve_assignment sweep_unknowns total_dims",
     "steenrod": "HitReport SteenrodTable hit_quotient sq suggest_g2_table table_from_entries "
     "validate_table",
 }

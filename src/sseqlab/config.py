@@ -138,9 +138,12 @@ class WorkbenchConfig(Record):
             raise ValidationError(_UNIT_DEGREE)
         dims = {}
         if self.fibre_derive:
-            if self.homotopy is None:
-                raise ValidationError("fibre derivation needs a homotopy section")
-            derived = fibre_truncation_dims(loopspace_shift(self.homotopy, 3))
+            try:
+                if self.homotopy is None:
+                    raise ValidationError("fibre derivation needs a homotopy section")
+                derived = fibre_truncation_dims(loopspace_shift(self.homotopy, 3))
+            except ValidationError as exc:  # a config locates it at its derive row
+                raise DeclaredNameError(str(exc), "fibre", None) from exc
             dims = {degree: entry for degree, entry in derived.items() if degree}
         fibre: dict[int, tuple[str, ...]] = {0: (UNIT_GEN,)}
         declared = {g for gens in self.fibre_explicit.values() for g in gens}
@@ -394,9 +397,12 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     return cfg
 
 
-def _declares(section: str, key: str, value: str, name: str) -> bool:
-    """Whether a row declares ``name``: a ``fibre`` degree row lists it, an unknown's is its key."""
-    return key == name if section == "unknowns" else key != "derive" and name in value.split()
+def _declares(section: str, key: str, value: str, name: Optional[str]) -> bool:
+    """Whether a row declares ``name``: a ``fibre`` degree row lists it, an unknown's is its key,
+    and the derive row declares the derivation, named None."""
+    if section == "unknowns":
+        return key == name
+    return key == "derive" if name is None else key != "derive" and name in value.split()
 
 
 # ------------------------------------------------------------- text

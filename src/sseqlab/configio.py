@@ -36,10 +36,19 @@ def _fields(entry, required: tuple[str, ...], optional: tuple[str, ...] = ()) ->
     return entry
 
 
-def _words(member, noun: str = "names") -> str:
+def _token(word, noun: str, stop: str = "") -> str:
+    """``word`` as one token the text form reads back: no whitespace, no leading '#' (which
+    starts a comment there) and none of ``stop``, the characters that end it in its place."""
+    text = str(word)
+    if text.split() != [text] or text[0] == "#" or any(c in stop for c in text):
+        raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
+    return text
+
+
+def _words(member, noun: str = "name") -> str:
     if not isinstance(member, list):
-        raise ValidationError(f"expected a JSON list of {noun}")
-    return " ".join(str(word) for word in member)
+        raise ValidationError(f"expected a JSON list of {noun}s")
+    return " ".join(_token(word, noun) for word in member)
 
 
 def _json_generator(_index, pair) -> tuple[str, str]:
@@ -57,12 +66,13 @@ def _json_homotopy(degree, entry) -> tuple[str, str]:
 
 def _json_unknown(_index, entry) -> tuple[str, str]:
     u = _fields(entry, ("name", "page", "generator", "target"))
-    return u["name"], f"d{u['page']} {u['generator']} -> {u['target']}"
+    name = _token(u["name"], "unknown name", "=")  # the text form's key ends at its first '='
+    return name, f"d{u['page']} {u['generator']} -> {u['target']}"
 
 
 def _json_class(_index, entry) -> tuple[str, str]:
     _fields(entry, ("residues",), ("known",))
-    residues = _words(entry["residues"], "residues")
+    residues = _words(entry["residues"], "residue")
     return "class", f"{residues} : {entry['known']}" if "known" in entry else residues
 
 

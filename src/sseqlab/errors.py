@@ -19,9 +19,12 @@ class ValidationError(SseqlabError, ValueError):
 
 
 class DeclaredNameError(ValidationError):
-    """A refusal about one declared name; ``subject``, (section, name), lets a config locate it."""
+    """A refusal about one declared name; ``subject``, (section, name), lets a config locate it.
 
-    def __init__(self, message: str, section: str, name: str) -> None:
+    The name None stands for the section's ``derive`` row.
+    """
+
+    def __init__(self, message: str, section: str, name: str | None) -> None:
         super().__init__(message)
         self.subject = (section, name)
 

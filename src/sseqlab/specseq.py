@@ -22,11 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import F2Matrix, F2Vector, in_span, kernel_basis, reduce_against, row_reduce, solve
 from .f2 import _matrix, _transpose, _vector  # unchecked: for values in range by construction
-from .fibration import (  # re-exported: what the page engine reads of a spec
-    ADMISSIBLE, BASE_ZERO, FIBRE_ZERO, NEGATIVE_FIBRE, UNIT_GEN, Arrow, Bidegree, BigradedBasis,
-    FibrationSpec, Label, UnknownScalar, admissible_differentials, build_e2, classify_arrows,
-    run_to_einfty,
-)
+from .fibration import Bidegree, FibrationSpec, Label, build_e2, run_to_einfty
 from .graded import Polynomial
 from .record import Record, frozen_copy, kept
 
@@ -76,12 +72,12 @@ def resolve_assignment(spec: FibrationSpec, values: Mapping[str, int]) -> Differ
 def check_images(spec: FibrationSpec, assignment: DifferentialAssignment) -> None:
     """Validate an assignment against the spec: the one gate, where each run starts.
 
-    ``initial_page`` calls it, and so does ``leibniz_extend`` given a page.  No
-    fibre degree in the window may be unproven: its missing classes could
-    support or kill any class.  Every image must sit on page >= 2, and a
-    nonzero one must be a transgression onto the base row, homogeneous of its
-    page's degree.  Every generator that supports an admissible transgression
-    needs a declared image (possibly zero), and every unknown a value.
+    ``initial_page`` calls it.  No fibre degree in the window may be unproven:
+    its missing classes could support or kill any class.  Every image must sit
+    on page >= 2, and a nonzero one must be a transgression onto the base row,
+    homogeneous of its page's degree.  Every generator that supports an
+    admissible transgression needs a declared image (possibly zero), and every
+    unknown a value.
     """
     unproven = sorted(t for t in spec.unproven_degrees if t <= spec.degree_bound)
     if unproven:
@@ -310,24 +306,6 @@ def initial_page(spec: FibrationSpec, assignment: DifferentialAssignment) -> Pag
     """The starting page (r = 2) over the spec's kept groups, through total degree N + 1."""
     check_images(spec, assignment)
     return _page(spec, assignment, 2, spec.start_groups)
-
-
-def leibniz_extend(
-    spec: FibrationSpec,
-    assignment: DifferentialAssignment,
-    r: int,
-    page: Optional[Page] = None,
-) -> dict[Bidegree, F2Matrix]:
-    """Page-r differential matrices, one per source bidegree.
-
-    With no page given the matrices act on the starting-page tensor
-    bases; otherwise on the given page's surviving bases.
-    """
-    if page is None:
-        page = initial_page(spec, assignment)
-    else:
-        check_images(spec, assignment)
-    return _page(spec, assignment, r, page.groups).differentials
 
 
 def _combine(length: int, reps: Sequence[F2Vector], coefficients: int) -> F2Vector:

@@ -30,13 +30,8 @@ from sseqlab.gauge import (
 )
 from sseqlab.graded import poincare_dims
 from sseqlab.homotopy import FGAbelianGroup, fibre_truncation_dims, loopspace_shift
-from sseqlab.specseq import (
-    admissible_differentials,
-    build_e2,
-    resolve_assignment,
-    run_to_einfty,
-    total_dims,
-)
+from sseqlab.fibration import admissible_differentials, build_e2, run_to_einfty
+from sseqlab.specseq import resolve_assignment, total_dims
 from sseqlab.steenrod import hit_quotient, sq, table_from_entries
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
 

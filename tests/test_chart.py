@@ -6,7 +6,7 @@ from sseqlab.chart import ChartSpec, build_chart, render, render_svg, render_tik
 from sseqlab.config import parse_config
 from sseqlab.errors import ValidationError
 from sseqlab.gauge import g2_fibration_spec
-from sseqlab.specseq import FibrationSpec, UNIT_GEN
+from sseqlab.fibration import FibrationSpec, UNIT_GEN
 
 
 SPEC = g2_fibration_spec()

@@ -424,6 +424,44 @@ REFUSALS = {
         "c.json", JSON_UNKNOWNS.format(second="e"), ["e2"],
         "unknowns[1]: unknowns a and b both set d_2(e)",
     ),
+    # a JSON list member is one token of the text form, not several
+    "json fibre generator member holding two names": (
+        "c.json", '{"base": [["x", 2]], "fibre": {"generators": {"6": ["v w"]}}}', ["e2"],
+        "fibre.generators.6: name 'v w' cannot be read back in the text form",
+    ),
+    "json epsilon class member holding two residues": (
+        "c.json",
+        '{"base": [["x", 2]], "epsilon": {"modulus": 4, '
+        '"classes": [{"residues": ["0 2"]}, {"residues": [1, 3]}]}}',
+        ["e2"], "epsilon.classes[0]: residue '0 2' cannot be read back in the text form; "
+        "epsilon section: classes must partition the residues 0..3",
+    ),
+    # the fibre derivation's refusals, at the derive row
+    "fibre derivation without a homotopy section": (
+        "c.cfg", SMALL + "[fibre]\nderive = homotopy\n", ["e2"],
+        "line 4: fibre derivation needs a homotopy section",
+    ),
+    "fibre derivation from a homotopy section missing a degree": (
+        "c.cfg", SMALL + "[homotopy]\n3 = Z ; c\n[fibre]\nderive = homotopy\n", ["e2"],
+        "line 6: degree 1 is not populated; absence is not the zero group",
+    ),
+    "json fibre derivation without a homotopy section": (
+        "c.json", '{"base": [["x", 2]], "fibre": {"derive": true}}', ["e2"],
+        "fibre.derive: fibre derivation needs a homotopy section",
+    ),
+    "json fibre derivation from a homotopy section missing a degree": (
+        "c.json", '{"base": [["x", 2]], "homotopy": {"3": {"group": "Z"}}, '
+        '"fibre": {"derive": true}}', ["e2"],
+        "fibre.derive: degree 1 is not populated; absence is not the zero group",
+    ),
+    # a generator named 'derive' is declared by its degree row, not by the derive row
+    "fibre generator named derive": (
+        "c.cfg",
+        G2_TEXT.replace("8 = contains Z/2 ;", "8 = Z/2 ;")
+        .replace("derive = homotopy", "derive = homotopy\n5 = derive b")
+        .replace("d6 u_5", "d6 derive"),
+        ["e2"], "line 25: fibre degree 5 contradicts the derived truncation (derived 1, declared 2)",
+    ),
 }
 
 

@@ -20,7 +20,7 @@ from sseqlab.cli import main
 from sseqlab.errors import ConfigError, SseqlabError, ValidationError
 from sseqlab.gauge import G2_BASE
 from sseqlab.homotopy import FGAbelianGroup
-from sseqlab.specseq import UNIT_GEN, FibrationSpec, UnknownScalar
+from sseqlab.fibration import UNIT_GEN, FibrationSpec, UnknownScalar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -582,6 +582,42 @@ def test_names_only_json_can_spell_are_located(name):
     assert err.value.problems == [
         f"base[0]: generator name {name!r} cannot be read back in a polynomial"
     ]
+
+
+# names a JSON list member or an unknown's "name" may hold, which the text form may split,
+# end early, read as a comment or strip
+ADVERSARIAL_NAMES = [
+    "v w", "#c", "", " v", "v ", "v\nw", "a\x1cb", "a=b", "a #b", "a#b", "a;b", "[v]", "->",
+    "a->b", "1", "u_5", "d8", "derive", "class", "x^2", "\u00e9",
+]
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_NAMES)
+def test_a_json_name_is_refused_at_its_path_or_emitted_so_it_reads_back(name, tmp_path, capsys):
+    as_fibre = {"base": [["x", 8]], "fibre": {"generators": {"7": [name]}}}
+    as_unknown = {
+        "base": [["x", 8]], "fibre": {"generators": {"7": ["g"]}},
+        "unknowns": [{"name": name, "page": 8, "generator": "g", "target": "x"}],
+    }
+    cases = (
+        (as_fibre, "fibre.generators.7", lambda cfg: cfg.fibre_explicit[7]),
+        (as_unknown, "unknowns[0]", lambda cfg: tuple(u.name for u in cfg.unknowns)),
+    )
+    for data, where, names in cases:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        code = main(["--config", str(path), "e2"])
+        out, err = capsys.readouterr()
+        if code:
+            assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith(
+                f"error: {where}: "
+            ), err
+            continue
+        cfg = parse_config_json(json.dumps(data))
+        emitted = emit_config(cfg)
+        again = parse_config(emitted)
+        assert names(again) == names(cfg) == (name,), emitted
+        assert emit_config(again) == emitted
 
 
 def test_negative_square_and_mixed_degree_target_name_their_line():

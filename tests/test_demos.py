@@ -16,8 +16,8 @@ def test_demo_runs_clean(script, tmp_path):
     # the child runs from tmp_path, so the package path must be absolute
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run(
-        [sys.executable, str(script)],
+    result = subprocess.run(  # a warning fails the demo, as it fails tier-1 in CI
+        [sys.executable, "-W", "error", str(script)],
         capture_output=True,
         text=True,
         cwd=tmp_path,

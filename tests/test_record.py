@@ -29,14 +29,8 @@ from sseqlab.gauge import (
 )
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial
 from sseqlab.homotopy import DimEntry, FGAbelianGroup, GradedDims, HomotopyTable, TableEntry
-from sseqlab.specseq import (
-    BigradedBasis,
-    DifferentialAssignment,
-    FibrationSpec,
-    Page,
-    PageGroup,
-    UnknownScalar,
-)
+from sseqlab.fibration import BigradedBasis, FibrationSpec, UnknownScalar
+from sseqlab.specseq import DifferentialAssignment, Page, PageGroup
 from sseqlab.record import FrozenRecordError, Record, kept
 from sseqlab.steenrod import (
     DegreeHitData,

@@ -18,20 +18,21 @@ from sseqlab.gauge import g2_fibration_spec
 from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degree
 from sseqlab.homotopy import DimEntry, GradedDims
 from sseqlab.record import FrozenRecordError
-from sseqlab.specseq import (
-    DifferentialAssignment,
-    FibrationSpec,
-    Page,
-    PageGroup,
+from sseqlab.fibration import (
     UNIT_GEN,
+    FibrationSpec,
     UnknownScalar,
     admissible_differentials,
     build_e2,
+    run_to_einfty,
+)
+from sseqlab.specseq import (
+    DifferentialAssignment,
+    Page,
+    PageGroup,
     check_images,
     initial_page,
-    leibniz_extend,
     resolve_assignment,
-    run_to_einfty,
     sweep_unknowns,
     total_dims,
     turn_page,
@@ -121,8 +122,16 @@ def test_admissible_respects_window():
 # ---------------------------------------------------------------- leibniz
 
 
+def turned_to(assignment, r):
+    """The page r that ``initial_page`` and ``turn_page`` reach for ``assignment``."""
+    page = initial_page(SPEC, assignment)
+    while page.r < r:
+        page = turn_page(page)
+    return page
+
+
 def test_leibniz_propagates_base_multiplication():
-    matrices = leibniz_extend(SPEC, assignment_for(1), 6)
+    matrices = turned_to(assignment_for(1), 6).differentials
     # d_6(u_5) = x_6 and d_6(x_4*u_5) = x_4*x_6, both rank one
     assert set(matrices) == {(0, 5), (4, 5)}
     for m in matrices.values():
@@ -130,21 +139,20 @@ def test_leibniz_propagates_base_multiplication():
 
 
 def test_leibniz_zero_assignment_gives_no_matrices():
-    assert leibniz_extend(SPEC, assignment_for(0), 6) == {}
+    assert turned_to(assignment_for(0), 6).differentials == {}
 
 
 def test_leibniz_base_classes_are_permanent_cycles():
     for r in range(2, 8):
-        for src in leibniz_extend(SPEC, assignment_for(1), r):
+        for src in turned_to(assignment_for(1), r).differentials:
             assert src[1] > 0  # never a base-row source
 
 
 def test_leibniz_requires_images_for_admissible_generators():
-    from sseqlab.specseq import DifferentialAssignment
-
     empty = DifferentialAssignment({}, {})
-    with pytest.raises(UsageError):
-        leibniz_extend(SPEC, empty, 6)
+    for run in (initial_page, run_to_einfty):
+        with pytest.raises(UsageError, match=r"^no image declared for d_6\(u_5\);"):
+            run(SPEC, empty)
 
 
 ASSIGNMENT_REFUSALS = {
@@ -840,10 +848,6 @@ def test_a_spec_with_an_unproven_degree_is_refused_where_each_run_starts():
     runs = {
         "run_to_einfty": lambda: run_to_einfty(spec, assignment),
         "initial_page": lambda: initial_page(spec, assignment),
-        "leibniz_extend": lambda: leibniz_extend(spec, assignment, 6),
-        "leibniz_extend given a page": lambda: leibniz_extend(
-            spec, assignment, 6, page=initial_page(SPEC, assignment_for(1))
-        ),
     }
     for name, run in runs.items():
         with pytest.raises(UsageError) as info:
@@ -990,16 +994,11 @@ def test_interleaved_pages_with_extra_fibre_generator():
     }
 
 
-def test_leibniz_extend_on_a_later_page():
-    assignment = assignment_for(1)
-    page = initial_page(SPEC, assignment)
-    while page.r < 6:
-        page = turn_page(page)
-    matrices = leibniz_extend(SPEC, assignment, 6, page=page)
-    assert set(matrices) == {(0, 5), (4, 5)}
-    # after the turn, sources and targets are gone; no page-7 matrices remain
-    after = turn_page(page)
-    assert leibniz_extend(SPEC, assignment, 7, page=after) == {}
+def test_leibniz_on_a_later_page():
+    # after the d_6 turn, its sources and targets are gone; no page-7 matrices remain
+    after = turn_page(turned_to(assignment_for(1), 6))
+    assert after.r == 7 and after.differentials == {}
+    assert after.dim(0, 5) == after.dim(6, 0) == 0
 
 
 def test_turn_page_detects_nonzero_composite():
