@@ -201,6 +201,15 @@ def _int(text: str, message: Optional[str] = None) -> int:
         raise ValidationError(message or str(exc)) from None
 
 
+def _token(word, noun: str, stop: str = "") -> str:
+    """``word`` as one token the text form reads back: no whitespace, no leading '#' (which
+    starts a comment there) and none of ``stop``, the characters that end it in its place."""
+    text = str(word)
+    if text.split() != [text] or text[0] == "#" or any(c in stop for c in text):
+        raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
+    return text
+
+
 def parse_group(text: str) -> FGAbelianGroup:
     text = text.strip()
     if text == "0":
@@ -284,7 +293,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are positive")
         if degree in fibre_explicit:
             raise ValidationError(f"duplicate fibre degree {degree}")
-        names = value.split()
+        names = [_token(name, "name") for name in value.split()]  # as JSON names: no leading '#'
         if not names:
             raise ValidationError("fibre line needs at least one generator name")
         seen = {g for gens in fibre_explicit.values() for g in gens}

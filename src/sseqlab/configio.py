@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .config import _TOP, Row, WorkbenchConfig, _build, _located
+from .config import _TOP, Row, WorkbenchConfig, _build, _located, _token
 from .errors import ConfigError, ValidationError
 from .graded import format_polynomial
 from .homotopy import TableEntry
@@ -36,15 +36,6 @@ def _fields(entry, required: tuple[str, ...], optional: tuple[str, ...] = ()) ->
     return entry
 
 
-def _token(word, noun: str, stop: str = "") -> str:
-    """``word`` as one token the text form reads back: no whitespace, no leading '#' (which
-    starts a comment there) and none of ``stop``, the characters that end it in its place."""
-    text = str(word)
-    if text.split() != [text] or text[0] == "#" or any(c in stop for c in text):
-        raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
-    return text
-
-
 def _words(member, noun: str = "name") -> str:
     if not isinstance(member, list):
         raise ValidationError(f"expected a JSON list of {noun}s")
@@ -59,8 +50,12 @@ def _json_generator(_index, pair) -> tuple[str, str]:
 
 def _json_homotopy(degree, entry) -> tuple[str, str]:
     _fields(entry, ("group",), ("exact", "citation"))
-    text = f"{'' if entry.get('exact', True) else TableEntry.INEXACT}{entry['group']}"
-    citation = entry.get("citation", "")
+    group, citation = str(entry["group"]), str(entry.get("citation") or "")
+    for noun, text, stops in (("group", group, (";", " #")), ("citation", citation, (" #",))):
+        # the text form reads both from one line, where " #" starts a comment and ";" ends the group
+        if text.splitlines() not in ([], [text]) or any(c in f" {text}" for c in stops):
+            raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
+    text = f"{'' if entry.get('exact', True) else TableEntry.INEXACT}{group}"
     return degree, f"{text} ; {citation}" if citation else text
 
 

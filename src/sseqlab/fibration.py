@@ -11,9 +11,8 @@ import itertools
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import DeclaredNameError, ValidationError
-from .graded import (
-    Monomial, PolyAlgebraSpec, Polynomial, _degree_dim, basis_in_degree, format_monomial,
-)
+from .graded import Monomial, PolyAlgebraSpec, Polynomial, _degree_dim, basis_in_degree
+from .graded import format_monomial, poincare_dims
 from .record import Record, frozen_copy, kept
 
 if TYPE_CHECKING:
@@ -201,7 +200,7 @@ def classify_arrows(spec: FibrationSpec) -> list[Arrow]:
     differential values are consulted.
     """
     out: list[Arrow] = []
-    base_dims = [spec.base_dim(s) for s in range(spec.degree_bound + 2)]  # targets reach N + 1
+    base_dims = poincare_dims(spec.base, spec.degree_bound + 1)  # targets reach N + 1
     live = {t for t, gens in spec.fibre_gens.items() if gens}.union(spec.unproven_degrees)
     for t in spec.fibre_degrees():
         if t < 1 or not spec.fibre_dim(t):

@@ -192,17 +192,10 @@ def gauge_report(
     branches = []
     for value in branch_values:
         assignment = resolve_assignment(spec, {scalar_name: value})
-        _, report = run_to_einfty(spec, assignment)
-        flat = tuple(
-            (bd, dim) for j in sorted(report) for bd, dim in report[j]
-        )
-        branches.append(
-            GaugeBranch(
-                values=((scalar_name, value),),
-                total_dims=tuple(total_dims(report, spec.degree_bound)),
-                bidegree_dims=flat,
-            )
-        )
+        _, report = run_to_einfty(spec, assignment)  # keyed by degree 0..N, in order
+        flat = tuple(entry for entries in report.values() for entry in entries)
+        totals = tuple(total_dims(report, spec.degree_bound))
+        branches.append(GaugeBranch(((scalar_name, value),), totals, flat))
     top_fibre = max(spec.fibre_degrees())
     notes.append(
         "dims cover the base row and the declared fibre classes; fibre degrees "

@@ -131,12 +131,9 @@ class PageGroup(Record):
     ) -> None:
         fields = self.__dict__  # one store per field: no keyword dict per group
         fields["labels"] = tuple(labels)
-        fields["cycles"] = tuple(cycles)
-        fields["boundaries"] = tuple(boundaries)
-
-    @kept
-    def dim(self) -> int:
-        return len(self.cycles) - len(self.boundaries)
+        fields["cycles"] = cycles = tuple(cycles)
+        fields["boundaries"] = boundaries = tuple(boundaries)
+        fields["dim"] = len(cycles) - len(boundaries)  # derived, not a field: no descriptor
 
     def quotient_basis(self) -> list[F2Vector]:
         """Greedy representatives of cycles modulo boundaries (deterministic).
@@ -163,7 +160,7 @@ class PageGroup(Record):
 
 
 class Page(Record):
-    """Bigraded page r with its differentials in current-basis coordinates; read-only copies."""
+    """Page r: groups, in bidegree order, and d_r in current-basis coordinates; read-only copies."""
 
     def __init__(
         self, spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
@@ -229,8 +226,8 @@ def _page(
         return Page(spec, assignment, r, groups, unevaluated=tuple(sorted(set(flagged))))
     active = {spec.fibre_degree_of(g) for g in image_terms}
     coordinates: dict[tuple[int, int, int], F2Matrix] = {}
-    for (s, t), group in sorted(groups.items()):
-        if t not in active or group.dim == 0:
+    for (s, t), group in groups.items():  # in bidegree order, as start_groups sorted them
+        if t not in active or not group.dim:
             continue
         # check_images forces r = t + 1, so the target is the base-row group (s + t + 1, 0), whose
         # labels all carry the unit; it holds the source monomial times each image monomial
@@ -239,9 +236,10 @@ def _page(
             unevaluated.append((r, (s, t), target_bd))
             continue
         target = groups[target_bd]
+        labels, cycles, boundaries = target.labels, target.cycles, target.boundaries
         source_reps = group.quotient_basis()
         target_reps = target.quotient_basis()
-        target_index = {m.packed: i for i, (m, _g) in enumerate(target.labels)}
+        target_index = {m.packed: i for i, (m, _g) in enumerate(labels)}
         # each label's image as target bits: m * n, summed per term n; the product lies
         # in the target's degree, whose monomials all fit their fields, so nothing carries
         label_bits = []
@@ -250,12 +248,13 @@ def _page(
             for n in image_terms.get(gen, ()):
                 bits ^= 1 << target_index[packed + n]
             label_bits.append(bits)
-        n_labels = len(target.labels)
+        n_labels = len(labels)
         # one [target reps | target boundaries] per (Z, B) pair, which same-size E_2 groups share
-        key = (id(target.cycles), id(target.boundaries), n_labels)
+        key = (id(cycles), id(boundaries), n_labels)
         if key not in coordinates:  # built from its words, as the d_r blocks below are
-            words = tuple(v.bits for v in (*target_reps, *target.boundaries))
+            words = tuple(v.bits for v in (*target_reps, *boundaries))
             coordinates[key] = _matrix(n_labels, len(words), _transpose(words, n_labels), words)
+        coordinate = coordinates[key]
         rep_mask = (1 << len(target_reps)) - 1
         columns, vectors = [], []
         for v in source_reps:
@@ -264,12 +263,12 @@ def _page(
                 bits ^= label_bits[(support & -support).bit_length() - 1]
                 support &= support - 1
             w = _vector(n_labels, bits)
-            if not in_span(target.cycles, w):
+            if not in_span(cycles, w):
                 raise ValidationError(
                     f"d_{r} image at {target_bd} lies in a vanished subquotient: "
                     "inconsistent assignment"
                 )
-            coords = solve(coordinates[key], w)
+            coords = solve(coordinate, w)
             assert coords is not None
             columns.append(coords.bits & rep_mask)
             vectors.append(w)
@@ -332,7 +331,7 @@ def turn_page(page: Page) -> Page:
         if m2 is not None and not m2.matmul(m1).is_zero():
             raise InvariantBreach(f"d_{r} o d_{r} != 0 out of {src}")
     new_groups: dict[Bidegree, PageGroup] = {}
-    for bd, group in sorted(page.groups.items()):
+    for bd, group in page.groups.items():  # in bidegree order, which the next page keeps
         s, t = bd
         m_in = page.differentials.get((s - r, t + r - 1))
         m_out = page.differentials.get(bd)
@@ -375,15 +374,19 @@ def limit_page(
             r = min([p for p in image_pages if p > page.r] + [last_page + 1])
             page = _page(spec, assignment, r, page.groups, page.unevaluated)
     report: EinftyReport = {j: [] for j in range(spec.degree_bound + 1)}
-    for (s, t), group in sorted(page.groups.items()):
+    for (s, t), group in page.groups.items():  # in bidegree order
         if s + t <= spec.degree_bound and group.dim:
             report[s + t].append(((s, t), group.dim))
     return page, report
 
 
 def total_dims(report: EinftyReport, degree_bound: int) -> list[int]:
-    """Summed surviving dimension per total degree 0..degree_bound."""
-    return [sum(d for _, d in report.get(j, [])) for j in range(degree_bound + 1)]
+    """Summed surviving dimension per total degree 0..degree_bound; other degrees are ignored."""
+    totals = [0] * (degree_bound + 1)
+    for j in range(degree_bound + 1):  # one pass, summed in place: no generator per degree
+        for _, d in report.get(j, ()):
+            totals[j] += d
+    return totals
 
 
 def sweep_unknowns(

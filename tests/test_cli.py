@@ -462,6 +462,24 @@ REFUSALS = {
         .replace("d6 u_5", "d6 derive"),
         ["e2"], "line 25: fibre degree 5 contradicts the derived truncation (derived 1, declared 2)",
     ),
+    # a text fibre name emitted after "= " must not start a comment there, as in JSON
+    "text fibre generator starting with a hash": (
+        "c.cfg", SMALL + "[fibre]\n7 =#c\n", ["e2"],
+        "line 4: name '#c' cannot be read back in the text form",
+    ),
+    # a JSON homotopy group or citation the text line cannot hold
+    "json homotopy citation holding a comment": (
+        "c.json", '{"base": [["x", 2]], "homotopy": {"3": {"group": "Z", "citation": "see #5"}}}',
+        ["e2"], "homotopy.3: citation 'see #5' cannot be read back in the text form",
+    ),
+    "json homotopy group holding a citation": (
+        "c.json", '{"base": [["x", 2]], "homotopy": {"3": {"group": "Z ; x"}}}', ["e2"],
+        "homotopy.3: group 'Z ; x' cannot be read back in the text form",
+    ),
+    "json homotopy citation holding a line break": (
+        "c.json", '{"base": [["x", 2]], "homotopy": {"3": {"group": "Z", "citation": "a\\nb"}}}',
+        ["e2"], "homotopy.3: citation 'a\\nb' cannot be read back in the text form",
+    ),
 }
 
 

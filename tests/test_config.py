@@ -620,6 +620,53 @@ def test_a_json_name_is_refused_at_its_path_or_emitted_so_it_reads_back(name, tm
         assert emit_config(again) == emitted
 
 
+# " #" starts a comment and a '#' inside a name does not; a tab before '#' is no space
+@pytest.mark.parametrize(
+    "line, names", [("7 =#c", None), ("7 = a\t#c", None), ("7 = a#c b #c", ("a#c", "b"))]
+)
+def test_a_text_fibre_name_is_refused_at_its_line_or_emitted_so_it_reads_back(line, names):
+    text = f"[base]\nx = 8\n[fibre]\n{line}\n"
+    if names is None:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == ["line 4: name '#c' cannot be read back in the text form"]
+        return
+    cfg = parse_config(text)
+    emitted = emit_config(cfg)
+    assert cfg.fibre_explicit[7] == parse_config(emitted).fibre_explicit[7] == names
+    assert emit_config(parse_config(emitted)) == emitted
+
+
+# groups and citations a JSON homotopy entry may hold, which one text line may end early at
+# ';', cut at a comment or break in two
+ADVERSARIAL_ENTRIES = [
+    ("Z", "see #5"), ("Z", "#5"), ("Z", " #5"), ("Z", "a\nb"), ("Z", "a\rb"), ("Z", "a\x85b"),
+    ("Z", "a\u2028b"), ("Z", "a\n"), ("Z ; x", ""), ("Z;x", "c"), ("Z #", ""), ("Z\n", ""),
+    ("Z\n+ Z", "c"), ("#Z", ""), ("Z", "a#b"), ("Z", "a ; b"), ("Z", "  c  "), ("Z", ""),
+    ("Z/2 + Z", "x -> y = z"), ("0", "[fibre]"), ("contains Z/2", "c"),
+]
+
+
+@pytest.mark.parametrize("group, citation", ADVERSARIAL_ENTRIES)
+def test_a_json_homotopy_entry_is_refused_at_its_path_or_emitted_so_it_reads_back(
+    group, citation, tmp_path, capsys
+):
+    data = {"base": [["x", 8]], "homotopy": {"3": {"group": group, "citation": citation}}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    code = main(["--config", str(path), "e2"])
+    out, err = capsys.readouterr()
+    if code:
+        assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error: homotopy.3: ")
+        return
+    cfg = parse_config_json(json.dumps(data))
+    assert cfg.homotopy.entries[3].citation == citation.strip()
+    emitted = emit_config(cfg)
+    again = parse_config(emitted)
+    assert again.homotopy == cfg.homotopy, emitted
+    assert emit_config(again) == emitted
+
+
 def test_negative_square_and_mixed_degree_target_name_their_line():
     with pytest.raises(ConfigError) as err:
         parse_config("[base]\nt = 1\n[steenrod]\nsq1 t = t^2\nsq-1 t = t\n")

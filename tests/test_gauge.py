@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sseqlab.errors import ValidationError
+from sseqlab.fibration import run_to_einfty
 from sseqlab.gauge import (
     EpsilonRule,
     epsilon_class,
@@ -14,6 +15,7 @@ from sseqlab.gauge import (
     periodicity_check,
 )
 from sseqlab.homotopy import FGAbelianGroup
+from sseqlab.specseq import resolve_assignment
 
 
 # ---------------------------------------------------------------- classes
@@ -95,6 +97,18 @@ def test_both_open_branches_share_one_starting_page(monkeypatch):
     report = gauge_report(1, spec=spec)
     assert len(report.branches) == 2
     assert len(built) == 1
+
+
+def test_a_branch_lists_its_survivors_by_total_degree_then_bidegree():
+    for window in (10, 24):
+        spec = g2_fibration_spec(window)
+        for branch in gauge_report(2, spec=spec).branches:
+            _, report = run_to_einfty(spec, resolve_assignment(spec, dict(branch.values)))
+            expected = [(bd, dim) for j in range(window + 1) for bd, dim in sorted(report[j])]
+            assert list(branch.bidegree_dims) == expected
+            assert branch.total_dims == tuple(
+                sum(dim for bd, dim in expected if sum(bd) == j) for j in range(window + 1)
+            )
 
 
 def test_override_contradicting_proved_value_rejected():

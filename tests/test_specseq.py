@@ -361,9 +361,77 @@ def test_a_group_keeps_the_dim_its_cycles_and_boundaries_give_on_random_specs():
             for group in page_groups.values():
                 assert group.dim == len(group.cycles) - len(group.boundaries)
                 assert group.dim == len(group.quotient_basis())
-                assert group.__dict__["dim"] == group.dim  # kept from its first read
+                assert group.__dict__["dim"] == group.dim  # stored when the group is built
                 groups += 1
     assert groups > 1000
+
+
+def test_a_group_sets_its_dim_when_built_and_keeps_no_descriptor_for_it():
+    assert "dim" not in vars(PageGroup) and PageGroup._fields == ("labels", "cycles", "boundaries")
+    rng = random.Random(1019)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        boundaries = row_reduce([F2Vector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 4))])
+        cycles = row_reduce(boundaries + [F2Vector(n, rng.getrandbits(n)) for _ in range(4)])
+        group = PageGroup(tuple(range(n)), iter(cycles), iter(boundaries))  # any iterable
+        assert vars(group) == {
+            "labels": tuple(range(n)), "cycles": tuple(cycles), "boundaries": tuple(boundaries),
+            "dim": len(cycles) - len(boundaries),
+        }
+        twin = pickle.loads(pickle.dumps(group))
+        assert twin == group and vars(twin) == vars(group)
+
+
+def engine_pages(monkeypatch, runs):
+    """Every page ``_page`` builds while each (spec, assignment) runs to its limit, by
+    ``run_to_einfty`` and by turning every page; with each run's limit report."""
+    import sseqlab.specseq as specseq
+
+    pages, reports, build = [], [], specseq._page
+
+    def recorded(*args, **kwargs):
+        pages.append(build(*args, **kwargs))
+        return pages[-1]
+
+    monkeypatch.setattr(specseq, "_page", recorded)
+    for spec, assignment in runs:
+        reports.append(run_to_einfty(spec, assignment)[1])
+        pages_to_limit(spec, assignment)
+    return pages, reports
+
+
+def test_every_page_the_engine_builds_keeps_its_groups_in_bidegree_order(monkeypatch):
+    rng = random.Random(1013)
+    g2 = [g2_fibration_spec(n) for n in (10, 24, 60)]
+    runs = [(spec, resolve_assignment(spec, {"eps": eps})) for spec in g2 for eps in (0, 1)]
+    runs += [random_fibration(rng) for _ in range(100)]
+    pages, reports = engine_pages(monkeypatch, runs)
+    for page in pages:
+        assert list(page.groups) == sorted(page.groups)
+        for group in page.groups.values():
+            assert group.__dict__["dim"] == len(group.cycles) - len(group.boundaries)
+    for report in reports:  # each degree lists its bidegrees in order
+        assert all(entries == sorted(entries) for entries in report.values())
+    assert len(pages) > 400 and sum(len(page.groups) for page in pages) > 10000
+
+
+def test_total_dims_sums_each_degree_of_the_window_in_one_pass_and_ignores_the_rest():
+    def per_degree(report, bound):  # one lookup per degree, as total_dims read the report before
+        return [sum(d for _, d in report.get(j, [])) for j in range(bound + 1)]
+
+    rng = random.Random(1021)
+    for _ in range(1000):
+        bound = rng.randint(-1, 12)
+        degrees = rng.sample(range(-3, bound + 4), rng.randint(0, bound + 7))  # any order, gaps
+        report = {
+            j: [((rng.randint(0, 9), rng.randint(0, 9)), rng.randint(1, 5))
+                for _ in range(rng.randint(0, 4))]
+            for j in degrees
+        }
+        assert total_dims(report, bound) == per_degree(report, bound)
+    assert total_dims({}, 3) == [0, 0, 0, 0] and total_dims({0: [((0, 0), 1)]}, -1) == []
+    odd_keys = {1.0: [((0, 1), 2)], "1": [((1, 0), 5)]}  # a key equal to a degree is that degree
+    assert total_dims(odd_keys, 2) == per_degree(odd_keys, 2) == [0, 2, 0]
 
 
 def test_seeded_starting_reps_equal_a_fresh_computation():
