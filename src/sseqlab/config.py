@@ -31,7 +31,7 @@ Sections::
     class = 1 3
 
     [steenrod]               # sq<i> generator = polynomial
-    sq1 t = t^2
+    sq1 x_4 = 0
 
 ``derive = homotopy`` runs the triple-loop pipeline (the workbench
 targets mapping spaces over the four-sphere, so the fibre is the
@@ -89,6 +89,8 @@ class EpsilonRule(Record):
                 raise ValidationError(f"known value for unknown class {label!r}")
             if value not in (0, 1):
                 raise ValidationError("known values must be 0 or 1")
+            if value and 0 in dict(classes)[label]:  # k = 0, the trivial bundle, has a section
+                raise ValidationError(f"class {label!r} holds residue 0: a section forces eps = 0")
         self.__dict__.update(modulus=modulus, classes=classes, known_values=known_values)
 
     def label_of(self, k: int) -> str:

@@ -42,6 +42,12 @@ def _words(member, noun: str = "name") -> str:
     return " ".join(_token(word, noun) for word in member)
 
 
+def _flag(member, name: str) -> bool:  # a JSON boolean, not a truthy "false", 0 or []
+    if not isinstance(member, bool):
+        raise ValidationError(f"{name} must be true or false, got {member!r}")
+    return member
+
+
 def _json_generator(_index, pair) -> tuple[str, str]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValidationError("expected a [name, degree] pair")
@@ -55,7 +61,9 @@ def _json_homotopy(degree, entry) -> tuple[str, str]:
         # the text form reads both from one line, where " #" starts a comment and ";" ends the group
         if text.splitlines() not in ([], [text]) or any(c in f" {text}" for c in stops):
             raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
-    text = f"{'' if entry.get('exact', True) else TableEntry.INEXACT}{group}"
+    if group.strip().startswith(TableEntry.INEXACT):  # exactness is the "exact" field alone
+        raise ValidationError(f'group {group!r} carries a text prefix; JSON says "exact": false')
+    text = f"{'' if _flag(entry.get('exact', True), 'exact') else TableEntry.INEXACT}{group}"
     return degree, f"{text} ; {citation}" if citation else text
 
 
@@ -94,7 +102,7 @@ def parse_config_json(text: str) -> WorkbenchConfig:
             walk("fibre", "fibre.generators", member, dict, lambda d, n: (d, _words(n)))
         elif key != "derive":
             raise ValidationError(f"unknown field {key!r}")
-        elif member:
+        elif _flag(member, "derive"):
             return "derive", "homotopy"
 
     def epsilon(key, member):

@@ -196,15 +196,9 @@ class F2Matrix(Record):
 
     @kept
     def _column_echelon(self) -> dict[int, int]:
-        """One semi-echelon of the columns, column j tagged at bit ``rows + j``.
-
-        A column is kept (pivot below ``rows``) exactly when it is outside the
-        span of the columns before it, so the kept columns are the RREF pivot
-        columns, and a kept row's tags name only kept columns.  The matrix is
-        frozen, so every ``solve`` against it reads this one elimination.
-        """
-        rows = self.rows
-        return _echelon(word | 1 << (rows + j) for j, word in enumerate(self._column_words))
+        """``_indexed_echelon`` of the columns: the kept ones are the RREF pivot columns, the
+        tag-only rows span the kernel, and every ``solve`` and ``kernel_basis`` reads it."""
+        return _indexed_echelon(self._column_words, self.rows)
 
 
 def _matrix(rows: int, cols: int, row_bits: tuple, column_words: Optional[tuple] = None):
@@ -240,6 +234,19 @@ def _echelon(words: Iterable[int]) -> dict[int, int]:
                 break
             word ^= rows[pivot]
     return rows
+
+
+def _indexed_echelon(words: Sequence[int], width: int) -> dict[int, int]:
+    """``_echelon`` of the words below ``width``, word i tagged at bit ``width + i``: one row
+    per word, in word order.  A row with its pivot below ``width`` is a kept word (outside the
+    span of those before it), its highest bit its own tag; any other row is tags alone, a
+    combination of the words that sums to zero."""
+    return _echelon(word | 1 << (width + i) for i, word in enumerate(words))
+
+
+def _kept(words: Sequence[int], width: int) -> list[int]:
+    """The greedy choice: ascending indices of the words outside the span of those before."""
+    return [i for i, pivot in enumerate(_indexed_echelon(words, width)) if pivot < width]
 
 
 def _rref(words: Iterable[int]) -> tuple[list[int], dict[int, int]]:
@@ -310,25 +317,11 @@ def rank(m: F2Matrix) -> int:
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """RREF basis of {v : m*v = 0}; size is cols - rank(m).
-
-    One semi-echelon decides the rank; only a free column needs its rows back-substituted.
-    """
-    echelon = _echelon(m.row_bits)
-    if len(echelon) == m.cols:  # no free column
-        return []
-    reduced = _rref_words(echelon.values())
-    pivots = {p for p, _ in reduced}
-    kernel_words = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        word = 1 << free
-        for p, row in reduced:
-            if row >> free & 1:
-                word |= 1 << p
-        kernel_words.append(word)
-    return [_vector(m.cols, word) for _, word in _rref_words(kernel_words)]
+    """RREF basis of {v : m*v = 0}, size cols - rank(m): the tag-only rows of the column
+    echelon ``solve`` reads, one per column not kept, so an injective ``m`` has none."""
+    rows = m.rows
+    relations = [word >> rows for pivot, word in m._column_echelon.items() if pivot >= rows]
+    return [_vector(m.cols, word) for _, word in _rref_words(relations)] if relations else []
 
 
 def image_basis(m: F2Matrix) -> list[F2Vector]:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import F2Matrix, F2Vector, in_span, kernel_basis, reduce_against, row_reduce, solve
-from .f2 import _matrix, _transpose, _vector  # unchecked: for values in range by construction
+from .f2 import _kept, _matrix, _transpose, _vector  # private: trusted values, the greedy choice
 from .fibration import Bidegree, FibrationSpec, Label, build_e2, run_to_einfty
 from .graded import Polynomial
 from .record import Record, frozen_copy, kept
@@ -146,17 +146,9 @@ class PageGroup(Record):
     def _quotient_reps(self) -> tuple[F2Vector, ...]:
         """B is RREF, so ``reduce_against(B, .)`` is linear with kernel span B: a cycle lies
         in span(B and the kept cycles) exactly when its residue lies in the span of theirs,
-        which a dict of the kept residues, keyed by lowest bit, decides."""
-        kept: dict[int, int] = {}
-        reps = []
-        for v in self.cycles:
-            word = reduce_against(self.boundaries, v).bits
-            while word and (low := word & -word) in kept:
-                word ^= kept[low]
-            if word:
-                kept[low] = word
-                reps.append(v)
-        return tuple(reps)
+        so the greedy choice over the residues (``_kept``) keeps the reps."""
+        residues = [reduce_against(self.boundaries, v).bits for v in self.cycles]
+        return tuple(map(self.cycles.__getitem__, _kept(residues, len(self.labels))))
 
 
 class Page(Record):

@@ -19,7 +19,7 @@ from collections import defaultdict
 from typing import Mapping, Optional
 
 from .errors import UsageError, ValidationError
-from .f2 import F2Vector, reduce_against, row_reduce
+from .f2 import F2Vector, _kept, reduce_against, row_reduce
 from .graded import (
     Monomial,
     PolyAlgebraSpec,
@@ -254,13 +254,10 @@ def hit_quotient(table: SteenrodTable, bound: int) -> HitReport:
                     bits ^= 1 << index[term]
                 hit_vectors.append(F2Vector(n, bits))
         hit_basis = row_reduce(hit_vectors)
-        reps = []
-        echelon = list(hit_basis)
-        for j, m in enumerate(basis):
-            residue = reduce_against(echelon, F2Vector.unit(n, j))
-            if not residue.is_zero():
-                reps.append(m)
-                echelon.append(residue)
+        # the hit basis is RREF, so reducing against it is linear with the hits as kernel: the
+        # greedy choice over the residues keeps the monomials outside the hits and those before
+        residues = [reduce_against(hit_basis, F2Vector.unit(n, j)).bits for j in range(n)]
+        reps = [basis[j] for j in _kept(residues, n)]
         rows.append(
             DegreeHitData(
                 degree=d,

@@ -298,6 +298,38 @@ REFUSALS = {
         ["e2"], "line 25: fibre degree 5 declares fewer classes than the derived lower bound 2",
     ),
     "json top level is a list": ("c.json", "[1, 2]", ["e2"], "top level must be a JSON object"),
+    # a JSON flag is a boolean: a string or a list is not read by its truthiness
+    "json exact as a string": (
+        "c.json", '{"base": [["x", 8]], "homotopy": {"3": {"group": "Z/2", "exact": "false"}}}',
+        ["e2"], "homotopy.3: exact must be true or false, got 'false'",
+    ),
+    "json derive as a string": (
+        "c.json", '{"base": [["x", 2]], "fibre": {"derive": "false"}}', ["e2"],
+        "fibre.derive: derive must be true or false, got 'false'",
+    ),
+    "json derive as a list": (
+        "c.json", '{"base": [["x", 2]], "fibre": {"derive": []}}', ["e2"],
+        "fibre.derive: derive must be true or false, got []",
+    ),
+    # in JSON, exactness is the "exact" field and nothing else
+    "json group with the text form's inexact prefix": (
+        "c.json",
+        '{"base": [["x", 8]], "homotopy": {"3": {"group": "contains Z/2", "exact": true}}}',
+        ["e2"],
+        """homotopy.3: group 'contains Z/2' carries a text prefix; JSON says "exact": false""",
+    ),
+    # the trivial bundle's section forces eps = 0 on the class holding residue 0
+    "epsilon value one on residue zero": (
+        "c.cfg", G2_TEXT.replace("class = 0 : 0", "class = 0 : 1"), ["gauge", "--k", "4"],
+        "epsilon section: class '0' holds residue 0: a section forces eps = 0",
+    ),
+    "json epsilon value one on residue zero": (
+        "c.json",
+        '{"base": [["x", 2]], "epsilon": {"modulus": 2, "classes": '
+        '[{"residues": [1]}, {"residues": [0], "known": 1}]}}',
+        ["e2"],
+        "epsilon section: class '0' holds residue 0: a section forces eps = 0",
+    ),
     # both would key the image of d_2(e) by (generator, page), so the later would win silently
     "two unknowns on one generator": (
         "c.cfg", ONE_ARROW + "a = d2 e -> x\nb = d2 e -> x\n",

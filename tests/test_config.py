@@ -426,6 +426,63 @@ def test_json_twin_matches_text_fixture():
     assert emit_config(from_json) == emit_config(from_text)
 
 
+def test_readme_text_example_is_the_twin_of_its_json_example():
+    readme = (ROOT / "README.md").read_text()
+    json_text = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(text) == parse_config_json(json_text)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}, "yes"])
+@pytest.mark.parametrize("where", ["homotopy.3", "fibre.derive"])
+def test_a_json_flag_that_is_not_a_boolean_is_refused_at_its_path(where, value):
+    data = {"base": [["x", 8]], "homotopy": {"3": {"group": "Z/2"}}}
+    if where == "fibre.derive":
+        data["fibre"] = {"derive": value}
+    else:
+        data["homotopy"]["3"]["exact"] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps(data))
+    name = "derive" if where == "fibre.derive" else "exact"
+    assert info.value.problems == [f"{where}: {name} must be true or false, got {value!r}"]
+
+
+def test_a_json_flag_reads_as_the_boolean_it_is():
+    def load(exact, derive):
+        homotopy = {str(d): {"group": "0"} for d in range(4, 9)}
+        return parse_config_json(json.dumps({
+            "base": [["x", 8]], "homotopy": {"3": {"group": "Z", "exact": exact}, **homotopy},
+            "fibre": {"derive": derive},
+        }))
+
+    text = "[base]\nx = 8\n[homotopy]\n3 = {}Z\n" + "".join(f"{d} = 0\n" for d in range(4, 9))
+    assert load(True, True) == parse_config(text.format("") + "[fibre]\nderive = homotopy\n")
+    assert load(False, False) == parse_config(text.format("contains "))
+
+
+@pytest.mark.parametrize("group", ["contains Z/2", " contains Z/2", "contains 0"])
+@pytest.mark.parametrize("exact", [True, False, None])
+def test_a_json_group_may_not_carry_the_text_forms_inexact_prefix(group, exact):
+    entry = {"group": group} if exact is None else {"group": group, "exact": exact}
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps({"base": [["x", 8]], "homotopy": {"3": entry}}))
+    assert info.value.problems == [
+        f'homotopy.3: group {group!r} carries a text prefix; JSON says "exact": false'
+    ]
+
+
+def test_an_epsilon_rule_refuses_a_known_one_on_the_class_holding_residue_zero():
+    from sseqlab.config import EpsilonRule
+
+    classes = (("0 2", (0, 2)), ("1,3", (1, 3)))
+    for known in ((("0 2", 1),), (("0 2", 0), ("1,3", 1))):
+        if known[0][1]:
+            with pytest.raises(ValidationError, match="holds residue 0"):
+                EpsilonRule(4, classes, known)
+        else:  # eps = 0 on the trivial bundle's class, and any value elsewhere, stands
+            assert EpsilonRule(4, classes, known).known("1,3") == 1
+
+
 def test_json_parse_errors_are_located():
     with pytest.raises(ConfigError):
         parse_config_json("not json at all")

@@ -406,6 +406,58 @@ def test_solve_keeps_one_elimination_per_matrix(monkeypatch, solve_reference):
     assert solvable > 1000 and unsolvable > 1000
 
 
+def test_kernel_basis_and_solve_read_one_column_echelon(monkeypatch, rref_reference):
+    import sseqlab.f2 as f2
+
+    eliminations = []
+    original = f2._indexed_echelon
+
+    def counted(words, width):
+        eliminations.append(None)
+        return original(words, width)
+
+    monkeypatch.setattr(f2, "_indexed_echelon", counted)
+    rng = random.Random(2031)
+    checked = 0
+    for m in _kernel_cases(rng):
+        eliminations.clear()
+        kernel = kernel_basis(m)
+        solve(m, F2Vector(m.rows, rng.getrandbits(m.rows)))
+        assert len(eliminations) == 1 and "_column_echelon" in vars(m)
+        assert len(kernel) == m.cols - len(rref_reference(m.row_bits))
+        assert all(m.apply(v).is_zero() for v in kernel)
+        if m.cols <= 10:  # the RREF of every null vector, found by enumeration
+            null = [x for x in range(1 << m.cols) if m.apply(F2Vector(m.cols, x)).is_zero()]
+            assert [v.bits for v in kernel] == [word for _p, word in rref_reference(null)]
+            checked += 1
+    assert checked > 150
+
+
+def test_kept_is_the_greedy_choice_on_random_word_lists(greedy_reference):
+    import sseqlab.f2 as f2
+
+    rng = random.Random(2032)
+    repeated = zeros = 0
+    for _ in range(2000):
+        width = rng.randint(0, 16)
+        words = []
+        for _ in range(rng.randint(0, 24)):
+            roll = rng.random()
+            if roll < 0.15:
+                words.append(0)
+            elif roll < 0.3 and words:
+                words.append(rng.choice(words))
+            else:
+                words.append(rng.getrandbits(width) & rng.getrandbits(width))
+        zeros += 0 in words
+        repeated += len(set(words)) < len(words)
+        vectors = [F2Vector(width, word) for word in words]  # one object per index
+        picked = greedy_reference([], vectors)
+        assert [vectors[i] for i in f2._kept(words, width)] == picked
+        assert [id(vectors[i]) for i in f2._kept(words, width)] == list(map(id, picked))
+    assert zeros > 500 and repeated > 500
+
+
 def test_from_columns_and_support_read_every_bit():
     rng = random.Random(2028)
     for _ in range(200):

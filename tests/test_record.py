@@ -180,7 +180,7 @@ RECORDS = [
         EpsilonRule,
         ["modulus", "classes", "known_values"],
         {},
-        lambda rng: (2, (("0", (0,)), ("1", (1,))), rng.choice(((), (("0", rng.randint(0, 1)),)))),
+        lambda rng: (2, (("0", (0,)), ("1", (1,))), rng.choice(((), (("0", 0),), (("1", 1),)))),
     ),
     (GaugeBranch, ["values", "total_dims", "bidegree_dims"], {}, branch_args),
     (

@@ -415,13 +415,44 @@ def reference_representatives(table, bound, greedy_reference):
     [
         (load_config(Path(__file__).parent.parent / "onevar.cfg").steenrod, 31),
         (table_from_entries(PolyAlgebraSpec.from_pairs([("a", 1), ("b", 1)]), {}), 10),
+        (table_from_entries(PolyAlgebraSpec.from_pairs([("a", 1), ("b", 1), ("c", 1)]), {}), 12),
+        (load_config(Path(__file__).parent / "data" / "g2_steenrod.cfg").steenrod, 21),
     ],
-    ids=["onevar", "two_variables"],
+    ids=["onevar", "two_variables", "three_variables", "g2_borel_wu"],
 )
 def test_hit_representatives_match_reference(table, bound, greedy_reference):
     report = hit_quotient(table, bound)
     expected = reference_representatives(table, bound, greedy_reference)
     assert [row.representatives for row in report.rows] == expected
+
+
+def test_hit_residues_reduce_each_monomial_once_against_the_hit_basis(monkeypatch):
+    import sseqlab.steenrod as steenrod
+    from sseqlab.f2 import reduce_against
+
+    events = []
+
+    def traced_row_reduce(vectors):
+        events.append(("hits", row_reduce(vectors)))
+        return events[-1][1]
+
+    def traced_reduce(basis, v):
+        events.append(("reduce", basis, v))
+        return reduce_against(basis, v)
+
+    monkeypatch.setattr(steenrod, "row_reduce", traced_row_reduce)
+    monkeypatch.setattr(steenrod, "reduce_against", traced_reduce)
+    algebra = PolyAlgebraSpec.from_pairs([("a", 1), ("b", 1), ("c", 1)])
+    report = hit_quotient(table_from_entries(algebra, {}), 8)
+    starts = [i for i, event in enumerate(events) if event[0] == "hits"]
+    assert len(starts) == len(report.rows)
+    for row, start, end in zip(report.rows, starts, starts[1:] + [len(events)]):
+        hit_basis, calls = events[start][1], events[start + 1 : end]
+        assert len(hit_basis) == row.hit_dim
+        assert [v for _kind, _basis, v in calls] == [
+            F2Vector.unit(row.total_dim, j) for j in range(row.total_dim)
+        ]
+        assert all(basis is hit_basis for _kind, basis, _v in calls)
 
 
 def test_hit_on_two_variable_algebra_accounting():
