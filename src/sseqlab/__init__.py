@@ -17,9 +17,9 @@ _EXPORTS = {  # module: the public names it defines
     "errors": "ConfigError IncompleteTableError InvariantBreach SseqlabError UsageError "
     "ValidationError",
     "f2": "F2Matrix F2Vector image_basis kernel_basis quotient_dim rank solve",
-    "config": "DEFAULT_EPSILON_RULE EpsilonRule",
-    "gauge": "GaugeBranch GaugeReport epsilon_class g2_fibration_spec g2_homotopy_table "
-    "gauge_report periodicity_check",
+    "config": "EpsilonRule",
+    "gauge": "DEFAULT_EPSILON_RULE GaugeBranch GaugeReport epsilon_class g2_fibration_spec "
+    "g2_homotopy_table gauge_report periodicity_check",
     "graded": "Monomial PolyAlgebraSpec Polynomial basis_in_degree multiply poincare_dims",
     "homotopy": "DimEntry FGAbelianGroup GradedDims HomotopyTable TableEntry connectivity "
     "ext1_to_f2 fibre_truncation_dims hom_to_f2 hurewicz_homology loopspace_shift "

@@ -191,6 +191,8 @@ def cmd_sweep(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_gauge(cfg: WorkbenchConfig, args: argparse.Namespace) -> Artifacts:
+    if cfg.epsilon_rule is None:
+        raise ValidationError("the gauge command needs an epsilon section")
     parsed = _parse_bit_flags("--epsilon", "label", args.epsilon)
     spec = cfg.fibration_spec()
     report = gauge_report(args.k, parsed, rule=cfg.epsilon_rule, spec=spec)

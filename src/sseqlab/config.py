@@ -11,7 +11,7 @@ Sections::
     degree_bound = 10        # top level, before any section
 
     [base]                   # required: generator = degree, in order
-    x_4 = 4
+    a = 6
 
     [homotopy]               # degree = group ; citation
     3 = Z ; source
@@ -22,16 +22,15 @@ Sections::
     6 = v_6 w_6
 
     [unknowns]               # name = d<page> generator -> polynomial
-    eps = d6 u_5 -> x_6
+    eps = d6 u_5 -> a
 
-    [epsilon]                # residue classes and proved values
-    modulus = 4
+    [epsilon]                # read by gauge alone: residue classes, proved values
+    modulus = 2
     class = 0 : 0
-    class = 2
-    class = 1 3
+    class = 1
 
     [steenrod]               # sq<i> generator = polynomial
-    sq1 x_4 = 0
+    sq1 a = 0
 
 ``derive = homotopy`` runs the triple-loop pipeline (the workbench
 targets mapping spaces over the four-sphere, so the fibre is the
@@ -103,13 +102,6 @@ class EpsilonRule(Record):
         return tuple(label for label, _ in self.classes)
 
 
-DEFAULT_EPSILON_RULE = EpsilonRule(
-    modulus=4,
-    classes=(("0", (0,)), ("2", (2,)), ("1,3", (1, 3))),
-    known_values=(("0", 0),),
-)
-
-
 class WorkbenchConfig(Record):
     """A parsed configuration; ``fibre_explicit`` is kept as a read-only copy."""
 
@@ -117,13 +109,13 @@ class WorkbenchConfig(Record):
         self, base: PolyAlgebraSpec, degree_bound: int = 10,
         homotopy: Optional[HomotopyTable] = None, fibre_derive: bool = False,
         fibre_explicit: Optional[Mapping[int, tuple[str, ...]]] = None,
-        unknowns: tuple[UnknownScalar, ...] = (), epsilon_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
-        epsilon_given: bool = False, steenrod: Optional[SteenrodTable] = None,
+        unknowns: tuple[UnknownScalar, ...] = (), epsilon_rule: Optional[EpsilonRule] = None,
+        steenrod: Optional[SteenrodTable] = None,
     ) -> None:
         self.__dict__.update(
             base=base, degree_bound=degree_bound, homotopy=homotopy, fibre_derive=fibre_derive,
             fibre_explicit=frozen_copy(fibre_explicit or {}), unknowns=unknowns,
-            epsilon_rule=epsilon_rule, epsilon_given=epsilon_given, steenrod=steenrod,
+            epsilon_rule=epsilon_rule, steenrod=steenrod,
         )
 
     def fibration_spec(self) -> FibrationSpec:
@@ -368,9 +360,8 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     run("homotopy", homotopy_entry)
     run("fibre", fibre_line)
     run("unknowns", unknown)
-    epsilon_rule = DEFAULT_EPSILON_RULE
-    epsilon_given = bool(rows.get("epsilon"))  # an empty [epsilon] counts as absent
-    if epsilon_given:
+    epsilon_rule = None
+    if rows.get("epsilon"):  # an empty [epsilon] counts as absent
         run("epsilon", epsilon_line)
         if modulus is None:
             problems.append("epsilon section needs a modulus")
@@ -395,7 +386,6 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         fibre_explicit=fibre_explicit,
         unknowns=tuple(unknowns),
         epsilon_rule=epsilon_rule,
-        epsilon_given=epsilon_given,
         steenrod=steenrod,
     )
     # the consistency gate runs at parse time so bad configs never load; its spec is kept

@@ -56,8 +56,10 @@ def _json_generator(_index, pair) -> tuple[str, str]:
 
 def _json_homotopy(degree, entry) -> tuple[str, str]:
     _fields(entry, ("group",), ("exact", "citation"))
-    group, citation = str(entry["group"]), str(entry.get("citation") or "")
+    group, citation = entry["group"], entry.get("citation", "")
     for noun, text, stops in (("group", group, (";", " #")), ("citation", citation, (" #",))):
+        if not isinstance(text, str):  # not str()'s reading of a number, list or boolean
+            raise ValidationError(f"{noun} must be a string, got {text!r}")
         # the text form reads both from one line, where " #" starts a comment and ";" ends the group
         if text.splitlines() not in ([], [text]) or any(c in f" {text}" for c in stops):
             raise ValidationError(f"{noun} {text!r} cannot be read back in the text form")
@@ -151,7 +153,7 @@ def emit_config(cfg: WorkbenchConfig) -> str:
         for u in cfg.unknowns:
             target = format_polynomial(cfg.base, u.target)
             out.append(f"{u.name} = d{u.page} {u.generator} -> {target}")
-    if cfg.epsilon_given:
+    if cfg.epsilon_rule is not None:
         out += ["", "[epsilon]", f"modulus = {cfg.epsilon_rule.modulus}"]
         for label, residues in cfg.epsilon_rule.classes:
             known = cfg.epsilon_rule.known(label)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from . import _deferred
-from .config import DEFAULT_EPSILON_RULE, EpsilonRule, WorkbenchConfig
+from .config import EpsilonRule, WorkbenchConfig
 from .errors import ValidationError
 from .fibration import (
     Bidegree, FibrationSpec, UnknownScalar, admissible_differentials, run_to_einfty,
@@ -24,6 +24,9 @@ resolve_assignment = _deferred("specseq", "resolve_assignment")  # loaded by the
 total_dims = _deferred("specseq", "total_dims")
 
 G2_BASE = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_6", 6), ("x_7", 7)])
+DEFAULT_EPSILON_RULE = EpsilonRule(  # the order of <i_3, 1> (Kishimoto-Theriault-Tsutaya, Kameko)
+    4, (("0", (0,)), ("2", (2,)), ("1,3", (1, 3))), (("0", 0),)
+)
 
 
 def epsilon_class(
@@ -38,7 +41,7 @@ def epsilon_class(
     return label, rule.known(label)
 
 
-def periodicity_check(k1: int, k2: int, modulus: int = 4) -> bool:
+def periodicity_check(k1: int, k2: int, modulus: int = DEFAULT_EPSILON_RULE.modulus) -> bool:
     """True when the two bundle classes share a residue mod ``modulus``."""
     return k1 % modulus == k2 % modulus
 
@@ -160,11 +163,10 @@ def gauge_report(
                 f"override eps={value} on class {label} contradicts the proved value {proved}"
             )
     label, known = epsilon_class(k, rule)
-    notes = [
-        f"residue classes mod {rule.modulus}: the scalar depends only on k mod "
-        f"{rule.modulus} (the connecting map is k times a map of 2-primary order "
-        f"{rule.modulus})",
-    ]
+    modulus = rule.modulus
+    notes = [f"residue classes mod {modulus}: the scalar depends only on k mod {modulus}"]
+    if modulus & (modulus - 1) == 0:  # only a power of 2 is a 2-primary order
+        notes[0] += f" (the connecting map is k times a map of 2-primary order {modulus})"
     if known is not None:
         branch_values = [known]
         if 0 in dict(rule.classes).get(label, ()):

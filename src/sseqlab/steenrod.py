@@ -271,14 +271,15 @@ def hit_quotient(table: SteenrodTable, bound: int) -> HitReport:
 
 
 def suggest_g2_table() -> SteenrodTable:
-    """Scaffold for the degree-4/6/7 polynomial base algebra.
+    """Scaffold for the default job's base algebra, ``gauge.G2_BASE``.
 
     Only axiom-forced entries are populated; everything strictly
     between Sq^0 and the top square is left user-supplied, to be filled
     from the literature via the configuration file.
     """
-    algebra = PolyAlgebraSpec.from_pairs([("x_4", 4), ("x_6", 6), ("x_7", 7)])
-    return table_from_entries(algebra, {})
+    from .gauge import G2_BASE
+
+    return table_from_entries(G2_BASE, {})
 
 
 def format_violations(violations: list[Violation]) -> str:

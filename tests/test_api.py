@@ -20,10 +20,10 @@ DEFINED_IN = {
         "ValidationError",
     ],
     "f2": ["F2Matrix", "F2Vector", "image_basis", "kernel_basis", "quotient_dim", "rank", "solve"],
-    "config": ["DEFAULT_EPSILON_RULE", "EpsilonRule"],
+    "config": ["EpsilonRule"],
     "gauge": [
-        "GaugeBranch", "GaugeReport", "epsilon_class", "g2_fibration_spec", "g2_homotopy_table",
-        "gauge_report", "periodicity_check",
+        "DEFAULT_EPSILON_RULE", "GaugeBranch", "GaugeReport", "epsilon_class",
+        "g2_fibration_spec", "g2_homotopy_table", "gauge_report", "periodicity_check",
     ],
     "graded": [
         "Monomial", "PolyAlgebraSpec", "Polynomial", "basis_in_degree", "multiply",
@@ -91,6 +91,7 @@ def test_the_epsilon_rule_is_one_class_wherever_it_is_read():
 
     assert sseqlab.EpsilonRule is sseqlab.gauge.EpsilonRule is sseqlab.config.EpsilonRule
     assert sseqlab.DEFAULT_EPSILON_RULE is sseqlab.gauge.DEFAULT_EPSILON_RULE
+    assert not hasattr(sseqlab.config, "DEFAULT_EPSILON_RULE")  # G_2's rule lives in gauge
 
 
 def test_star_import_and_dir_see_every_name():

@@ -134,6 +134,22 @@ def test_gauge_class_with_a_known_nonzero_residue_is_pinned_by_the_rule(tmp_path
     assert [l[:6] for l in csv_part.splitlines() if l.startswith("2,")] == ["2,2,0,"]
 
 
+@pytest.mark.parametrize("modulus, classes, order", [
+    (6, "class = 0 : 0\nclass = 2 4\nclass = 1 3 5\n", False),
+    (8, "class = 0 : 0\nclass = 2 4 6\nclass = 1 3 5 7\n", True),
+])
+def test_gauge_names_a_2_primary_order_only_for_a_power_of_two(tmp_path, modulus, classes, order):
+    cfg = tmp_path / "c.cfg"
+    text = (ROOT / "g2.cfg").read_text().partition("[epsilon]")[0]
+    cfg.write_text(f"{text}[epsilon]\nmodulus = {modulus}\n{classes}")
+    code, out, err = run_cli("--config", str(cfg), "gauge", "--k", str(modulus))
+    assert (code, err) == (0, "")
+    note = f"\nresidue classes mod {modulus}: the scalar depends only on k mod {modulus}"
+    clause = f" (the connecting map is k times a map of 2-primary order {modulus})"
+    assert note + (clause if order else "") + "\n" in out
+    assert ("2-primary" in out) == order
+
+
 def test_uct_input_row_shows_a_free_rank_above_one(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text((ROOT / "g2.cfg").read_text().replace("3 = Z ;", "3 = Z^2 ;"))
@@ -283,8 +299,12 @@ REFUSALS = {
         "c.cfg", G2_TEXT, ["gauge", "--k", "1", "--epsilon", "7=1"],
         "override for unknown class '7'",
     ),
+    "gauge without an epsilon section": (
+        "c.cfg", ONE_ARROW + "a = d2 e -> x\n", ["gauge", "--k", "4"],
+        "the gauge command needs an epsilon section",
+    ),
     "gauge without an unknown": (
-        "c.cfg", SMALL, ["gauge", "--k", "1"],
+        "c.cfg", SMALL + "[epsilon]\nmodulus = 1\nclass = 0 : 0\n", ["gauge", "--k", "1"],
         "the gauge pipeline expects exactly one unknown, the transgressive scalar",
     ),
     "einfty value for an undeclared unknown": (

@@ -1,6 +1,7 @@
 """Tests for the configuration grammar and its JSON twin."""
 
 import copy
+import importlib.util
 import json
 import pickle
 import random
@@ -18,7 +19,7 @@ from sseqlab.config import (
 )
 from sseqlab.cli import main
 from sseqlab.errors import ConfigError, SseqlabError, ValidationError
-from sseqlab.gauge import G2_BASE
+from sseqlab.gauge import DEFAULT_EPSILON_RULE, G2_BASE, g2_fibration_spec, g2_homotopy_table
 from sseqlab.homotopy import FGAbelianGroup
 from sseqlab.fibration import UNIT_GEN, FibrationSpec, UnknownScalar
 
@@ -55,8 +56,6 @@ def test_shipped_fixture_parses_to_g2_job():
     assert cfg.homotopy is not None
     assert not cfg.homotopy.entry(8).exact
     # the config assembles the exact same job as the library default
-    from sseqlab.gauge import g2_fibration_spec
-
     assert spec == g2_fibration_spec()
 
 
@@ -220,8 +219,6 @@ def test_declared_names_reach_a_lower_bound():
 
 
 def test_lower_bound_zero_is_unproven_not_zero(tmp_path, capsys):
-    from sseqlab.gauge import g2_fibration_spec
-
     cfg = tmp_path / "z3.cfg"
     cfg.write_text(_z3_text())
     assert parse_config(_z3_text()).fibration_spec().unproven_degrees == {3, 4}
@@ -245,8 +242,6 @@ def test_lower_bound_zero_is_unproven_not_zero(tmp_path, capsys):
 
 
 def test_g2_fibration_spec_with_extra_fibre_is_unchanged():
-    from sseqlab.gauge import g2_fibration_spec
-
     eps = UnknownScalar("eps", "u_5", 6, G2_BASE.gen("x_6"))
     expected = FibrationSpec(G2_BASE, {0: (UNIT_GEN,), 5: ("u_5",), 6: ("v",)}, 10, (eps,))
     assert g2_fibration_spec(extra_fibre={6: ("v",)}) == expected
@@ -299,7 +294,7 @@ def test_problems_keep_their_order_and_wording():
 
 def test_empty_epsilon_is_absent_and_empty_steenrod_is_scaffold():
     cfg = parse_config("[base]\nt = 1\n[epsilon]\n[steenrod]\n")
-    assert not cfg.epsilon_given
+    assert cfg.epsilon_rule is None
     assert cfg.steenrod is not None
     assert cfg.steenrod.missing_entries() == []
 
@@ -392,38 +387,87 @@ def test_round_trip_with_every_section_populated():
 # ---------------------------------------------------------------- JSON
 
 
-def test_json_twin_matches_text_fixture():
-    data = {
-        "degree_bound": 10,
-        "base": [["x_4", 4], ["x_6", 6], ["x_7", 7]],
-        "homotopy": {
-            "3": {"group": "Z", "citation": "Mimura-Toda"},
-            "4": {"group": "0", "citation": "Mimura-Toda"},
-            "5": {"group": "0", "citation": "Mimura-Toda"},
-            "6": {"group": "Z/3", "citation": "Mimura-Toda (3-torsion; order configurable)"},
-            "7": {"group": "0", "citation": "Mimura-Toda"},
-            "8": {
-                "group": "Z/2",
-                "exact": False,
-                "citation": "Mimura-Toda (contains 2-torsion)",
-            },
+G2_JSON = {  # the JSON twin of g2.cfg
+    "degree_bound": 10,
+    "base": [["x_4", 4], ["x_6", 6], ["x_7", 7]],
+    "homotopy": {
+        "3": {"group": "Z", "citation": "Mimura-Toda"},
+        "4": {"group": "0", "citation": "Mimura-Toda"},
+        "5": {"group": "0", "citation": "Mimura-Toda"},
+        "6": {"group": "Z/3", "citation": "Mimura-Toda (3-torsion; order configurable)"},
+        "7": {"group": "0", "citation": "Mimura-Toda"},
+        "8": {
+            "group": "Z/2",
+            "exact": False,
+            "citation": "Mimura-Toda (contains 2-torsion)",
         },
-        "fibre": {"derive": True},
-        "unknowns": [
-            {"name": "eps", "page": 6, "generator": "u_5", "target": "x_6"}
+    },
+    "fibre": {"derive": True},
+    "unknowns": [
+        {"name": "eps", "page": 6, "generator": "u_5", "target": "x_6"}
+    ],
+    "epsilon": {
+        "modulus": 4,
+        "classes": [
+            {"residues": [0], "known": 0},
+            {"residues": [2]},
+            {"residues": [1, 3]},
         ],
-        "epsilon": {
-            "modulus": 4,
-            "classes": [
-                {"residues": [0], "known": 0},
-                {"residues": [2]},
-                {"residues": [1, 3]},
-            ],
-        },
-    }
-    from_json = parse_config_json(json.dumps(data))
+    },
+}
+
+
+def test_json_twin_matches_text_fixture():
+    from_json = parse_config_json(json.dumps(G2_JSON))
     from_text = parse_config(g2_text())
     assert emit_config(from_json) == emit_config(from_text)
+
+
+def g2_template(window):
+    """perfbench's g2 config at ``window``, read from its workloads module."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("g2_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.G2_TEMPLATE.format(window=window)
+
+
+def test_the_default_job_is_one_config_in_g2_cfg_its_json_twin_perfbench_and_the_library():
+    spec = g2_fibration_spec()
+    library = WorkbenchConfig(
+        G2_BASE, 10, g2_homotopy_table(), True, {}, spec.unknowns, DEFAULT_EPSILON_RULE
+    )
+    for cfg in (
+        parse_config(g2_text()),
+        parse_config_json(json.dumps(G2_JSON)),
+        parse_config(g2_template(10)),
+    ):
+        assert cfg == library
+        assert cfg.fibration_spec() == spec
+
+
+def _without_epsilon():
+    """g2.cfg and its JSON twin with the [epsilon] section missing, and with it empty."""
+    text = g2_text().partition("[epsilon]")[0]
+    data = {key: value for key, value in G2_JSON.items() if key != "epsilon"}
+    return {
+        "missing.cfg": text, "empty.cfg": text + "[epsilon]\n",
+        "missing.json": json.dumps(data), "empty.json": json.dumps({**data, "epsilon": {}}),
+    }
+
+
+@pytest.mark.parametrize("name", _without_epsilon())
+def test_only_gauge_reads_the_epsilon_section_and_it_refuses_a_config_without_one(
+    name, tmp_path, capsys
+):
+    path = tmp_path / name
+    path.write_text(_without_epsilon()[name])
+    assert load_config(path).epsilon_rule is None
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["--config", str(path), *out, "gauge", "--k", "4"]) == 1
+        assert capsys.readouterr() == ("", "error: the gauge command needs an epsilon section\n")
+        assert not (tmp_path / "out").exists()
+    assert main(["--config", str(path), "einfty", "--set", "eps=1"]) == 0
 
 
 def test_readme_text_example_is_the_twin_of_its_json_example():
@@ -458,6 +502,15 @@ def test_a_json_flag_reads_as_the_boolean_it_is():
     text = "[base]\nx = 8\n[homotopy]\n3 = {}Z\n" + "".join(f"{d} = 0\n" for d in range(4, 9))
     assert load(True, True) == parse_config(text.format("") + "[fibre]\nderive = homotopy\n")
     assert load(False, False) == parse_config(text.format("contains "))
+
+
+@pytest.mark.parametrize("value", [0, 3, 1.5, False, True, None, ["a"], {}])
+@pytest.mark.parametrize("field", ["group", "citation"])
+def test_a_json_group_or_citation_that_is_not_a_string_is_refused_at_its_path(field, value):
+    entry = {"group": "Z", field: value}
+    with pytest.raises(ConfigError) as info:
+        parse_config_json(json.dumps({"base": [["x", 8]], "homotopy": {"3": entry}}))
+    assert info.value.problems == [f"homotopy.3: {field} must be a string, got {value!r}"]
 
 
 @pytest.mark.parametrize("group", ["contains Z/2", " contains Z/2", "contains 0"])
@@ -555,6 +608,7 @@ def test_json_shape_errors_name_their_path():
 
 
 FUZZ_JUNK = [None, 5, "x", [], {}, [["x"]], "a b", "x*y"]
+FUZZ_TYPES = [None, False, True, 0, 7, 2.5, "", "Z", [], ["a"], {}, {"a": 1}]  # each JSON type
 FUZZ_HEADERS = ["[base]", "[homotopy]", "[fibre]", "[unknowns]", "[epsilon]", "[steenrod]", "[x]"]
 
 
@@ -575,6 +629,12 @@ def _config_or_problems(parse, text):
     emitted = emit_config(cfg)
     assert emit_config(parse_config(emitted)) == emitted, text
     return []
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
 
 
 def _json_paths(node, prefix=()):
@@ -609,14 +669,27 @@ def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
     for _ in range(1000):
         data = copy.deepcopy(EVERY_SECTION_JSON)
         *head, last = rng.choice(paths)
-        parent = data
-        for key in head:
-            parent = parent[key]
+        parent = _at(data, head)
         if rng.random() < 0.25:
             del parent[last]
         else:
             parent[last] = copy.deepcopy(rng.choice(FUZZ_JUNK))
         problems = _config_or_problems(parse_config_json, json.dumps(data))
+        assert not any(p.startswith("line ") for p in problems), problems
+    # a string or boolean leaf that takes a value of another JSON type is refused at its row,
+    # not read through str() or truthiness; other leaves are read as their text
+    typed = {"group", "citation", "exact", "derive"}
+    leaves = [path for path in paths if not isinstance(_at(EVERY_SECTION_JSON, path), (dict, list))]
+    for _ in range(500):
+        data = copy.deepcopy(EVERY_SECTION_JSON)
+        *head, last = rng.choice(leaves)
+        parent = _at(data, head)
+        old = parent[last]
+        parent[last] = rng.choice([v for v in FUZZ_TYPES if type(v) is not type(old)])
+        problems = _config_or_problems(parse_config_json, json.dumps(data))
+        if last in typed:
+            where = ".".join(map(str, [*head, last][:2]))
+            assert any(p.startswith(f"{where}: ") for p in problems), (data, problems)
         assert not any(p.startswith("line ") for p in problems), problems
 
 

@@ -626,6 +626,19 @@ def test_row_refuses_an_index_outside_its_rows():
         F2Matrix(0, 3, ()).row(0)
 
 
+def test_column_and_coordinate_refuse_an_index_outside_their_range():
+    m = F2Matrix(2, 3, (1, 6))
+    assert m.column(2) == F2Vector(2, 0b10)
+    for j in (-1, 3):
+        with pytest.raises(UsageError, match=f"^column {j} out of range$"):
+            m.column(j)
+    v = F2Vector(3, 0b111)
+    assert [v[0], v[2]] == [1, 1]
+    for i in (-1, 3):
+        with pytest.raises(UsageError, match=f"^coordinate {i} out of range for length 3$"):
+            v[i]
+
+
 def test_trusted_results_equal_their_checked_twins(assert_checked):
     rng = random.Random(2030)
     solvable = 0
@@ -643,3 +656,41 @@ def test_trusted_results_equal_their_checked_twins(assert_checked):
             F2Matrix.from_columns([], m.rows), m.matmul(other), m.transpose().matmul(m),
         )
     assert solvable == 400
+
+
+# ---------------------------------------------------------------- constructors and forms
+
+
+def test_from_support_sets_exactly_its_indices():
+    assert F2Vector.from_support(6, [1, 4]).bits == 0b10010
+    assert F2Vector.from_support(6, []).is_zero()
+    assert F2Vector.from_support(3, [2, 2]).bits == 0b100  # a repeat sets its bit once
+
+
+def test_matmul_is_the_entrywise_product_mod_two():
+    rng = random.Random(2032)
+    for _ in range(100):
+        n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = F2Matrix(n, k, [rng.getrandbits(k) for _ in range(n)])
+        b = F2Matrix(k, m, [rng.getrandbits(m) for _ in range(k)])
+        product = a.matmul(b)
+        assert (product.rows, product.cols) == (n, m)
+        for i in range(n):
+            for j in range(m):
+                expected = sum(a.row(i)[l] * b.row(l)[j] for l in range(k)) % 2
+                assert product.row(i)[j] == expected, (a, b, i, j)
+
+
+def test_from_rows_and_from_columns_infer_their_sizes():
+    assert F2Matrix.from_rows([]) == F2Matrix(0, 0, ())
+    assert F2Matrix.from_rows([], cols=3) == F2Matrix(0, 3, ())
+    assert F2Matrix.from_rows([[1, 0, 1], [0, 1, 1]]) == F2Matrix(2, 3, (0b101, 0b110))
+    one = F2Matrix.from_columns([F2Vector(3, 0b101)])
+    assert (one.rows, one.cols, one.row_bits) == (3, 1, (1, 0, 1))
+
+
+def test_vectors_and_matrices_print_their_entries_lowest_index_first():
+    assert str(F2Vector(5, 0b00110)) == "01100"
+    assert str(F2Vector(0)) == ""
+    assert str(F2Matrix.from_rows([[1, 0, 0], [0, 1, 1]])) == "100\n011"
+    assert str(F2Matrix(0, 2, ())) == ""

@@ -206,8 +206,7 @@ RECORDS = [
             ("fibre_derive", False),
             ("fibre_explicit", FACTORY),
             ("unknowns", ()),
-            ("epsilon_rule", DEFAULT_EPSILON_RULE),
-            ("epsilon_given", False),
+            ("epsilon_rule", None),
             ("steenrod", None),
         ],
         {},
@@ -218,8 +217,7 @@ RECORDS = [
             rng.random() < 0.5,
             rng.choice(({}, {6: ("v_6",)})),
             rng.choice(((), (unknown(rng),))),
-            DEFAULT_EPSILON_RULE,
-            rng.random() < 0.5,
+            rng.choice((None, DEFAULT_EPSILON_RULE)),
             rng.choice((None, STEENROD)),
         ),
     ),

@@ -19,6 +19,8 @@ from sseqlab.graded import Monomial, PolyAlgebraSpec, Polynomial, basis_in_degre
 from sseqlab.homotopy import DimEntry, GradedDims
 from sseqlab.record import FrozenRecordError
 from sseqlab.fibration import (
+    ADMISSIBLE,
+    NEGATIVE_FIBRE,
     UNIT_GEN,
     FibrationSpec,
     UnknownScalar,
@@ -925,6 +927,21 @@ def test_a_spec_with_an_unproven_degree_is_refused_where_each_run_starts():
         ), name
 
 
+def test_an_unproven_degree_at_the_windows_top_is_refused(tmp_path, capsys):
+    # degree 3 is the last in the window: its missing classes still decide degree 3's answer
+    from sseqlab.cli import main
+
+    text = (Path(__file__).resolve().parents[1] / "g2.cfg").read_text()
+    path = tmp_path / "top.cfg"
+    path.write_text(
+        text.replace("6 = Z/3", "6 = contains Z/3").replace("degree_bound = 10", "degree_bound = 3")
+    )
+    for argv in (["einfty", "--set", "eps=0"], ["sweep"], ["gauge", "--k", "1"]):
+        assert main(["--config", str(path), *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: fibre degree 3 is only bounded below"), argv
+
+
 def test_kept_values_refuse_the_edits_that_once_got_past_their_checks():
     images = {("u_5", 6): SPEC.base.gen("x_6")}
     assignment = DifferentialAssignment({"eps": 1}, images)
@@ -1350,3 +1367,36 @@ def test_page_six_at_window_60_solves_against_one_matrix_per_subquotient(monkeyp
     monkeypatch.setattr(specseq, "_page", lambda *args: None)  # count turn_page's own work only
     turn_page(page)
     assert transposed == []  # each d_6 matrix keeps the column words it was built from
+
+
+# ---------------------------------------------------------------- fibration spec
+
+
+def test_a_degree_one_fibre_class_has_its_arrows_classified():
+    spec = FibrationSpec(PolyAlgebraSpec.from_pairs([("x", 2)]), {0: (UNIT_GEN,), 1: ("e",)}, 4)
+    assert spec.arrows == (
+        (2, (0, 1), (2, 0), ADMISSIBLE), (3, (0, 1), None, NEGATIVE_FIBRE),
+        (2, (2, 1), (4, 0), ADMISSIBLE), (3, (2, 1), None, NEGATIVE_FIBRE),
+    )
+    assert admissible_differentials(spec) == [(2, (0, 1), (2, 0)), (2, (2, 1), (4, 0))]
+    assert spec.last_page == 2
+    assert FibrationSpec(spec.base, {0: (UNIT_GEN,)}, 4).last_page == 1  # no admissible arrow
+
+
+def test_a_spec_refuses_an_empty_window_and_an_unproven_degree_zero():
+    base, fibre = PolyAlgebraSpec.from_pairs([("x", 2)]), {0: (UNIT_GEN,)}
+    with pytest.raises(ValidationError, match="degree bound must be >= 1"):
+        FibrationSpec(base, fibre, 0)
+    assert FibrationSpec(base, fibre, 1).degree_bound == 1
+    with pytest.raises(ValidationError, match="unproven fibre degree must be positive"):
+        FibrationSpec(base, fibre, 4, unproven_degrees=frozenset({0}))
+    assert FibrationSpec(base, fibre, 4, unproven_degrees=frozenset({1})).unproven_degrees == {1}
+
+
+def test_combine_sums_reps_whose_supports_overlap():
+    from sseqlab.specseq import _combine
+
+    reps = [F2Vector(3, 0b011), F2Vector(3, 0b110), F2Vector(3, 0b100)]
+    assert _combine(3, reps, 0b011) == F2Vector(3, 0b101)  # the shared bit cancels
+    assert _combine(3, reps, 0b111) == F2Vector(3, 0b001)
+    assert _combine(3, reps, 0) == F2Vector(3, 0)
