@@ -3,32 +3,30 @@
 Each mutant swaps one binary, augmented or comparison operator (``^``/``|``/``&``,
 ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``<<``/``>>``) or one integer
 constant 0 or 1 in ``src/sseqlab/<module>.py``.  It runs in a copy of the repository,
-so the tree itself is never edited, under pytest with a per-mutant timeout (a mutant
-may loop; a timeout counts as killed).  Survivors print as ``module:line: mutated
-source``, then one summary line per module::
+so the tree itself is never edited.  Tier-1 (pyproject's test paths) runs first on the
+unmutated copy; the audit stops if it fails, and otherwise times each mutant's tier-1
+run out at ``TIMEOUT_FACTOR`` times that run's seconds (a mutant may loop).  Survivors
+print as ``module:line: mutated source``, then one summary line per module that counts
+the mutants a test failed, those that timed out and those that survived::
 
-    python tests/mutation.py specseq fibration f2 [--first tests/test_f2.py]
-        [--tests tests perfbench] [--timeout 60] [--jobs 1]
+    python tests/mutation.py specseq fibration f2
 
-``--tests`` defaults to tier-1, pyproject's test paths.  ``--first`` runs each
-mutant on a fast selection first and re-runs only its survivors on ``--tests``.
 Stdlib only; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_FACTOR = 4  # a mutant's tier-1 run may take this many times the unmutated run
 SWAPS = {
     "^": "|", "|": "^", "&": "|", "+": "-", "-": "+", "<<": ">>", ">>": "<<",
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -78,66 +76,48 @@ def mutants(source: str) -> list[tuple[int, str]]:
     return [(line, source[:start] + new + source[end:]) for line, start, end, new in sorted(sites)]
 
 
-def run_tests(copy: Path, selection: list[str], timeout: float) -> str:
-    """The selection's verdict in ``copy``: "failed", "timed out" or "passed"."""
+def run_tier1(copy: Path, timeout: float | None) -> tuple[str, float]:
+    """Tier-1's verdict in ``copy`` ("failed", "timed out" or "passed") and its seconds."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # a same-size mutant must not reuse a stale .pyc
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    began = time.perf_counter()
     try:
         result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "timed out"
-    return "failed" if result.returncode else "passed"
+        return "timed out", time.perf_counter() - began
+    return ("failed" if result.returncode else "passed"), time.perf_counter() - began
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="+", help="module names under src/sseqlab")
-    parser.add_argument("--tests", nargs="+", default=[], help="the full selection (tier-1)")
-    parser.add_argument("--first", nargs="+", default=None, help="a fast selection run first")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per test run")
-    parser.add_argument("--jobs", type=int, default=1, help="repository copies run at once")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must be between 1 and 8")
+def main(argv: list[str]) -> int:
+    if not argv or not all((ROOT / "src" / "sseqlab" / f"{m}.py").is_file() for m in argv):
+        print("usage:", __doc__.split("\n\n")[-2].strip(), file=sys.stderr)
+        return 2
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info")
     with tempfile.TemporaryDirectory(prefix="sseqlab-mutation-") as tmp:
-        copies = []
-        for i in range(args.jobs):
-            copies.append(Path(tmp) / str(i))
-            shutil.copytree(ROOT, copies[-1], ignore=ignore)
-        free = list(copies)
-        lock = threading.Lock()
-        for module in args.modules:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        clean, seconds = run_tier1(copy, None)
+        if clean != "passed":
+            print("tier-1 does not pass on the unmutated copy", file=sys.stderr)
+            return 1
+        timeout = TIMEOUT_FACTOR * seconds
+        print(f"unmutated tier-1: {seconds:.1f} s; timeout {timeout:.0f} s per mutant", flush=True)
+        for module in argv:
             relative = Path("src", "sseqlab", f"{module}.py")
             source = (ROOT / relative).read_text()
-            cases = mutants(source)
-
-            def verdict(case: tuple[int, str]) -> str:
-                with lock:
-                    copy = free.pop()
-                try:
-                    (copy / relative).write_text(case[1])
-                    for stage in [args.first, args.tests] if args.first else [args.tests]:
-                        result = run_tests(copy, stage, args.timeout)
-                        if result != "passed":
-                            break
-                    return result
-                finally:
-                    (copy / relative).write_text(source)
-                    with lock:
-                        free.append(copy)
-
-            with ThreadPoolExecutor(args.jobs) as pool:
-                verdicts = list(pool.map(verdict, cases))
-            for (line, mutated), result in zip(cases, verdicts):
-                if result == "passed":
-                    print(f"{module}:{line}: {mutated.splitlines()[line - 1].strip()}")
-            survived, timed_out = verdicts.count("passed"), verdicts.count("timed out")
-            print(f"{module}: {len(cases)} mutants, {len(cases) - survived} killed "
-                  f"({timed_out} by the timeout), {survived} survived", flush=True)
+            verdicts = []
+            for line, mutated in mutants(source):
+                (copy / relative).write_text(mutated)
+                verdicts.append(run_tier1(copy, timeout)[0])
+                if verdicts[-1] == "passed":
+                    print(f"{module}:{line}: {mutated.splitlines()[line - 1].strip()}", flush=True)
+            (copy / relative).write_text(source)
+            print(f"{module}: {len(verdicts)} mutants, {verdicts.count('failed')} failed a test, "
+                  f"{verdicts.count('timed out')} timed out, {verdicts.count('passed')} survived",
+                  flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
