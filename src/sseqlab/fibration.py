@@ -55,6 +55,7 @@ class FibrationSpec(Record):
         if gens0 is None or len(gens0) != 1:
             raise ValidationError("fibre degree 0 must hold exactly the unit generator")
         degree_of: dict[str, int] = {}
+        self.__dict__["_degree_of"] = degree_of  # derived from fibre_gens, so not a field
         for degree, gens in fibre_gens.items():
             if degree < 0:
                 raise ValidationError(f"negative fibre degree {degree}")
@@ -99,10 +100,10 @@ class FibrationSpec(Record):
         return len(self.fibre_gens.get(t, ()))
 
     def fibre_degree_of(self, gen: str) -> int:
-        for degree, gens in self.fibre_gens.items():
-            if gen in gens:
-                return degree
-        raise ValidationError(f"unknown fibre generator {gen!r}")
+        degree = self._degree_of.get(gen)
+        if degree is None:
+            raise ValidationError(f"unknown fibre generator {gen!r}")
+        return degree
 
     def base_dim(self, s: int) -> int:
         return _degree_dim(self.base, s)

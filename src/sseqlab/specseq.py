@@ -152,17 +152,20 @@ class PageGroup(Record):
 
 
 class Page(Record):
-    """Page r: groups, in bidegree order, and d_r in current-basis coordinates; read-only copies."""
+    """Page r: groups, in bidegree order, d_r in current-basis coordinates, and each d_r's
+    images by source, as ``_page`` checked them; read-only copies."""
 
     def __init__(
         self, spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
         groups: Mapping[Bidegree, PageGroup],
         differentials: Optional[Mapping[Bidegree, F2Matrix]] = None,
         unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = (),
+        images: Optional[Mapping[Bidegree, tuple[F2Vector, ...]]] = None,
     ) -> None:
         self.__dict__.update(
             spec=spec, assignment=assignment, r=r, groups=frozen_copy(groups),
             differentials=frozen_copy(differentials or {}), unevaluated=unevaluated,
+            images=frozen_copy(images or {}),
         )
 
     def dim(self, s: int, t: int) -> int:
@@ -184,17 +187,6 @@ class Page(Record):
             for bd, group in self.groups.items()
             if sum(bd) <= self.spec.degree_bound and group.dim > 0
         )
-
-    @kept
-    def _images(self) -> Mapping[Bidegree, tuple[F2Vector, ...]]:
-        """Each d_r's images by source: the sums of the target reps its columns name.  ``_page``
-        seeds the images it checked, which differ by boundaries: the next page is the same."""
-        r, images = self.r, {}
-        for (s, t), m in self.differentials.items():
-            target = self.groups[(s + r, t - r + 1)]
-            reps, n = target.quotient_basis(), len(target.labels)
-            images[(s, t)] = tuple(_combine(n, reps, col) for col in m._column_words)
-        return MappingProxyType(images)
 
 
 def _page(
@@ -268,9 +260,9 @@ def _page(
             n_reps, columns = len(target_reps), tuple(columns)
             matrices[(s, t)] = _matrix(n_reps, len(columns), _transpose(columns, n_reps), columns)
             images[(s, t)] = tuple(vectors)
-    page = Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
-    page.__dict__["_images"] = MappingProxyType(images)  # the checked images, as turn_page reads
-    return page
+    return Page(
+        spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})), images
+    )
 
 
 def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
@@ -334,7 +326,7 @@ def turn_page(page: Page) -> Page:
         # boundaries gain the images of d_r coming in from (s - r, t + r - 1), as _page built them
         new_b = group.boundaries
         if m_in is not None:
-            new_b = tuple(row_reduce([*new_b, *page._images[(s - r, t + r - 1)]]))
+            new_b = tuple(row_reduce([*new_b, *page.images[(s - r, t + r - 1)]]))
         # cycles shrink to the kernel of the outgoing differential
         new_z = group.cycles
         if m_out is not None:

@@ -136,7 +136,7 @@ def table_from_entries(
         unit = algebra.gen(gen)
         action[(gen, 0)] = given.pop(0, unit)
         top = multiply(algebra, unit, unit)
-        action[(gen, degree)] = given.pop(degree, top) if degree > 0 else action[(gen, 0)]
+        action[(gen, degree)] = given.pop(degree, top)
         for i in range(1, degree):
             action[(gen, i)] = given.pop(i, None)
         for i, value in given.items():

@@ -45,7 +45,7 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
     Builds ``monomial * n`` and one column vector per representative; the
     page engine's per-label images and column words are compared against it.
     """
-    matrices = {}
+    matrices, images = {}, {}
     unevaluated = []
     image_terms = {}
     for gens in spec.fibre_gens.values():
@@ -71,7 +71,7 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
         n_labels = len(target.labels)
         coordinates = F2Matrix.from_columns(target_reps + list(target.boundaries), rows=n_labels)
         rep_mask = (1 << len(target_reps)) - 1
-        columns = []
+        columns, vectors = [], []
         for v in source_reps:
             bits = 0
             for i in v.support:
@@ -87,10 +87,14 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
             coords = solve(coordinates, w)
             assert coords is not None
             columns.append(F2Vector(len(target_reps), coords.bits & rep_mask))
+            vectors.append(w)
         matrix = F2Matrix.from_columns(columns, rows=len(target_reps))
         if matrix.rows and matrix.cols:
             matrices[(s, t)] = matrix
-    return Page(spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})))
+            images[(s, t)] = tuple(vectors)
+    return Page(
+        spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})), images
+    )
 
 
 @pytest.fixture

@@ -536,6 +536,26 @@ def test_an_epsilon_rule_refuses_a_known_one_on_the_class_holding_residue_zero()
             assert EpsilonRule(4, classes, known).known("1,3") == 1
 
 
+@pytest.mark.parametrize(
+    "classes, known, message",
+    [
+        pytest.param((("", (0,)), ("1", (1,))), (), "empty class label", id="empty-label"),
+        pytest.param(
+            (("0", (0,)), ("1", (1,))),
+            (("2", 0),),
+            "known value for unknown class '2'",
+            id="unknown-class",
+        ),
+    ],
+)
+def test_an_epsilon_rule_refuses_a_bad_class_with_its_message(classes, known, message):
+    from sseqlab.config import EpsilonRule
+
+    with pytest.raises(ValidationError) as info:
+        EpsilonRule(2, classes, known)
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 def test_json_parse_errors_are_located():
     with pytest.raises(ConfigError):
         parse_config_json("not json at all")

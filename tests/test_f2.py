@@ -694,3 +694,44 @@ def test_vectors_and_matrices_print_their_entries_lowest_index_first():
     assert str(F2Vector(0)) == ""
     assert str(F2Matrix.from_rows([[1, 0, 0], [0, 1, 1]])) == "100\n011"
     assert str(F2Matrix(0, 2, ())) == ""
+
+
+# ---------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: F2Vector(2, 1) ^ F2Vector(3, 1), "vector length mismatch", id="xor"),
+        pytest.param(lambda: F2Matrix(-1, 0, ()), "negative matrix dimension", id="rows"),
+        pytest.param(lambda: F2Matrix(0, -1, ()), "negative matrix dimension", id="cols"),
+        pytest.param(
+            lambda: F2Matrix(2, 2, (1,)), "row count does not match row data", id="row-count"
+        ),
+        pytest.param(lambda: F2Matrix.from_rows([[1, 0], [1]]), "ragged rows", id="ragged"),
+        pytest.param(
+            lambda: F2Matrix.from_columns([]),
+            "cannot infer row count from an empty column list",
+            id="no-columns",
+        ),
+        pytest.param(
+            lambda: F2Matrix.identity(2).apply(F2Vector(3)),
+            "vector length does not match column count",
+            id="apply",
+        ),
+        pytest.param(
+            lambda: F2Matrix.identity(2).matmul(F2Matrix.identity(3)),
+            "inner dimensions do not match",
+            id="matmul",
+        ),
+        pytest.param(
+            lambda: row_reduce([F2Vector(2, 1), F2Vector(3, 1)]),
+            "vector length mismatch",
+            id="row-reduce",
+        ),
+    ],
+)
+def test_a_size_mismatch_is_refused_with_its_message(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert type(info.value) is UsageError and str(info.value) == message

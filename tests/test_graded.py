@@ -214,6 +214,30 @@ def test_records_built_from_lists_equal_their_tuple_twins():
     assert PolyAlgebraSpec([("x", 2)]).generators == (("x", 2),)
 
 
+def test_a_repeated_monomial_cancels():
+    m = Monomial((1, 0, 0))
+    assert Polynomial.of(m, m).is_zero()
+    assert Polynomial.of(m, m, m) == Polynomial.of(m)
+    assert parse_polynomial(BASE, "x_4 + x_4").is_zero()
+    assert parse_polynomial(BASE, "x_4 + x_6 + x_4") == Polynomial.of(Monomial((0, 1, 0)))
+
+
+def test_the_zero_polynomial_has_degree_minus_one():
+    assert Polynomial.zero().homogeneous_degree(BASE) == -1
+
+
+def test_a_generator_free_algebra_holds_only_the_unit():
+    empty = PolyAlgebraSpec(())
+    [unit] = basis_in_degree(empty, 0)
+    assert unit.exponents == () and unit.packed == 0 and unit.is_unit()
+    assert basis_in_degree(empty, 1) == []
+
+
+def test_a_zeroth_power_parses_to_the_unit():
+    assert parse_polynomial(BASE, "x_4^0") == Polynomial.of(Monomial((0, 0, 0)))
+    assert parse_polynomial(BASE, "x_4^0*x_6") == Polynomial.of(Monomial((0, 1, 0)))
+
+
 # ---------------------------------------------------------------- packed monomials
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sseqlab.errors import IncompleteTableError, ValidationError
+from sseqlab.errors import IncompleteTableError, UsageError, ValidationError
 from sseqlab.homotopy import (
     DimEntry,
     FGAbelianGroup,
@@ -160,6 +160,29 @@ def test_shift_missing_degree_raises_on_query():
         shifted.group(6)  # would need pi_9, never populated
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: loopspace_shift(HomotopyTable.from_groups({1: Z}), -1),
+            UsageError,
+            "loop count must be nonnegative",
+            id="negative-loops",
+        ),
+        pytest.param(
+            lambda: HomotopyTable({0: TableEntry(Z)}),
+            ValidationError,
+            "table degree 0 must be >= 1",
+            id="degree-zero",
+        ),
+    ],
+)
+def test_a_table_refuses_a_bad_degree_with_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 # ---------------------------------------------------------------- connectivity
 
 
@@ -233,6 +256,16 @@ def test_hurewicz_window_past_table_raises():
     shifted = loopspace_shift(g2_pi_table(), 3)
     with pytest.raises(IncompleteTableError):
         hurewicz_homology(shifted, 6)
+
+
+def test_hurewicz_needs_a_simply_connected_table_only_from_window_top_one():
+    pi1 = HomotopyTable.from_groups({1: Z})
+    assert hurewicz_homology(pi1, 0) == {}
+    with pytest.raises(ValidationError, match="^hurewicz transfer needs a 1-connected table$"):
+        hurewicz_homology(pi1, 1)
+    homology = hurewicz_homology(HomotopyTable.from_groups({1: ZERO, 2: Z}), 2)
+    assert homology[1].group == ZERO and homology[2].group == Z
+    assert "hurewicz isomorphism" in homology[2].citation
 
 
 # ---------------------------------------------------------------- truncation

@@ -363,6 +363,16 @@ def test_one_variable_hit_pattern():
         assert row.quotient_dim in (0, 1)
 
 
+def test_hit_quotient_at_bound_zero_is_the_unit_row_and_refuses_below():
+    report = hit_quotient(one_var_table(), 0)
+    assert [(row.degree, row.total_dim, row.hit_dim, row.quotient_dim) for row in report.rows] == [
+        (0, 1, 0, 1)
+    ]
+    assert report.rows[0].representatives == (Monomial((0,)),)
+    with pytest.raises(UsageError, match="^bound must be nonnegative$"):
+        hit_quotient(one_var_table(), -1)
+
+
 def test_degree_one_generator_never_hit():
     report = hit_quotient(one_var_table(), 1)
     assert report.rows[1].quotient_dim == 1
