@@ -98,7 +98,8 @@ def _vector(length: int, bits: int) -> F2Vector:
 
 
 class F2Matrix(Record):
-    """Dense matrix over F_2 with bit-packed rows (row-major); the column words are kept once."""
+    """Dense matrix over F_2, bit-packed; it keeps the word form it was built from, rows or
+    columns, and derives the other on first read."""
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int]) -> None:
         row_bits = tuple(row_bits)
@@ -134,7 +135,7 @@ class F2Matrix(Record):
         if any(col.length != rows for col in columns):
             raise UsageError("column length mismatch")
         words = tuple(col.bits for col in columns)
-        return _matrix(rows, len(words), _transpose(words, rows), words)
+        return _matrix(rows, len(words), None, words)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -190,6 +191,11 @@ class F2Matrix(Record):
         return "\n".join(str(self.row(i)) for i in range(self.rows))
 
     @kept
+    def row_bits(self) -> tuple[int, ...]:
+        """Bit-packed rows, for a matrix built from its columns: bit j of word i is entry (i, j)."""
+        return _transpose(self._column_words, self.rows)
+
+    @kept
     def _column_words(self) -> tuple[int, ...]:
         """Bit-packed columns: bit i of word j is entry (i, j)."""
         return _transpose(self.row_bits, self.cols)
@@ -201,10 +207,12 @@ class F2Matrix(Record):
         return _indexed_echelon(self._column_words, self.rows)
 
 
-def _matrix(rows: int, cols: int, row_bits: tuple, column_words: Optional[tuple] = None):
-    """Unchecked ``F2Matrix``: a tuple of ``rows`` words below ``1 << cols``, and its transpose."""
+def _matrix(rows: int, cols: int, row_bits: Optional[tuple], column_words: Optional[tuple] = None):
+    """Unchecked ``F2Matrix`` from its row words, its column words or both; ``None`` is derived."""
     m = object.__new__(F2Matrix)
-    m.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
+    m.__dict__.update(rows=rows, cols=cols)
+    if row_bits is not None:
+        m.__dict__["row_bits"] = row_bits
     if column_words is not None:
         m.__dict__["_column_words"] = column_words
     return m
@@ -220,13 +228,16 @@ def _transpose(words: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _echelon(words: Iterable[int]) -> dict[int, int]:
+def _echelon(words: Iterable[int], tag: int = 0) -> dict[int, int]:
     """Semi-echelon of bit-packed rows, pivot (lowest set bit) -> row, zero rows dropped.
 
-    A row is reduced only until its lowest bit is a new pivot; the pivots are the RREF's.
+    Word i is first tagged (or-ed) with ``tag << i``, then reduced only until its lowest bit
+    is a new pivot; the pivots are the RREF's.
     """
     rows: dict[int, int] = {}
     for word in words:
+        word |= tag
+        tag <<= 1
         while word:
             pivot = (word & -word).bit_length() - 1  # _lowest_bit, inlined
             if pivot not in rows:
@@ -241,7 +252,7 @@ def _indexed_echelon(words: Sequence[int], width: int) -> dict[int, int]:
     per word, in word order.  A row with its pivot below ``width`` is a kept word (outside the
     span of those before it), its highest bit its own tag; any other row is tags alone, a
     combination of the words that sums to zero."""
-    return _echelon(word | 1 << (width + i) for i, word in enumerate(words))
+    return _echelon(words, 1 << width)
 
 
 def _kept(words: Sequence[int], width: int) -> list[int]:

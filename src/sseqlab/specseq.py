@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantBreach, UsageError, ValidationError
 from .f2 import F2Matrix, F2Vector, in_span, kernel_basis, reduce_against, row_reduce, solve
-from .f2 import _kept, _matrix, _transpose, _vector  # private: trusted values, the greedy choice
+from .f2 import _kept, _matrix, _vector  # private: trusted values, the greedy choice
 from .fibration import Bidegree, FibrationSpec, Label, build_e2, run_to_einfty
 from .graded import Polynomial
 from .record import Record, frozen_copy, kept
@@ -237,7 +237,7 @@ def _page(
         key = (id(cycles), id(boundaries), n_labels)
         if key not in coordinates:  # built from its words, as the d_r blocks below are
             words = tuple(v.bits for v in (*target_reps, *boundaries))
-            coordinates[key] = _matrix(n_labels, len(words), _transpose(words, n_labels), words)
+            coordinates[key] = _matrix(n_labels, len(words), None, words)
         coordinate = coordinates[key]
         rep_mask = (1 << len(target_reps)) - 1
         columns, vectors = [], []
@@ -257,8 +257,7 @@ def _page(
             columns.append(coords.bits & rep_mask)
             vectors.append(w)
         if columns and target_reps:  # the images' coordinates are its column words
-            n_reps, columns = len(target_reps), tuple(columns)
-            matrices[(s, t)] = _matrix(n_reps, len(columns), _transpose(columns, n_reps), columns)
+            matrices[(s, t)] = _matrix(len(target_reps), len(columns), None, tuple(columns))
             images[(s, t)] = tuple(vectors)
     return Page(
         spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})), images

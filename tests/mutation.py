@@ -5,9 +5,12 @@ Each mutant swaps one binary, augmented or comparison operator (``^``/``|``/``&`
 constant 0 or 1 in ``src/sseqlab/<module>.py``.  It runs in a copy of the repository,
 so the tree itself is never edited.  Tier-1 (pyproject's test paths) runs first on the
 unmutated copy; the audit stops if it fails, and otherwise times each mutant's tier-1
-run out at ``TIMEOUT_FACTOR`` times that run's seconds (a mutant may loop).  Survivors
-print as ``module:line: mutated source``, then one summary line per module that counts
-the mutants a test failed, those that timed out and those that survived::
+run out at ``TIMEOUT_FACTOR`` times that run's seconds (a mutant may loop).  Each run
+starts its own session, and a timeout kills the session's whole process group, so a
+process a test started (a demo, say) goes with it; this needs POSIX.  Survivors print as
+``module:line: mutated source``, timed-out mutants as ``module:line: mutated source (timed
+out)``, then one summary line per module that counts the mutants a test failed, those that
+timed out and those that survived::
 
     python tests/mutation.py specseq fibration f2
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -76,17 +80,37 @@ def mutants(source: str) -> list[tuple[int, str]]:
     return [(line, source[:start] + new + source[end:]) for line, start, end, new in sorted(sites)]
 
 
+def run(
+    command: list[str], cwd: Path, env: dict | None, timeout: float | None
+) -> tuple[str, float]:
+    """The verdict of ``command`` ("failed", "timed out" or "passed") and its seconds.
+
+    It runs as the leader of a new session; on a timeout its whole process group is killed
+    before the verdict is given, so nothing it started keeps running."""
+    began = time.perf_counter()
+    with subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as process:
+        try:
+            returncode = process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+            return "timed out", time.perf_counter() - began
+    return ("failed" if returncode else "passed"), time.perf_counter() - began
+
+
 def run_tier1(copy: Path, timeout: float | None) -> tuple[str, float]:
-    """Tier-1's verdict in ``copy`` ("failed", "timed out" or "passed") and its seconds."""
+    """Tier-1's verdict in ``copy`` and its seconds (see ``run``)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # a same-size mutant must not reuse a stale .pyc
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    began = time.perf_counter()
-    try:
-        result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timed out", time.perf_counter() - began
-    return ("failed" if result.returncode else "passed"), time.perf_counter() - began
+    return run(command, copy, env, timeout)
+
+
+def report(module: str, line: int, mutated: str, verdict: str) -> str:
+    """A mutant's line, ``module:line: mutated source``, marked when it timed out."""
+    shown = f"{module}:{line}: {mutated.splitlines()[line - 1].strip()}"
+    return f"{shown} (timed out)" if verdict == "timed out" else shown
 
 
 def main(argv: list[str]) -> int:
@@ -110,8 +134,8 @@ def main(argv: list[str]) -> int:
             for line, mutated in mutants(source):
                 (copy / relative).write_text(mutated)
                 verdicts.append(run_tier1(copy, timeout)[0])
-                if verdicts[-1] == "passed":
-                    print(f"{module}:{line}: {mutated.splitlines()[line - 1].strip()}", flush=True)
+                if verdicts[-1] != "failed":
+                    print(report(module, line, mutated, verdicts[-1]), flush=True)
             (copy / relative).write_text(source)
             print(f"{module}: {len(verdicts)} mutants, {verdicts.count('failed')} failed a test, "
                   f"{verdicts.count('timed out')} timed out, {verdicts.count('passed')} survived",

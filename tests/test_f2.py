@@ -383,9 +383,9 @@ def test_solve_keeps_one_elimination_per_matrix(monkeypatch, solve_reference):
     eliminations = []
     original = f2._echelon
 
-    def counted(words):
+    def counted(words, tag=0):
         eliminations.append(None)
-        return original(words)
+        return original(words, tag)
 
     monkeypatch.setattr(f2, "_echelon", counted)
     rng = random.Random(2027)
@@ -557,7 +557,9 @@ def _columns_reference(m):
 
 
 def test_seeded_and_derived_column_words_agree(solve_reference):
-    rng = random.Random(2029)
+    import sseqlab.f2 as f2
+
+    rng, draw = random.Random(2029), random.Random(2033)
     for derived in _kernel_cases(rng):
         columns = _columns_reference(derived)
         seeded = F2Matrix.from_columns(columns, rows=derived.rows)
@@ -572,6 +574,39 @@ def test_seeded_and_derived_column_words_agree(solve_reference):
             assert [m.column(j) for j in range(m.cols)] == m.columns() == columns
             assert m.transpose() == expected_transpose
         assert image_basis(seeded) == image_basis(derived)
+        # a matrix built from its columns has no row words until a reader asks for them, and
+        # every reader gets what it gets from the row-built twin
+        words, (rows, cols) = tuple(c.bits for c in columns), (derived.rows, derived.cols)
+        v = F2Vector(cols, draw.getrandbits(cols))
+        right = F2Matrix(cols, 5, tuple(draw.getrandbits(5) for _ in range(cols)))
+        left = F2Matrix(3, rows, tuple(draw.getrandbits(rows) for _ in range(3)))
+        readers = (
+            lambda m: m, hash, repr, str, rank, lambda m: pickle.loads(pickle.dumps(m)),
+            lambda m: [m.row(i) for i in range(m.rows)], lambda m: m.apply(v),
+            lambda m: m.matmul(right), lambda m: left.matmul(m), lambda m: m.transpose(),
+            lambda m: m.row_bits,
+        )
+        for read in readers:  # each on fresh matrices, so each derives the rows itself
+            for m in (F2Matrix.from_columns(columns, rows), f2._matrix(rows, cols, None, words)):
+                assert "row_bits" not in vars(m) and m._column_words == words
+                assert read(m) == read(derived)
+
+
+def test_indexed_echelon_is_the_echelon_of_the_explicitly_tagged_words():
+    import sseqlab.f2 as f2
+
+    rng = random.Random(2034)
+    zeros = 0
+    for _ in range(1000):
+        width = rng.randint(0, 12)
+        words = [rng.choice((0, rng.getrandbits(width))) for _ in range(rng.randint(0, 16))]
+        zeros += 0 in words
+        tagged = [word | 1 << (width + i) for i, word in enumerate(words)]
+        assert f2._indexed_echelon(words, width) == f2._echelon(tagged)
+        assert f2._echelon(words, 1 << width) == f2._echelon(tagged)
+        assert f2._echelon(words) == f2._echelon(words, 0)
+        assert len(f2._indexed_echelon(words, width)) == len(words)  # one row per word
+    assert zeros > 500
 
 
 def test_solve_reads_only_the_pivots_its_right_hand_side_meets(monkeypatch):
@@ -607,7 +642,7 @@ def test_solve_reads_only_the_pivots_its_right_hand_side_meets(monkeypatch):
             return super().values()
 
     original = f2._echelon
-    monkeypatch.setattr(f2, "_echelon", lambda words: CountingDict(original(words)))
+    monkeypatch.setattr(f2, "_echelon", lambda words, tag=0: CountingDict(original(words, tag)))
     n = 64
     m = F2Matrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))  # the identity, columns reversed
     for i in (0, 17, 63, 17):

@@ -1354,6 +1354,30 @@ def test_page_six_at_window_60_solves_against_one_matrix_per_subquotient(monkeyp
     assert transposed == []  # each d_6 matrix keeps the column words it was built from
 
 
+def test_page_six_at_window_60_and_its_turn_transpose_no_words():
+    import sseqlab.f2 as f2
+    import sseqlab.specseq as specseq
+
+    spec = g2_fibration_spec(60)
+    assignment = resolve_assignment(spec, {"eps": 1})
+    start = initial_page(spec, assignment)
+    code, calls = f2._transpose.__code__, []
+
+    def profile(frame, event, _arg):  # every call of the function, whatever name it is read by
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        page = specseq._page(spec, assignment, 6, start.groups)
+        turn_page(page)
+    finally:
+        sys.setprofile(None)
+    # the coordinate matrices and d_6 blocks are built from their column words, which every
+    # solve and kernel_basis reads; no reader on the path asks for their rows
+    assert len(page.differentials) == 51 and calls == []
+
+
 # ---------------------------------------------------------------- fibration spec
 
 
