@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import sys
 from pathlib import Path
@@ -322,7 +323,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         # looked up per call, so a patched module attribute is the one run
         command = globals()[f"cmd_{args.command}"]
-        _write(args.out, command(load_config(args.config), args))
+        # a command builds no reference cycles, so the cyclic collector would
+        # only walk its live pages: pause it, then hand it back as it was found
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            artifacts = command(load_config(args.config), args)
+        finally:
+            if enabled:
+                gc.enable()
+        _write(args.out, artifacts)
         return 0
     except SystemExit as exc:  # _Parser.error exits 1, --help 0
         return exc.code

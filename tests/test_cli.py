@@ -5,6 +5,7 @@ bytes across repeated runs, both on stdout and on --out files.
 """
 
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -709,6 +710,12 @@ def test_e2_log_names_each_unproven_fibre_degree(tmp_path):
         "fibre degree 4 is only >=0: e2.csv lists no class there, "
         "yet the degree is unproven, not zero",
     ]
+    # at window 3 the top degree, 3, is still named, and 4, past the window, is not
+    cfg.write_text(cfg.read_text().replace("degree_bound = 10", "degree_bound = 3"))
+    code, out, _ = run_cli("--config", str(cfg), "e2")
+    assert code == 0
+    top = out.split("# ==== e2_log.txt ====\n")[1].splitlines()
+    assert top == ["starting page, total degree <= 3", log.splitlines()[1]]
     # with every degree proven there is no log, so the default artifacts are unchanged
     code, out, _ = run_cli("--config", G2, "e2")
     assert code == 0 and "e2_log.txt" not in out
@@ -729,6 +736,116 @@ def test_readme_commands_run(monkeypatch):
         code, out, err = run_cli(*argv[1:])
         assert (code, err) == (0, ""), argv
         assert out.startswith("# ==== "), argv
+
+
+# ---------------------------------------------------------------- cyclic collector
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off, then put back as it was."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_wide_sweep_starts_no_collector_pass(tmp_path):
+    # A g2 sweep at window 60 holds thousands of tracked containers live at
+    # once, past the collector's generation-0 threshold, so an unpaused
+    # collector walks them mid-sweep.  Paused, the generation-0 count still
+    # grows by the sweep's net allocations, which a tuple going to a free list
+    # adds to; once a sweep has filled the free lists they stay below the
+    # threshold, so no pass follows either.
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(
+        (ROOT / "g2.cfg").read_text().replace("degree_bound = 10", "degree_bound = 60")
+    )
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    with collector(True):
+        gc.collect()  # empties the free lists, so no earlier full pass decides what follows
+        assert run_cli("--config", str(wide), "sweep")[0] == 0
+        gc.collect(0)  # zeroes the generation-0 count and keeps the free lists
+        gc.callbacks.append(count)
+        try:
+            code, out, err = run_cli("--config", str(wide), "sweep")
+        finally:
+            gc.callbacks.remove(count)
+    assert (code, err) == (0, "") and out.startswith("# ==== ")
+    assert starts == []
+
+
+EXITS = {  # argv, exit code; cmd_sweep is made to breach an invariant
+    "success": (("--config", G2, "constraints"), 0),
+    "refusal": (("--config", G2, "einfty"), 1),
+    "breach": (("--config", G2, "sweep"), 2),
+    "usage": (("--config", G2, "no-such-command"), 1),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", EXITS)
+def test_main_pauses_the_collector_and_hands_it_back_as_it_found_it(case, enabled, monkeypatch):
+    argv, exit_code = EXITS[case]
+    during = []
+
+    def spy(command):
+        def run(config, args):
+            during.append(gc.isenabled())
+            return command(config, args)
+
+        return run
+
+    def breach(config, args):
+        raise sseqlab.errors.InvariantBreach("x")
+
+    monkeypatch.setattr(sseqlab.cli, "cmd_constraints", spy(sseqlab.cli.cmd_constraints))
+    monkeypatch.setattr(sseqlab.cli, "cmd_einfty", spy(sseqlab.cli.cmd_einfty))
+    monkeypatch.setattr(sseqlab.cli, "cmd_sweep", spy(breach))
+    with collector(enabled):
+        code = run_cli(*argv)[0]
+        after = gc.isenabled()
+    assert (code, after) == (exit_code, enabled)
+    assert during == ([] if case == "usage" else [False])
+
+
+# Every README command, both einfty branches, each gauge residue, hit on both
+# squaring tables and both chart formats.  Only success paths: an argparse
+# error builds a few cycles in argparse itself.
+NO_CYCLES = list(
+    dict.fromkeys(
+        [tuple(argv[1:]) for argv in readme_commands()]
+        + [
+            ("einfty", "--set", "eps=0"),
+            ("einfty", "--set", "eps=1"),
+            *[("gauge", "--k", str(k)) for k in range(8)],
+            ("--config", "onevar.cfg", "hit", "--bound", "31"),
+            ("--config", "tests/data/g2_steenrod.cfg", "hit", "--bound", "21"),
+            ("chart", "--page", "6", "--format", "svg"),
+            ("chart", "--page", "6", "--format", "tikz"),
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("argv", NO_CYCLES, ids=lambda a: "_".join(a))
+def test_a_command_builds_no_reference_cycles(argv, monkeypatch):
+    # refcounting alone frees what a command builds, so pausing the collector
+    # lets nothing pile up; the warm-up takes a process's one-off set-up
+    monkeypatch.chdir(ROOT)
+    assert run_cli(*argv)[0] == 0
+    gc.collect()
+    with collector(False):
+        code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and out.startswith("# ==== ")
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------- determinism
