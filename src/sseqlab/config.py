@@ -64,6 +64,7 @@ parse_config_json = _deferred("configio", "parse_config_json")  # loaded by a .j
 emit_config = _deferred("configio", "emit_config")
 _SECTIONS = ("base", "homotopy", "fibre", "unknowns", "epsilon", "steenrod")
 _UNIT_DEGREE = "fibre degree 0 is implicit (the unit)"
+_ANY_COUNT = DimEntry(0, exact=False)  # a fibre degree the derivation does not reach
 
 
 class EpsilonRule(Record):
@@ -143,12 +144,10 @@ class WorkbenchConfig(Record):
         declared = {g for gens in self.fibre_explicit.values() for g in gens}
         for degree in {**dims, **self.fibre_explicit}:
             names = self.fibre_explicit.get(degree)
-            entry = dims.get(degree, DimEntry(0, exact=False))  # not derived: any count
+            entry = dims.get(degree, _ANY_COUNT)
             if names is None:
-                names = tuple(
-                    f"u_{degree}_{i}" if entry.value > 1 else f"u_{degree}"
-                    for i in range(entry.value)
-                )
+                n, stem = entry.value, f"u_{degree}"  # none, u_<d>, or u_<d>_0 .. u_<d>_<n-1>
+                names = (stem,) * n if n < 2 else tuple(f"{stem}_{i}" for i in range(n))
                 for name in filter(declared.__contains__, names):  # the first, in order
                     raise DeclaredNameError(
                         f"fibre generator {name!r} is the name derived for fibre degree {degree}",
@@ -176,6 +175,7 @@ class WorkbenchConfig(Record):
 
 Row = tuple[str, str, str]  # (where, key, value); where is "line 7" or a JSON path
 _TOP = ""  # the rows key of top-level settings
+_STOPS = frozenset("*^+;=")  # characters a generator name may not hold: the polynomial grammar's
 
 
 def _located(problems: list[str], where: str, handle, *args):
@@ -187,12 +187,13 @@ def _located(problems: list[str], where: str, handle, *args):
         return None
 
 
-def _int(text: str, message: Optional[str] = None) -> int:
-    """``int(text)``; failure is a ValidationError (by default int's message)."""
+def _int(text: str, message: str = "", *shown: str) -> int:
+    """``int(text)``.  It builds no text unless it refuses: then its ValidationError carries
+    ``message`` formatted with ``shown`` and then ``text``, or int's own message."""
     try:
         return int(text)
     except ValueError as exc:
-        raise ValidationError(message or str(exc)) from None
+        raise ValidationError(message.format(*shown, text) if message else str(exc)) from None
 
 
 def _token(word, noun: str, stop: str = "") -> str:
@@ -227,11 +228,14 @@ def parse_group(text: str) -> FGAbelianGroup:
 
 
 def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
-    """Check each given section's rows; handlers raise, ``_located`` names the row."""
+    """Check each given section's rows; a handler raises, and its row's place names the problem."""
 
     def run(section, handle):
         for where, key, value in rows.get(section, ()):
-            _located(problems, where, handle, key, value)
+            try:
+                handle(key, value)
+            except (ValidationError, UsageError) as exc:
+                problems.append(f"{where}: {exc}")
 
     degree_bound = 10
     seen_top: set[str] = set()
@@ -242,25 +246,25 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         if key in seen_top:
             raise ValidationError("duplicate degree_bound")
         seen_top.add(key)
-        degree_bound = _int(value, f"degree_bound must be an integer, got {value!r}")
+        degree_bound = _int(value, "degree_bound must be an integer, got {!r}")
         if degree_bound < 1:
             raise ValidationError("degree_bound must be >= 1")
 
-    pairs: list[tuple[str, int]] = []
+    degrees: dict[str, int] = {}  # generator name -> degree, in order
     def generator(key, value):
         # emitted polynomials and sq<i> keys must read every name back
-        if key in ("0", "1") or key[:1] == "#" or any(c.isspace() or c in "*^+;=" for c in key):
+        if key.split() != [key] or key in ("0", "1") or key[0] == "#" or not _STOPS.isdisjoint(key):
             raise ValidationError(f"generator name {key!r} cannot be read back in a polynomial")
-        if any(name == key for name, _ in pairs):
+        if key in degrees:
             raise ValidationError(f"duplicate generator name {key!r}")
-        degree = _int(value, f"generator {key!r}: degree must be an integer, got {value!r}")
+        degree = _int(value, "generator {!r}: degree must be an integer, got {!r}", key)
         if degree < 1:
             raise ValidationError(f"generator {key!r}: degree must be >= 1, got {degree}")
-        pairs.append((key, degree))
+        degrees[key] = degree
 
     entries: dict[int, TableEntry] = {}
     def homotopy_entry(key, value):
-        degree = _int(key, f"homotopy degree must be an integer, got {key!r}")
+        degree = _int(key, "homotopy degree must be an integer, got {!r}")
         if degree < 1:
             raise ValidationError("homotopy degrees start at 1")
         if degree in entries:
@@ -268,7 +272,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         group_text, _, citation = value.partition(";")
         group_text = group_text.strip()
         exact = not group_text.startswith(TableEntry.INEXACT)
-        group = parse_group(group_text.removeprefix(TableEntry.INEXACT))
+        group = parse_group(group_text if exact else group_text[len(TableEntry.INEXACT):])
         entries[degree] = TableEntry(group, exact, citation.strip())
 
     fibre_derive = False
@@ -282,7 +286,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
                 raise ValidationError("duplicate derive line")
             fibre_derive = True
             return
-        degree = _int(key, f"fibre degree must be an integer, got {key!r}")
+        degree = _int(key, "fibre degree must be an integer, got {!r}")
         if degree <= 0:
             raise ValidationError(_UNIT_DEGREE if degree == 0 else "fibre degrees are positive")
         if degree in fibre_explicit:
@@ -299,20 +303,21 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
             seen.add(name)
         fibre_explicit[degree] = tuple(names)
 
-    unknowns: list[UnknownScalar] = []
+    unknowns: dict[str, UnknownScalar] = {}
     def unknown(key, value):
-        if any(u.name == key for u in unknowns):
+        if key in unknowns:
             raise ValidationError(f"duplicate unknown {key!r}")
         head, arrow, target = value.partition("->")
         tokens = head.split()
         if not arrow or len(tokens) != 2 or not tokens[0].startswith("d"):
             raise ValidationError("expected: name = d<page> generator -> polynomial")
-        page = _int(tokens[0][1:], f"bad page token {tokens[0]!r}")
+        page = _int(tokens[0][1:], "bad page token {!r}", tokens[0])
         if base is None:
             raise ValidationError("cannot check the unknown's target without a valid base")
         poly = parse_polynomial(base, target)
-        poly.homogeneous_degree(base)  # raises on a mixed-degree target
-        unknowns.append(UnknownScalar(key, tokens[1], page, poly))
+        if len(poly.terms) > 1:  # refused here if of mixed degree; the spec reads the degree
+            poly.homogeneous_degree(base)
+        unknowns[key] = UnknownScalar(key, tokens[1], page, poly)
 
     modulus: Optional[int] = None
     classes: list[tuple[str, tuple[int, ...]]] = []
@@ -322,18 +327,20 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         if key == "modulus":
             if modulus is not None:
                 raise ValidationError("duplicate modulus")
-            modulus = _int(value, f"modulus must be an integer, got {value!r}")
+            modulus = _int(value, "modulus must be an integer, got {!r}")
         elif key == "class":
             residue_text, _, known_text = value.partition(":")
-            bad = f"bad residue list {residue_text.strip()!r}"
-            residues = tuple(_int(tok, bad) for tok in residue_text.split())
+            try:
+                residues = tuple(map(int, residue_text.split()))
+            except ValueError:
+                raise ValidationError(f"bad residue list {residue_text.strip()!r}") from None
             if not residues:
                 raise ValidationError("class line needs at least one residue")
-            label = ",".join(str(x) for x in residues)
+            label = ",".join(map(str, residues))
             classes.append((label, residues))
-            if known_text.strip():
-                bad = f"bad known value {known_text.strip()!r}"
-                known.append((label, _int(known_text, bad)))
+            known_text = known_text.strip()
+            if known_text:
+                known.append((label, _int(known_text, "bad known value {!r}")))
         else:
             raise ValidationError(f"unknown epsilon key {key!r}")
 
@@ -342,7 +349,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
         tokens = key.split()
         if len(tokens) != 2 or not tokens[0].startswith("sq"):
             raise ValidationError("expected: sq<i> generator = polynomial")
-        i = _int(tokens[0][2:], f"bad squaring index {tokens[0]!r}")
+        i = _int(tokens[0][2:], "bad squaring index {!r}", tokens[0])
         gen = tokens[1]
         if i < 0:
             raise ValidationError(f"negative squaring index for {gen}")
@@ -356,7 +363,7 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     if not rows.get("base"):
         problems.append("missing base section")
     run("base", generator)
-    base = PolyAlgebraSpec.from_pairs(pairs) if pairs else None
+    base = PolyAlgebraSpec(tuple(degrees.items())) if degrees else None
     run("homotopy", homotopy_entry)
     run("fibre", fibre_line)
     run("unknowns", unknown)
@@ -379,14 +386,8 @@ def _build(problems: list[str], rows: dict[str, list[Row]]) -> WorkbenchConfig:
     if problems:
         raise ConfigError(problems)
     cfg = WorkbenchConfig(
-        base=base,
-        degree_bound=degree_bound,
-        homotopy=HomotopyTable(entries) if entries else None,
-        fibre_derive=fibre_derive,
-        fibre_explicit=fibre_explicit,
-        unknowns=tuple(unknowns),
-        epsilon_rule=epsilon_rule,
-        steenrod=steenrod,
+        base, degree_bound, HomotopyTable(entries) if entries else None, fibre_derive,
+        fibre_explicit, tuple(unknowns.values()), epsilon_rule, steenrod,
     )
     # the consistency gate runs at parse time so bad configs never load; its spec is kept
     try:
@@ -412,26 +413,28 @@ def _declares(section: str, key: str, value: str, name: Optional[str]) -> bool:
 def parse_config(text: str) -> WorkbenchConfig:
     problems: list[str] = []
     rows: dict[str, list[Row]] = {_TOP: []}
-    current = _TOP  # lines under an unknown section are top-level keys
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition(" #")[0].strip()  # a comment runs from " #" or a leading "#"
+    section = rows[_TOP]  # lines under an unknown section are top-level keys
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if " #" in line:  # a comment runs from " #" or a leading "#"
+            line = line.partition(" #")[0]
+        line = line.strip()
         if not line or line[0] == "#":
             continue
-        where = f"line {line_no}"
         if line[0] == "[" and line[-1] == "]":
             current = line[1:-1].strip()
             if current not in _SECTIONS:
-                problems.append(f"{where}: unknown section [{current}]")
+                problems.append(f"line {line_no}: unknown section [{current}]")
                 current = _TOP
-            rows.setdefault(current, [])
+            section = rows.setdefault(current, [])
             continue
         key, eq, value = line.partition("=")
+        key = key.strip()
         if not eq:
-            problems.append(f"{where}: expected key = value")
-        elif not key.strip():
-            problems.append(f"{where}: empty key")
+            problems.append(f"line {line_no}: expected key = value")
+        elif not key:
+            problems.append(f"line {line_no}: empty key")
         else:
-            rows[current].append((where, key.strip(), value.strip()))
+            section.append((f"line {line_no}", key, value.strip()))
     return _build(problems, rows)
 
 

@@ -135,7 +135,6 @@ def parse_config_json(text: str) -> WorkbenchConfig:
     return _build(problems, rows)
 
 
-
 def emit_config(cfg: WorkbenchConfig) -> str:
     """Normalized text form; parse/emit round-trips are idempotent."""
     out = [f"degree_bound = {cfg.degree_bound}", "", "[base]"]

@@ -24,9 +24,10 @@ class FGAbelianGroup(Record):
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
         if free_rank < 0:
             raise ValidationError("free rank must be nonnegative")
-        if any(t < 2 for t in torsion):
+        if torsion and min(torsion) < 2:
             raise ValidationError("torsion coefficients must be >= 2")
-        self.__dict__.update(free_rank=free_rank, torsion=torsion)
+        fields = self.__dict__  # one store per field: no keyword dict per group
+        fields["free_rank"], fields["torsion"] = free_rank, torsion
 
     @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
@@ -60,12 +61,12 @@ FGAbelianGroup.ZERO = FGAbelianGroup(0, ())
 
 def hom_to_f2(g: FGAbelianGroup) -> int:
     """dim_{F_2} Hom(g, F_2): free rank plus the even torsion count."""
-    return g.free_rank + sum(1 for t in g.torsion if t % 2 == 0)
+    return g.free_rank + [t % 2 for t in g.torsion].count(0)
 
 
 def ext1_to_f2(g: FGAbelianGroup) -> int:
     """dim_{F_2} Ext^1(g, F_2): Ext^1(Z/n, F_2) = F_2/nF_2, zero for odd n."""
-    return sum(1 for t in g.torsion if t % 2 == 0)
+    return [t % 2 for t in g.torsion].count(0)
 
 
 def uct_cohomology_dim(h_prev: FGAbelianGroup, h_cur: FGAbelianGroup) -> int:
@@ -91,7 +92,8 @@ class TableEntry(Record):
     INEXACT: ClassVar[str] = "contains "  # the text form's prefix when not exact
 
     def __init__(self, group: FGAbelianGroup, exact: bool = True, citation: str = "") -> None:
-        self.__dict__.update(group=group, exact=exact, citation=citation)
+        fields = self.__dict__  # one store per field: no keyword dict per entry
+        fields["group"], fields["exact"], fields["citation"] = group, exact, citation
 
     def __str__(self) -> str:
         """The group, prefixed by ``contains `` when the entry is not exact."""
@@ -157,16 +159,23 @@ def connectivity(table: HomotopyTable) -> int:
     nonzero entry; running past the populated range raises.
     """
     c = 0
-    while True:
-        entry = table.entry(c + 1)
-        if not entry.group.is_zero():
-            return c
+    while table.entry(c + 1).group.is_zero():
         c += 1
+    return c
 
 
-def hurewicz_homology(
-    table: HomotopyTable, window_top: int
-) -> dict[int, TableEntry]:
+def _hurewicz(table: HomotopyTable, window_top: int) -> tuple[int, list[TableEntry]]:
+    """The Hurewicz rule: the connectivity c, scanned no further than window_top, and the
+    table's entries in degrees c+1..window_top, which it copies across to homology."""
+    c = 0
+    while c < window_top and table.entry(c + 1).group.is_zero():
+        c += 1
+    if c < 1 and window_top >= 1:
+        raise ValidationError("hurewicz transfer needs a 1-connected table")
+    return c, [table.entry(i) for i in range(c + 1, window_top + 1)]
+
+
+def hurewicz_homology(table: HomotopyTable, window_top: int) -> dict[int, TableEntry]:
     """Integral homology in degrees 1..window_top from homotopy groups.
 
     Below the connectivity c the homology vanishes; from c+1 through
@@ -178,28 +187,15 @@ def hurewicz_homology(
     throughout the window yields zero homology there without needing
     deeper degrees to be populated.
     """
-    c = 0
-    while c < window_top and table.entry(c + 1).group.is_zero():
-        c += 1
-    if c < 1 and window_top >= 1:
-        raise ValidationError("hurewicz transfer needs a 1-connected table")
-    homology: dict[int, TableEntry] = {}
-    for i in range(1, window_top + 1):
-        if i <= c:
-            homology[i] = TableEntry(
-                FGAbelianGroup.ZERO, True, f"zero below connectivity {c}"
-            )
-        else:
-            entry = table.entry(i)
-            if i == c + 1:
-                note = "hurewicz isomorphism (first nonvanishing degree)"
-            else:
-                note = (
-                    f"hurewicz transfer in degree {i}: asserted window beyond the "
-                    f"classical degree {c + 1}"
-                )
-            citation = f"{entry.citation}; {note}" if entry.citation else note
-            homology[i] = TableEntry(entry.group, entry.exact, citation)
+    c, copied = _hurewicz(table, window_top)
+    zero = TableEntry(FGAbelianGroup.ZERO, True, f"zero below connectivity {c}")
+    homology = dict.fromkeys(range(1, c + 1), zero)
+    for i, entry in enumerate(copied, start=c + 1):
+        note = "hurewicz isomorphism (first nonvanishing degree)" if i == c + 1 else (
+            f"hurewicz transfer in degree {i}: asserted window beyond the classical degree {c + 1}"
+        )
+        citation = f"{entry.citation}; {note}" if entry.citation else note
+        homology[i] = TableEntry(entry.group, entry.exact, citation)
     return homology
 
 
@@ -207,7 +203,8 @@ class DimEntry(Record):
     """A cohomology dimension, either exact or a lower bound."""
 
     def __init__(self, value: int, exact: bool = True) -> None:
-        self.__dict__.update(value=value, exact=exact)
+        fields = self.__dict__  # one store per field: no keyword dict per entry
+        fields["value"], fields["exact"] = value, exact
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">={self.value}"
@@ -236,18 +233,19 @@ FIBRE_TOP = 5  # the fibre's cohomology is derived in degrees 0..FIBRE_TOP
 def fibre_truncation_dims(table: HomotopyTable) -> GradedDims:
     """Mod-2 cohomology dims of the fibre in degrees 0..FIBRE_TOP.
 
-    Chains the Hurewicz transfer and universal coefficients on an
-    (already loop-shifted) table.  A dimension is a lower bound when
-    any group consumed by its computation has unpinned even torsion;
-    mod-2 Hom and Ext only grow as torsion is added, so the computed
-    value bounds every structure consistent with the table.
+    Chains ``hurewicz_homology``'s rule and universal coefficients on an
+    (already loop-shifted) table, and builds only the dims: it reads groups
+    and exactness, so no homology entry or provenance text (``uct`` prints
+    those).  A dimension is a lower bound when any group consumed by its
+    computation has unpinned even torsion; mod-2 Hom and Ext only grow as
+    torsion is added, so the computed value bounds every structure
+    consistent with the table.
     """
-    homology = hurewicz_homology(table, FIBRE_TOP)
-    # degree-0 homology of a path-connected space
-    homology[0] = TableEntry(FGAbelianGroup.free(1), True, "path-connected")
+    c, copied = _hurewicz(table, FIBRE_TOP)
+    # homology from degree 0, where a path-connected space has Z, and zero through c
+    groups = [FGAbelianGroup.free(1), *[FGAbelianGroup.ZERO] * c, *(e.group for e in copied)]
+    exact = [True] * (c + 1) + [e.exact for e in copied]
     dims = {0: DimEntry(1, True)}
     for j in range(1, FIBRE_TOP + 1):
-        below, here = homology[j - 1], homology[j]
-        value = uct_cohomology_dim(below.group, here.group)
-        dims[j] = DimEntry(value, below.exact and here.exact)
+        dims[j] = DimEntry(uct_cohomology_dim(groups[j - 1], groups[j]), exact[j - 1] and exact[j])
     return GradedDims(dims)

@@ -4,8 +4,10 @@ Each mutant swaps one binary, augmented or comparison operator (``^``/``|``/``&`
 ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``<<``/``>>``) or one integer
 constant 0 or 1 in ``src/sseqlab/<module>.py``.  It runs in a copy of the repository,
 so the tree itself is never edited.  Tier-1 (pyproject's test paths) runs first on the
-unmutated copy; the audit stops if it fails, and otherwise times each mutant's tier-1
-run out at ``TIMEOUT_FACTOR`` times that run's seconds (a mutant may loop).  Each run
+unmutated copy; the audit stops if it fails.  A mutant then runs in two stages: the
+module's own ``tests/test_<module>.py``, when there is one, and only if that passes,
+tier-1.  Each stage times out at ``TIMEOUT_FACTOR`` times its unmutated run (a mutant
+may loop), so a loop is cut after seconds, not a tier-1 run's minute.  Each run
 starts its own session, and a timeout kills the session's whole process group, so a
 process a test started (a demo, say) goes with it; this needs POSIX.  Survivors print as
 ``module:line: mutated source``, timed-out mutants as ``module:line: mutated source (timed
@@ -99,12 +101,36 @@ def run(
     return ("failed" if returncode else "passed"), time.perf_counter() - began
 
 
-def run_tier1(copy: Path, timeout: float | None) -> tuple[str, float]:
-    """Tier-1's verdict in ``copy`` and its seconds (see ``run``)."""
+def run_pytest(copy: Path, timeout: float | None, *paths: str) -> tuple[str, float]:
+    """Pytest's verdict in ``copy`` on ``paths`` (tier-1 when none) and its seconds (``run``)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # a same-size mutant must not reuse a stale .pyc
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *paths]
     return run(command, copy, env, timeout)
+
+
+Stage = tuple[tuple[str, ...], float]  # (pytest paths, tier-1 when empty; timeout in seconds)
+
+
+def stages(copy: Path, module: str, tier1_seconds: float) -> list[Stage]:
+    """The stages a mutant of ``module`` runs: its own test file first, when it has one
+    (timed here on the unmutated copy, where tier-1 has passed), then tier-1; each times
+    out at ``TIMEOUT_FACTOR`` times its unmutated run."""
+    own = f"tests/test_{module}.py"
+    tier1 = ((), TIMEOUT_FACTOR * tier1_seconds)
+    if not (copy / own).is_file():
+        return [tier1]
+    return [((own,), TIMEOUT_FACTOR * run_pytest(copy, None, own)[1]), tier1]
+
+
+def judge(copy: Path, plan: list[Stage]) -> str:
+    """A mutant's verdict: the first stage of ``plan`` that does not pass gives it ("failed"
+    or "timed out"), so a later stage runs only for a survivor of the earlier ones."""
+    for paths, timeout in plan:
+        verdict = run_pytest(copy, timeout, *paths)[0]
+        if verdict != "passed":
+            return verdict
+    return "passed"
 
 
 def report(module: str, line: int, mutated: str, verdict: str) -> str:
@@ -121,19 +147,21 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="sseqlab-mutation-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=ignore)
-        clean, seconds = run_tier1(copy, None)
+        clean, seconds = run_pytest(copy, None)
         if clean != "passed":
             print("tier-1 does not pass on the unmutated copy", file=sys.stderr)
             return 1
-        timeout = TIMEOUT_FACTOR * seconds
-        print(f"unmutated tier-1: {seconds:.1f} s; timeout {timeout:.0f} s per mutant", flush=True)
+        print(f"unmutated tier-1: {seconds:.1f} s", flush=True)
         for module in argv:
             relative = Path("src", "sseqlab", f"{module}.py")
             source = (ROOT / relative).read_text()
+            plan = stages(copy, module, seconds)
+            shown = "; ".join(f"{' '.join(p) or 'tier-1'} {t:.0f} s" for p, t in plan)
+            print(f"{module}: timeout per mutant: {shown}", flush=True)
             verdicts = []
             for line, mutated in mutants(source):
                 (copy / relative).write_text(mutated)
-                verdicts.append(run_tier1(copy, timeout)[0])
+                verdicts.append(judge(copy, plan))
                 if verdicts[-1] != "failed":
                     print(report(module, line, mutated, verdicts[-1]), flush=True)
             (copy / relative).write_text(source)

@@ -292,6 +292,16 @@ def test_problems_keep_their_order_and_wording():
     ]
 
 
+def test_a_window_and_a_homotopy_degree_of_one_are_the_least_accepted():
+    cfg = parse_config("degree_bound = 1\n[base]\nx = 2\n[homotopy]\n1 = Z\n")
+    assert cfg.degree_bound == 1 and list(cfg.homotopy.entries) == [1]
+    with pytest.raises(ConfigError) as info:
+        parse_config("degree_bound = 0\n[base]\nx = 2\n[homotopy]\n0 = Z\n")
+    assert info.value.problems == [
+        "line 1: degree_bound must be >= 1", "line 5: homotopy degrees start at 1",
+    ]
+
+
 def test_empty_epsilon_is_absent_and_empty_steenrod_is_scaffold():
     cfg = parse_config("[base]\nt = 1\n[epsilon]\n[steenrod]\n")
     assert cfg.epsilon_rule is None
@@ -669,11 +679,55 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(member, prefix + (key,))
 
 
-def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
-    rng = random.Random(20261018)
-    fixtures = [g2_text().splitlines(), (ROOT / "onevar.cfg").read_text().splitlines()]
+def _set(path, value):
+    """A copy of EVERY_SECTION_JSON with the member at ``path`` set to ``value``."""
+    data = copy.deepcopy(EVERY_SECTION_JSON)
+    *head, last = path
+    _at(data, head)[last] = value
+    return data
+
+
+def _renamed(section, old, new):
+    data = copy.deepcopy(EVERY_SECTION_JSON)
+    node = _at(data, section)
+    node[new] = node.pop(old)
+    return data
+
+
+@pytest.mark.parametrize("old, new, data, where, problems", [
+    ("3 = Z ;", "x = Z ;", _renamed(["homotopy"], "3", "x"), "homotopy.x",
+     ["homotopy degree must be an integer, got 'x'"]),
+    ("derive = homotopy", "x = v_x", _renamed(["fibre", "generators"], "7", "x"),
+     "fibre.generators.x", ["fibre degree must be an integer, got 'x'"]),
+    ("eps = d6", "eps = dx", _set(["unknowns", 0, "page"], "x"), "unknowns[0]",
+     ["bad page token 'dx'"]),
+    ("modulus = 4", "modulus = four", _set(["epsilon", "modulus"], "four"), "epsilon.modulus",
+     ["modulus must be an integer, got 'four'", "epsilon section needs a modulus"]),
+    ("class = 0 : 0", "class = 0 : no", _set(["epsilon", "classes", 0, "known"], "no"),
+     "epsilon.classes[0]", ["bad known value 'no'"]),
+])
+def test_an_integer_refusal_names_its_row_in_text_and_json(old, new, data, where, problems):
+    text = g2_text().replace(old, new)
+    line = next(n for n, x in enumerate(text.splitlines(), start=1) if x.startswith(new))
+    first, *rest = problems
+    with pytest.raises(ConfigError) as text_err:
+        parse_config(text)
+    assert text_err.value.problems == [f"line {line}: {first}", *rest]
+    with pytest.raises(ConfigError) as json_err:
+        parse_config_json(json.dumps(data))
+    assert json_err.value.problems == [f"{where}: {first}", *rest]
+
+
+FUZZ_SEED = 20261018
+
+
+def _fuzzed_texts(rng):
+    """1000 texts, alternately g2.cfg's and onevar.cfg's with one line deleted, repeated,
+    given a junk value or preceded by a section header: (fixture name, text)."""
+    fixtures = [("g2", g2_text()), ("onevar", (ROOT / "onevar.cfg").read_text())]
     for n in range(1000):
-        lines = list(fixtures[n % 2])
+        name, text = fixtures[n % 2]
+        lines = text.splitlines()
         i = rng.randrange(len(lines))
         op = rng.randrange(4)
         if op == 0:
@@ -684,7 +738,13 @@ def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
             lines[i] = f"{lines[i].partition('=')[0]}= {rng.choice(FUZZ_JUNK)}"
         else:
             lines.insert(i, rng.choice(FUZZ_HEADERS))
-        _config_or_problems(parse_config, "\n".join(lines))
+        yield name, "\n".join(lines)
+
+
+def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
+    rng = random.Random(FUZZ_SEED)
+    for _fixture, text in _fuzzed_texts(rng):
+        _config_or_problems(parse_config, text)
     paths = list(_json_paths(EVERY_SECTION_JSON))
     for _ in range(1000):
         data = copy.deepcopy(EVERY_SECTION_JSON)
@@ -713,6 +773,31 @@ def test_fuzzed_configs_parse_or_raise_sseqlab_errors():
         assert not any(p.startswith("line ") for p in problems), problems
 
 
+FUZZ_COMMANDS = [
+    ("constraints",), ("e2",), ("uct",), ("chart", "--page", "6", "--format", "svg"),
+    ("einfty", "--set", "eps=1"), ("sweep",), ("gauge", "--k", "1"),
+]
+
+
+def test_every_command_on_a_fuzzed_config_it_accepts_exits_zero_or_one(tmp_path, capsys):
+    # the accepted configs of the text fuzz above; a breach (2) or an escaped exception fails
+    path = tmp_path / "fuzzed.cfg"
+    accepted = 0
+    for fixture, text in _fuzzed_texts(random.Random(FUZZ_SEED)):
+        try:
+            parse_config(text)
+        except SseqlabError:
+            continue
+        accepted += 1
+        path.write_text(text)
+        commands = FUZZ_COMMANDS + [("hit", "--bound", "8")] * (fixture == "onevar")
+        for command in commands:
+            code = main(["--config", str(path), *command])
+            assert code in (0, 1), (command, text, capsys.readouterr().err)
+            capsys.readouterr()
+    assert accepted > 400
+
+
 @pytest.mark.parametrize("name", ["a b", "a*b", "a^2", "a+b", "a;b", "0", "1"])
 def test_base_names_the_polynomial_grammar_cannot_read_are_located(name):
     message = f"generator name {name!r} cannot be read back in a polynomial"
@@ -724,9 +809,9 @@ def test_base_names_the_polynomial_grammar_cannot_read_are_located(name):
     assert json_err.value.problems == [f"base[1]: {message}"]
 
 
-@pytest.mark.parametrize("name", ["a=b", "#a"])
+@pytest.mark.parametrize("name", ["a=b", "#a", ""])
 def test_names_only_json_can_spell_are_located(name):
-    # in text, the first '=' ends the key and a leading '#' starts a comment
+    # in text, the first '=' ends the key, a leading '#' starts a comment and a key is never empty
     with pytest.raises(ConfigError) as err:
         parse_config_json(json.dumps({"base": [[name, 2]]}))
     assert err.value.problems == [

@@ -7,6 +7,7 @@ import pytest
 
 from sseqlab.errors import IncompleteTableError, UsageError, ValidationError
 from sseqlab.homotopy import (
+    FIBRE_TOP,
     DimEntry,
     FGAbelianGroup,
     HomotopyTable,
@@ -319,6 +320,47 @@ def test_fibre_truncation_invariant_under_pi6_order_and_pi8_structure():
                 reference = low
             assert low == reference
             assert dims.entry(5).value >= 1
+
+
+def _dims_through_hurewicz_and_uct(table):
+    """The fibre dims the long way: hurewicz_homology's entries, then UCT degree by degree."""
+    homology = {0: TableEntry(Z), **hurewicz_homology(table, FIBRE_TOP)}
+    dims = {0: DimEntry(1)}
+    for j in range(1, FIBRE_TOP + 1):
+        below, here = homology[j - 1], homology[j]
+        dims[j] = DimEntry(uct_cohomology_dim(below.group, here.group), below.exact and here.exact)
+    return dims
+
+
+def _dims_or_refusal(derive, table):
+    try:
+        return derive(table)
+    except (ValidationError, IncompleteTableError) as exc:
+        return type(exc), str(exc)
+
+
+def test_fibre_dims_match_the_hurewicz_and_uct_route():
+    tables = [loopspace_shift(g2_pi_table(pi8_exact=exact), 3) for exact in (True, False)]
+    rng = random.Random(36)
+    for _ in range(50):  # test_connectivity_commutes_with_shift's draw: may be short or 0-connected
+        n_zero = rng.randint(0, 4)
+        groups = {d: ZERO for d in range(1, n_zero + 4)}
+        groups[max(n_zero + 4 + rng.randint(-3, 0), 1)] = FGAbelianGroup.cyclic(2)
+        tables.append(HomotopyTable.from_groups(groups))
+    choices = [ZERO, ZERO, Z, FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(3),
+               FGAbelianGroup.cyclic(4), Z + FGAbelianGroup.cyclic(6)]
+    for _ in range(300):  # any group, exact or not, and degrees left out
+        degrees = [d for d in range(1, FIBRE_TOP + 3) if rng.random() < 0.9]
+        tables.append(HomotopyTable(
+            {d: TableEntry(rng.choice(choices), rng.random() < 0.7) for d in degrees}
+        ))
+    kinds = set()
+    for table in tables:
+        expected = _dims_or_refusal(_dims_through_hurewicz_and_uct, table)
+        got = _dims_or_refusal(lambda t: dict(fibre_truncation_dims(t).items()), table)
+        assert got == expected, table
+        kinds.add(expected[0] if type(expected) is tuple else "dims")
+    assert kinds == {"dims", ValidationError, IncompleteTableError}
 
 
 def test_graded_dims_degree_zero_must_be_one():

@@ -1,5 +1,5 @@
-"""The mutation audit: its mutant list, one swap per site in source order, its runner's
-timeout, and its report lines."""
+"""The mutation audit: its mutant list, one swap per site in source order, its two stages,
+its runner's timeout, and its report lines."""
 
 import importlib.util
 import os
@@ -50,3 +50,42 @@ def test_a_timed_out_run_takes_the_process_it_started_with_it(tmp_path):
 def test_a_survivor_or_timeout_reports_its_module_line_and_mutated_source(verdict, suffix):
     mutated = "x = a | b\nif x < 0:\n    y = x == c\n"
     assert load_mutation().report("f2", 2, mutated, verdict) == f"f2:2: if x < 0:{suffix}"
+
+
+def test_a_module_with_a_test_file_runs_it_first_and_one_without_goes_to_tier1(
+    monkeypatch, tmp_path
+):
+    mutation = load_mutation()
+    timed = []
+    def clean_run(copy, timeout, *paths):
+        timed.append((copy, timeout, paths))
+        return "passed", 1.5
+    monkeypatch.setattr(mutation, "run_pytest", clean_run)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_f2.py").write_text("")
+    assert mutation.stages(tmp_path, "f2", 15.0) == [(("tests/test_f2.py",), 6.0), ((), 60.0)]
+    assert timed == [(tmp_path, None, ("tests/test_f2.py",))]  # the file's unmutated run
+    assert mutation.stages(tmp_path, "configio", 15.0) == [((), 60.0)]
+    assert len(timed) == 1
+
+
+@pytest.mark.parametrize("own, tier1, runs, verdict", [
+    ("failed", None, 1, "failed"),
+    ("timed out", None, 1, "timed out"),
+    ("passed", "failed", 2, "failed"),
+    ("passed", "timed out", 2, "timed out"),
+    ("passed", "passed", 2, "passed"),
+])
+def test_only_a_survivor_of_its_test_file_runs_tier1(
+    monkeypatch, tmp_path, own, tier1, runs, verdict
+):
+    mutation = load_mutation()
+    plan = [(("tests/test_f2.py",), 6.0), ((), 60.0)]
+    verdicts = {plan[0][0]: own, (): tier1}
+    ran = []
+    def scripted(copy, timeout, *paths):
+        ran.append((paths, timeout))
+        return verdicts[paths], 0.1
+    monkeypatch.setattr(mutation, "run_pytest", scripted)
+    assert mutation.judge(tmp_path, plan) == verdict
+    assert ran == plan[:runs]
