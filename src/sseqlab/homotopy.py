@@ -166,35 +166,35 @@ def connectivity(table: HomotopyTable) -> int:
 
 def _hurewicz(table: HomotopyTable, window_top: int) -> tuple[int, list[TableEntry]]:
     """The Hurewicz rule: the connectivity c, scanned no further than window_top, and the
-    table's entries in degrees c+1..window_top, which it copies across to homology."""
+    table's own entries in degrees 1..window_top, which it copies across to homology."""
     c = 0
     while c < window_top and table.entry(c + 1).group.is_zero():
         c += 1
     if c < 1 and window_top >= 1:
         raise ValidationError("hurewicz transfer needs a 1-connected table")
-    return c, [table.entry(i) for i in range(c + 1, window_top + 1)]
+    return c, [table.entry(i) for i in range(1, window_top + 1)]
 
 
 def hurewicz_homology(table: HomotopyTable, window_top: int) -> dict[int, TableEntry]:
     """Integral homology in degrees 1..window_top from homotopy groups.
 
-    Below the connectivity c the homology vanishes; from c+1 through
-    window_top the homotopy group is copied across.  Only degree c+1
-    is the classical Hurewicz isomorphism; entries above it carry an
+    Each degree keeps the table's group and exactness: zero through the
+    connectivity c, copied across from c+1 through window_top.  Only degree
+    c+1 is the classical Hurewicz isomorphism; entries above it carry an
     explicit "asserted window" flag in their provenance.
 
     The connectivity scan stops at window_top: a table that is zero
     throughout the window yields zero homology there without needing
     deeper degrees to be populated.
     """
-    c, copied = _hurewicz(table, window_top)
-    zero = TableEntry(FGAbelianGroup.ZERO, True, f"zero below connectivity {c}")
-    homology = dict.fromkeys(range(1, c + 1), zero)
-    for i, entry in enumerate(copied, start=c + 1):
-        note = "hurewicz isomorphism (first nonvanishing degree)" if i == c + 1 else (
+    c, entries = _hurewicz(table, window_top)
+    homology = {}
+    for i, entry in enumerate(entries, start=1):
+        note = f"zero below connectivity {c}" if i <= c else (
+            "hurewicz isomorphism (first nonvanishing degree)" if i == c + 1 else
             f"hurewicz transfer in degree {i}: asserted window beyond the classical degree {c + 1}"
         )
-        citation = f"{entry.citation}; {note}" if entry.citation else note
+        citation = f"{entry.citation}; {note}" if entry.citation and i > c else note
         homology[i] = TableEntry(entry.group, entry.exact, citation)
     return homology
 
@@ -234,18 +234,16 @@ def fibre_truncation_dims(table: HomotopyTable) -> GradedDims:
     """Mod-2 cohomology dims of the fibre in degrees 0..FIBRE_TOP.
 
     Chains ``hurewicz_homology``'s rule and universal coefficients on an
-    (already loop-shifted) table, and builds only the dims: it reads groups
-    and exactness, so no homology entry or provenance text (``uct`` prints
-    those).  A dimension is a lower bound when any group consumed by its
+    (already loop-shifted) table, and builds only the dims: it reads the
+    table's entries as they are, so no provenance text (``uct`` prints
+    that).  A dimension is a lower bound when any group consumed by its
     computation has unpinned even torsion; mod-2 Hom and Ext only grow as
     torsion is added, so the computed value bounds every structure
     consistent with the table.
     """
-    c, copied = _hurewicz(table, FIBRE_TOP)
-    # homology from degree 0, where a path-connected space has Z, and zero through c
-    groups = [FGAbelianGroup.free(1), *[FGAbelianGroup.ZERO] * c, *(e.group for e in copied)]
-    exact = [True] * (c + 1) + [e.exact for e in copied]
+    _c, entries = _hurewicz(table, FIBRE_TOP)
+    homology = [TableEntry(FGAbelianGroup.free(1)), *entries]  # degree 0: path-connected
     dims = {0: DimEntry(1, True)}
-    for j in range(1, FIBRE_TOP + 1):
-        dims[j] = DimEntry(uct_cohomology_dim(groups[j - 1], groups[j]), exact[j - 1] and exact[j])
+    for j, (low, high) in enumerate(zip(homology, entries), start=1):
+        dims[j] = DimEntry(uct_cohomology_dim(low.group, high.group), low.exact and high.exact)
     return GradedDims(dims)

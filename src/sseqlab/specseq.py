@@ -159,18 +159,25 @@ class Page(Record):
         self, spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
         groups: Mapping[Bidegree, PageGroup],
         differentials: Optional[Mapping[Bidegree, F2Matrix]] = None,
-        unevaluated: tuple[tuple[int, Bidegree, Bidegree], ...] = (),
         images: Optional[Mapping[Bidegree, tuple[F2Vector, ...]]] = None,
     ) -> None:
         self.__dict__.update(
             spec=spec, assignment=assignment, r=r, groups=frozen_copy(groups),
-            differentials=frozen_copy(differentials or {}), unevaluated=unevaluated,
-            images=frozen_copy(images or {}),
+            differentials=frozen_copy(differentials or {}), images=frozen_copy(images or {}),
         )
 
     def dim(self, s: int, t: int) -> int:
         group = self.groups.get((s, t))
         return group.dim if group else 0
+
+    @kept
+    def unevaluated(self) -> tuple[tuple[int, Bidegree, Bidegree], ...]:
+        """The arrows ``_page`` leaves past the window, in page order: on each page r with a
+        nonzero image, (N + 2 - r, r - 1) -> (N + 2, 0) when that group is nonzero, since
+        ``check_images`` makes the image a transgression."""
+        top = self.spec.degree_bound + 2
+        pages = sorted({r for (_g, r), image in self.assignment.generator_images.items() if image})
+        return tuple((r, (top - r, r - 1), (top, 0)) for r in pages if self.dim(top - r, r - 1))
 
     def describe(self, s: int, t: int) -> list[str]:
         group = self.groups.get((s, t))
@@ -190,24 +197,20 @@ class Page(Record):
 
 
 def _page(
-    spec: FibrationSpec,
-    assignment: DifferentialAssignment,
-    r: int,
+    spec: FibrationSpec, assignment: DifferentialAssignment, r: int,
     groups: Mapping[Bidegree, PageGroup],
-    flagged: Sequence[tuple[int, Bidegree, Bidegree]] = (),
 ) -> Page:
-    """Page r over ``groups``, with its d_r and its unevaluated arrows added to ``flagged``."""
+    """Page r over ``groups``, with its d_r inside the window."""
     matrices: dict[Bidegree, F2Matrix] = {}
     images: dict[Bidegree, tuple[F2Vector, ...]] = {}
-    unevaluated: list[tuple[int, Bidegree, Bidegree]] = []
     # each generator's nonzero d_r image, as its packed base monomials; Leibniz then gives
     # d(m (x) g) = m * d(g) on the base row, and a packed product is a sum
     image_terms = {
         g: [n.packed for n in image.terms]
         for (g, page), image in assignment.generator_images.items() if page == r and image
     }
-    if not image_terms:  # d_r = 0: no matrix, and no arrow out of the window
-        return Page(spec, assignment, r, groups, unevaluated=tuple(sorted(set(flagged))))
+    if not image_terms:  # d_r = 0: no matrix
+        return Page(spec, assignment, r, groups)
     active = {spec.fibre_degree_of(g) for g in image_terms}
     coordinates: dict[tuple[int, int, int], F2Matrix] = {}
     for (s, t), group in groups.items():  # in bidegree order, as start_groups sorted them
@@ -216,8 +219,7 @@ def _page(
         # check_images forces r = t + 1, so the target is the base-row group (s + t + 1, 0), whose
         # labels all carry the unit; it holds the source monomial times each image monomial
         target_bd = (s + r, t - r + 1)
-        if s + t > spec.degree_bound:  # the target lands beyond the tracked window
-            unevaluated.append((r, (s, t), target_bd))
+        if s + t > spec.degree_bound:  # beyond the tracked window: in ``Page.unevaluated``
             continue
         target = groups[target_bd]
         labels, cycles, boundaries = target.labels, target.cycles, target.boundaries
@@ -259,9 +261,7 @@ def _page(
         if columns and target_reps:  # the images' coordinates are its column words
             matrices[(s, t)] = _matrix(len(target_reps), len(columns), None, tuple(columns))
             images[(s, t)] = tuple(vectors)
-    return Page(
-        spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})), images
-    )
+    return Page(spec, assignment, r, groups, matrices, images)
 
 
 def start_groups(spec: FibrationSpec) -> Mapping[Bidegree, PageGroup]:
@@ -333,7 +333,7 @@ def turn_page(page: Page) -> Page:
             kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
             new_z = tuple(row_reduce(list(new_b) + kept)) if kept else new_b
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)
-    return _page(spec, assignment, r + 1, new_groups, page.unevaluated)
+    return _page(spec, assignment, r + 1, new_groups)
 
 
 EinftyReport = dict[int, list[tuple[Bidegree, int]]]
@@ -344,9 +344,9 @@ def limit_page(
 ) -> tuple[Page, EinftyReport]:
     """``run_to_einfty``: the limit page and its surviving dimensions per total degree.
 
-    A page with no d_r matrix turns into the same groups and adds no arrows, and
-    so does each page with no nonzero image: one ``_page`` call skips them
-    all, to the next page with an image or past the spec's last page.
+    A page with no d_r matrix turns into the same groups, and so does each page
+    with no nonzero image: one ``_page`` call skips them all, to the next page
+    with an image or past the spec's last page; ``Page.unevaluated`` needs none of them.
     """
     page, last_page = initial_page(spec, assignment), spec.last_page
     image_pages = {r for (_gen, r), image in assignment.generator_images.items() if image}
@@ -355,7 +355,7 @@ def limit_page(
             page = turn_page(page)
         else:
             r = min([p for p in image_pages if p > page.r] + [last_page + 1])
-            page = _page(spec, assignment, r, page.groups, page.unevaluated)
+            page = _page(spec, assignment, r, page.groups)
     report: EinftyReport = {j: [] for j in range(spec.degree_bound + 1)}
     for (s, t), group in page.groups.items():  # in bidegree order
         if s + t <= spec.degree_bound and group.dim:

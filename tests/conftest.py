@@ -39,14 +39,13 @@ def greedy_reference():
     return _greedy_reference
 
 
-def _page_reference(spec, assignment, r, groups, flagged=()):
+def _page_reference(spec, assignment, r, groups):
     """``specseq._page`` as a loop over every support label of every source rep.
 
     Builds ``monomial * n`` and one column vector per representative; the
     page engine's per-label images and column words are compared against it.
     """
     matrices, images = {}, {}
-    unevaluated = []
     image_terms = {}
     for gens in spec.fibre_gens.values():
         for g in gens:
@@ -59,8 +58,6 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
             continue
         target_bd = (s + r, t - r + 1)
         if s + t > spec.degree_bound:
-            if spec.e2_dim(*target_bd) > 0:
-                unevaluated.append((r, (s, t), target_bd))
             continue
         target = groups.get(target_bd)
         if target is None:
@@ -92,9 +89,7 @@ def _page_reference(spec, assignment, r, groups, flagged=()):
         if matrix.rows and matrix.cols:
             matrices[(s, t)] = matrix
             images[(s, t)] = tuple(vectors)
-    return Page(
-        spec, assignment, r, groups, matrices, tuple(sorted({*flagged, *unevaluated})), images
-    )
+    return Page(spec, assignment, r, groups, matrices, images)
 
 
 @pytest.fixture
@@ -128,7 +123,7 @@ def _turn_reference(page):
             kept = [_combine(n, reps, c.bits) for c in kernel_basis(m_out)]
         new_z = tuple(row_reduce(list(new_b) + kept))
         new_groups[bd] = PageGroup(group.labels, new_z, new_b)
-    return _page(page.spec, page.assignment, r + 1, new_groups, page.unevaluated)
+    return _page(page.spec, page.assignment, r + 1, new_groups)
 
 
 @pytest.fixture

@@ -198,6 +198,56 @@ def test_einfty_collapse_branch():
     assert "all admissible differentials evaluated" in out
 
 
+
+@pytest.mark.parametrize(
+    "edits, flags, log",
+    [
+        (  # no page past 2 is built, and d_6 leaves the window from (0,5)
+            [("degree_bound = 10", "degree_bound = 4")], ("--set", "eps=1"),
+            "limit page (r = 2) for eps=1\n"
+            "differentials not evaluated (target beyond the window):\n"
+            "  d_6: (0,5) -> (6,0)\n",
+        ),
+        (  # the walk stops after page 6, and d_12 leaves the window from (0,11)
+            [
+                ("derive = homotopy", "derive = homotopy\n11 = w"),
+                ("eps = d6 u_5 -> x_6", "eps = d6 u_5 -> x_6\ne = d12 w -> x_6^2"),
+            ],
+            ("--set", "eps=1", "--set", "e=1"),
+            "limit page (r = 7) for e=1, eps=1\n"
+            "differentials not evaluated (target beyond the window):\n"
+            "  d_6: (6,5) -> (12,0)\n"
+            "  d_12: (0,11) -> (12,0)\n",
+        ),
+    ],
+    ids=["window-4", "declared-w-at-11"],
+)
+def test_einfty_lists_each_arrow_past_the_window_on_pages_the_walk_never_builds(
+    tmp_path, edits, flags, log
+):
+    text = (ROOT / "g2.cfg").read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    cfg = tmp_path / "arrows.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), "einfty", *flags)
+    assert code == 0 and not err
+    assert (tmp_path / "out" / "einfty_log.txt").read_text() == log
+
+
+def test_a_contains_zero_below_the_connectivity_leaves_the_fibre_unproven(tmp_path):
+    cfg = tmp_path / "c0.cfg"
+    cfg.write_text((ROOT / "g2.cfg").read_text().replace("4 = 0 ;", "4 = contains 0 ;"))
+    code, out, err = run_cli("--config", str(cfg), "uct")
+    assert code == 0 and not err
+    assert "\nhomology,1,contains 0,zero below connectivity 2\n" in out
+    assert "\nhomology,2,0,zero below connectivity 2\n" in out
+    dims = [line.split(",")[2] for line in out.splitlines() if line.startswith("cohomology_dim,")]
+    assert dims == ["1", ">=0", ">=0", "0", "0", ">=1"]
+    code, out, err = run_cli("--config", str(cfg), "einfty", "--set", "eps=1")
+    assert code == 1 and not out
+    assert err.startswith("error: fibre degree 1 is only bounded below")
+
 def test_extra_fibre_class_without_declarable_image(tmp_path):
     # d_4 (0,8) -> (4,5) is admissible, and no config syntax declares it
     cfg = tmp_path / "w8.cfg"

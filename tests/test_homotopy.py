@@ -187,6 +187,12 @@ def test_a_table_refuses_a_bad_degree_with_its_message(call, error, message):
 # ---------------------------------------------------------------- connectivity
 
 
+
+def test_a_table_lists_its_degrees_in_order():
+    table = HomotopyTable({5: TableEntry(Z), 2: TableEntry(ZERO), 3: TableEntry(ZERO)})
+    assert table.degrees == (2, 3, 5)
+    assert HomotopyTable({}).degrees == ()
+
 def test_connectivity_of_shifted_table():
     assert connectivity(loopspace_shift(g2_pi_table(), 3)) == 2
 
@@ -267,6 +273,24 @@ def test_hurewicz_needs_a_simply_connected_table_only_from_window_top_one():
     homology = hurewicz_homology(HomotopyTable.from_groups({1: ZERO, 2: Z}), 2)
     assert homology[1].group == ZERO and homology[2].group == Z
     assert "hurewicz isomorphism" in homology[2].citation
+
+
+
+def test_an_inexact_zero_below_the_connectivity_stays_inexact():
+    table = HomotopyTable({
+        1: TableEntry(ZERO, False, "pi_1"), 2: TableEntry(ZERO, True, "pi_2"),
+        3: TableEntry(Z, True, "pi_3"), 4: TableEntry(ZERO), 5: TableEntry(ZERO),
+    })
+    homology = hurewicz_homology(table, 3)
+    assert [(str(e), e.exact, e.citation) for e in homology.values()] == [
+        ("contains 0", False, "zero below connectivity 2"),
+        ("0", True, "zero below connectivity 2"),
+        ("Z", True, "pi_3; hurewicz isomorphism (first nonvanishing degree)"),
+    ]
+    dims = fibre_truncation_dims(table)
+    assert [str(dims.entry(j)) for j in range(FIBRE_TOP + 1)] == [
+        "1", ">=0", ">=0", "1", "0", "0"
+    ]
 
 
 # ---------------------------------------------------------------- truncation

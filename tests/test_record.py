@@ -151,8 +151,7 @@ RECORDS = [
     (PageGroup, ["labels", "cycles", "boundaries"], {}, page_group_args),
     (
         Page,
-        ["spec", "assignment", "r", "groups", ("differentials", FACTORY), ("unevaluated", ())]
-        + [("images", FACTORY)],
+        ["spec", "assignment", "r", "groups", ("differentials", FACTORY), ("images", FACTORY)],
         {},
         lambda rng: (
             FibrationSpec(*spec_args(rng)),
@@ -160,7 +159,6 @@ RECORDS = [
             rng.randint(2, 3),
             {(0, 0): PageGroup(*page_group_args(rng))},
             {(0, 0): F2Matrix.identity(rng.randint(0, 1))},
-            rng.choice(((), ((2, (0, 1), (2, 0)),))),
             {(0, 0): (F2Vector(2, rng.randint(0, 3)),)},
         ),
     ),

@@ -59,6 +59,13 @@ def test_e2_first_fibre_class():
     assert basis.labels(0, 5) == ((UNIT, "u_5"),)
 
 
+def test_e2_skips_a_fibre_degree_with_no_generator():
+    spec = FibrationSpec(SPEC.base, {0: (UNIT_GEN,), 3: (), 5: ("u",)}, 10)
+    basis = build_e2(spec)
+    assert {t for _s, t in basis.groups} == {0, 5}
+    assert all(basis.groups.values()) and basis.dim(0, 3) == 0
+
+
 def test_e2_fibre_class_times_base_generator():
     basis = build_e2(SPEC)
     assert basis.labels(4, 5) == ((X4, "u_5"),)
@@ -861,6 +868,64 @@ def test_nontrivial_branch_flags_window_boundary():
     assert (6, (6, 5), (12, 0)) in page.unevaluated
 
 
+def unevaluated_oracle(spec, assignment):
+    """The arrows past the window, from the spec's E_2 dims and the nonzero images alone.
+
+    A nonzero image of d_r(g), g of fibre degree t, is a transgression onto the base
+    row, so of g's groups only the one at total degree N + 1, (N + 1 - t, t), sends
+    d_r past the window; the arrow is listed when that group is nonzero.
+    """
+    top = spec.degree_bound + 1
+    arrows = set()
+    for (gen, r), image in assignment.generator_images.items():
+        t = spec.fibre_degree_of(gen)
+        if not image.is_zero() and spec.e2_dim(top - t, t) > 0:
+            arrows.add((r, (top - t, t), (top - t + r, t - r + 1)))
+    return tuple(sorted(arrows))
+
+
+def with_a_class_at_the_window_top(spec, assignment, rng):
+    """``spec`` and ``assignment`` with one more fibre class, in degree N + 1, and a random
+    transgression: no arrow of the window reaches its page, N + 2."""
+    t = spec.degree_bound + 1
+    fibre = {**spec.fibre_gens, t: spec.fibre_gens.get(t, ()) + ("h",)}
+    terms = [m for m in basis_in_degree(spec.base, t + 1) if rng.random() < 0.6]
+    images = {**assignment.generator_images, ("h", t + 1): Polynomial.of(*terms)}
+    return FibrationSpec(spec.base, fibre, spec.degree_bound), DifferentialAssignment({}, images)
+
+
+def test_unevaluated_arrows_match_the_oracle_on_random_specs():
+    rng = random.Random(1014)
+    listed = unbuilt = 0
+    for _ in range(100):
+        spec, assignment = random_fibration(rng)
+        for spec, assignment in (
+            (spec, assignment), with_a_class_at_the_window_top(spec, assignment, rng)
+        ):
+            page, _ = run_to_einfty(spec, assignment)
+            expected = unevaluated_oracle(spec, assignment)
+            assert page.unevaluated == expected
+            listed += len(expected)
+            unbuilt += sum(r > page.r for r, _src, _tgt in expected)  # the walk built no page r
+    assert listed > 200 and unbuilt > 40
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_unevaluated_arrows_match_the_oracle_on_g2_at_windows_1_to_12(eps):
+    listed = []
+    for n in range(1, 13):
+        spec = g2_fibration_spec(n)
+        assignment = resolve_assignment(spec, {"eps": eps})
+        page, _ = run_to_einfty(spec, assignment)
+        assert page.r == (2 if n <= 4 else 7)
+        assert page.unevaluated == unevaluated_oracle(spec, assignment)
+        listed += [(n, *arrow) for arrow in page.unevaluated]
+    # d_6(u_5) = eps x_6 leaves the window from (n - 4, 5) when the base has a class there
+    assert listed == [
+        (n, 6, (n - 4, 5), (n + 2, 0)) for n in (4, 8, 10, 11, 12) if eps
+    ]
+
+
 def test_zero_fibre_gives_base_poincare_dims():
     spec = FibrationSpec(SPEC.base, {0: (UNIT_GEN,)}, 10, ())
     _, report = run_to_einfty(spec, resolve_assignment(spec, {}))
@@ -1083,7 +1148,7 @@ def test_turn_page_detects_nonzero_composite():
     # slot so the composite (0,5) -> (6,0) -> ... is nonzero
     fake = dict(page.differentials)
     fake[(6, 0)] = F2Matrix.identity(1)
-    corrupted = Page(page.spec, page.assignment, page.r, page.groups, fake, page.unevaluated)
+    corrupted = Page(page.spec, page.assignment, page.r, page.groups, fake)
     with pytest.raises(InvariantBreach):
         turn_page(corrupted)
 
