@@ -54,12 +54,16 @@ def build_chart(spec: FibrationSpec, page: int) -> ChartSpec:
         ]
         arrows.append((src, tgt, ",".join(names) or f"d{r}"))
     s_max = spec.degree_bound
-    t_max = max((t for t in spec.fibre_degrees()), default=0)
+    t_max = max(spec.fibre_degrees())  # degree 0, the unit's, is always there
     return ChartSpec(page, s_max, t_max, dots, tuple(arrows))
 
 
-def _xy(s: int, t: int, t_max: int) -> tuple[int, int]:
-    return MARGIN + s * CELL, MARGIN + (t_max - t) * CELL
+def _x(s: int) -> int:
+    return MARGIN + s * CELL
+
+
+def _y(t: int, t_max: int) -> int:
+    return MARGIN + (t_max - t) * CELL
 
 
 def render_svg(chart: ChartSpec) -> str:
@@ -72,13 +76,13 @@ def render_svg(chart: ChartSpec) -> str:
         "<g stroke=\"#cccccc\" stroke-width=\"1\">",
     ]
     for s in range(chart.s_max + 1):
-        x, _ = _xy(s, 0, chart.t_max)
+        x = _x(s)
         lines.append(
             f'<line x1="{x}" y1="{MARGIN - CELL // 2}" x2="{x}" '
             f'y2="{height - MARGIN + CELL // 2}"/>'
         )
     for t in range(chart.t_max + 1):
-        _, y = _xy(0, t, chart.t_max)
+        y = _y(t, chart.t_max)
         lines.append(
             f'<line x1="{MARGIN - CELL // 2}" y1="{y}" x2="{width - MARGIN + CELL // 2}" '
             f'y2="{y}"/>'
@@ -86,26 +90,23 @@ def render_svg(chart: ChartSpec) -> str:
     lines.append("</g>")
     lines.append('<g font-family="monospace" font-size="12" fill="#555555">')
     for s in range(chart.s_max + 1):
-        x, _ = _xy(s, 0, chart.t_max)
         lines.append(
-            f'<text x="{x}" y="{height - MARGIN // 3}" text-anchor="middle">{s}</text>'
+            f'<text x="{_x(s)}" y="{height - MARGIN // 3}" text-anchor="middle">{s}</text>'
         )
     for t in range(chart.t_max + 1):
-        _, y = _xy(0, t, chart.t_max)
         lines.append(
-            f'<text x="{MARGIN // 3}" y="{y + 4}" text-anchor="middle">{t}</text>'
+            f'<text x="{MARGIN // 3}" y="{_y(t, chart.t_max) + 4}" text-anchor="middle">{t}</text>'
         )
     lines.append("</g>")
+    # each arrow's endpoints, read by its line and by its label
+    ends = [(_x(s), _y(t, chart.t_max), _x(s2), _y(t2, chart.t_max), label)
+            for (s, t), (s2, t2), label in chart.arrows]
     lines.append('<g stroke="#000000" stroke-width="2" fill="none">')
-    for (s, t), (s2, t2), _label in chart.arrows:
-        x1, y1 = _xy(s, t, chart.t_max)
-        x2, y2 = _xy(s2, t2, chart.t_max)
+    for x1, y1, x2, y2, _label in ends:
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     lines.append("</g>")
     lines.append('<g font-family="monospace" font-size="12" fill="#aa0000">')
-    for (s, t), (s2, t2), label in chart.arrows:
-        x1, y1 = _xy(s, t, chart.t_max)
-        x2, y2 = _xy(s2, t2, chart.t_max)
+    for x1, y1, x2, y2, label in ends:
         lines.append(
             f'<text x="{(x1 + x2) // 2}" y="{(y1 + y2) // 2 - 6}" '
             f'text-anchor="middle">{label}</text>'
@@ -113,7 +114,7 @@ def render_svg(chart: ChartSpec) -> str:
     lines.append("</g>")
     lines.append('<g fill="#222222">')
     for s, t, dim in chart.dots:
-        x, y = _xy(s, t, chart.t_max)
+        x, y = _x(s), _y(t, chart.t_max)
         radius = 3 + 2 * (dim - 1)
         lines.append(f'<circle cx="{x}" cy="{y}" r="{radius}"/>')
         if dim > 1:

@@ -127,6 +127,7 @@ class Polynomial(Record):
 
     @classmethod
     def of(cls, *monomials: Monomial) -> "Polynomial":
+        """The mod-2 sum of ``monomials``: a monomial listed twice cancels."""
         terms: set[Monomial] = set()
         for m in monomials:
             terms ^= {m}
@@ -175,11 +176,7 @@ def basis_in_degree(algebra: PolyAlgebraSpec, d: int) -> list[Monomial]:
 
 
 def multiply(algebra: PolyAlgebraSpec, p: Polynomial, q: Polynomial) -> Polynomial:
-    terms: set[Monomial] = set()
-    for a in p.terms:
-        for b in q.terms:
-            terms ^= {a * b}
-    return Polynomial(frozenset(terms))
+    return Polynomial.of(*[a * b for a in p.terms for b in q.terms])
 
 
 def _degree_dim(algebra: PolyAlgebraSpec, d: int) -> int:
@@ -243,7 +240,4 @@ def parse_polynomial(algebra: PolyAlgebraSpec, text: str) -> Polynomial:
     text = text.strip()
     if text == "0":
         return Polynomial.zero()
-    terms: set[Monomial] = set()
-    for chunk in text.split("+"):
-        terms ^= {parse_monomial(algebra, chunk)}
-    return Polynomial(frozenset(terms))
+    return Polynomial.of(*[parse_monomial(algebra, chunk) for chunk in text.split("+")])

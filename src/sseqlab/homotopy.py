@@ -9,6 +9,7 @@ results.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Optional
 
@@ -60,8 +61,8 @@ FGAbelianGroup.ZERO = FGAbelianGroup(0, ())
 
 
 def hom_to_f2(g: FGAbelianGroup) -> int:
-    """dim_{F_2} Hom(g, F_2): free rank plus the even torsion count."""
-    return g.free_rank + [t % 2 for t in g.torsion].count(0)
+    """dim_{F_2} Hom(g, F_2): free rank plus the even torsion count, which is Ext^1's."""
+    return g.free_rank + ext1_to_f2(g)
 
 
 def ext1_to_f2(g: FGAbelianGroup) -> int:
@@ -152,24 +153,25 @@ def loopspace_shift(table: HomotopyTable, loops: int) -> HomotopyTable:
     return HomotopyTable(shifted)
 
 
-def connectivity(table: HomotopyTable) -> int:
-    """Largest c with table[1..c] all zero.
-
-    The table must be populated degree by degree up to its first
-    nonzero entry; running past the populated range raises.
-    """
+def _proven_zeros(table: HomotopyTable, limit: float) -> int:
+    """Largest c <= limit with table[1..c] all exact zeros: a ``contains 0`` entry may hide
+    2-torsion, so it stops the scan as a nonzero group does."""
     c = 0
-    while table.entry(c + 1).group.is_zero():
+    while c < limit and (entry := table.entry(c + 1)).exact and entry.group.is_zero():
         c += 1
     return c
+
+
+def connectivity(table: HomotopyTable) -> int:
+    """Largest c with table[1..c] all proven zero; the table must be populated up to the
+    first entry that is not one, since reading past the populated range raises."""
+    return _proven_zeros(table, math.inf)
 
 
 def _hurewicz(table: HomotopyTable, window_top: int) -> tuple[int, list[TableEntry]]:
     """The Hurewicz rule: the connectivity c, scanned no further than window_top, and the
     table's own entries in degrees 1..window_top, which it copies across to homology."""
-    c = 0
-    while c < window_top and table.entry(c + 1).group.is_zero():
-        c += 1
+    c = _proven_zeros(table, window_top)
     if c < 1 and window_top >= 1:
         raise ValidationError("hurewicz transfer needs a 1-connected table")
     return c, [table.entry(i) for i in range(1, window_top + 1)]

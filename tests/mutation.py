@@ -5,14 +5,15 @@ Each mutant swaps one binary, augmented or comparison operator (``^``/``|``/``&`
 constant 0 or 1 in ``src/sseqlab/<module>.py``.  It runs in a copy of the repository,
 so the tree itself is never edited.  Tier-1 (pyproject's test paths) runs first on the
 unmutated copy; the audit stops if it fails.  A mutant then runs in two stages: the
-module's own ``tests/test_<module>.py``, when there is one, and only if that passes,
-tier-1.  Each stage times out at ``TIMEOUT_FACTOR`` times its unmutated run (a mutant
-may loop), so a loop is cut after seconds, not a tier-1 run's minute.  Each run
-starts its own session, and a timeout kills the session's whole process group, so a
-process a test started (a demo, say) goes with it; this needs POSIX.  Survivors print as
-``module:line: mutated source``, timed-out mutants as ``module:line: mutated source (timed
-out)``, then one summary line per module that counts the mutants a test failed, those that
-timed out and those that survived::
+module's own ``tests/test_<module>.py`` (for a module with none, the file named in
+``FIRST_STAGE``), when there is one, and only if that passes, tier-1.  Each stage times
+out at ``TIMEOUT_FACTOR`` times its unmutated run (a mutant may loop), so a loop is cut
+after seconds, not a tier-1 run's minute.  Each run starts its own session, and a
+timeout kills the session's whole process group, so a process a test started (a demo,
+say) goes with it; this needs POSIX.  Survivors print as ``module:line: mutated
+source``, timed-out mutants as ``module:line: mutated source (timed out)``, then one
+summary line per module that counts the mutants a test failed, those that timed out and
+those that survived::
 
     python tests/mutation.py specseq fibration f2
 
@@ -33,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_FACTOR = 4  # a mutant's tier-1 run may take this many times the unmutated run
+FIRST_STAGE = {  # a module with no test file of its own -> the file that tests it
+    "fibration": "tests/test_specseq.py", "configio": "tests/test_config.py",
+}
 SWAPS = {
     "^": "|", "|": "^", "&": "|", "+": "-", "-": "+", "<<": ">>", ">>": "<<",
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -113,10 +117,10 @@ Stage = tuple[tuple[str, ...], float]  # (pytest paths, tier-1 when empty; timeo
 
 
 def stages(copy: Path, module: str, tier1_seconds: float) -> list[Stage]:
-    """The stages a mutant of ``module`` runs: its own test file first, when it has one
-    (timed here on the unmutated copy, where tier-1 has passed), then tier-1; each times
+    """The stages a mutant of ``module`` runs: its own test file (or its ``FIRST_STAGE``
+    file) first, when there is one (timed here on the unmutated copy, where tier-1 has passed), then tier-1; each times
     out at ``TIMEOUT_FACTOR`` times its unmutated run."""
-    own = f"tests/test_{module}.py"
+    own = FIRST_STAGE.get(module, f"tests/test_{module}.py")
     tier1 = ((), TIMEOUT_FACTOR * tier1_seconds)
     if not (copy / own).is_file():
         return [tier1]

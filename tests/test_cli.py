@@ -235,18 +235,32 @@ def test_einfty_lists_each_arrow_past_the_window_on_pages_the_walk_never_builds(
     assert (tmp_path / "out" / "einfty_log.txt").read_text() == log
 
 
-def test_a_contains_zero_below_the_connectivity_leaves_the_fibre_unproven(tmp_path):
+def test_a_contains_zero_in_shifted_degree_one_is_refused_at_the_derive_row(tmp_path):
+    # pi_4 shifts to fibre degree 1, where "contains 0" may hide 2-torsion: the fibre is
+    # not proven simply connected, so no command may apply Hurewicz to it
     cfg = tmp_path / "c0.cfg"
     cfg.write_text((ROOT / "g2.cfg").read_text().replace("4 = 0 ;", "4 = contains 0 ;"))
+    for argv in (("uct",), ("e2",), ("einfty", "--set", "eps=1"), ("sweep",), ("constraints",),
+                 ("chart", "--page", "6", "--format", "svg"), ("gauge", "--k", "5")):
+        code, out, err = run_cli("--config", str(cfg), *argv)
+        assert code == 1 and not out, argv
+        assert err == "error: line 24: hurewicz transfer needs a 1-connected table\n", argv
+
+
+def test_a_contains_zero_in_shifted_degree_two_is_the_classical_degree(tmp_path):
+    cfg = tmp_path / "c5.cfg"
+    cfg.write_text((ROOT / "g2.cfg").read_text().replace("5 = 0 ;", "5 = contains 0 ;"))
     code, out, err = run_cli("--config", str(cfg), "uct")
     assert code == 0 and not err
-    assert "\nhomology,1,contains 0,zero below connectivity 2\n" in out
-    assert "\nhomology,2,0,zero below connectivity 2\n" in out
+    assert "\nhomology,1,0,zero below connectivity 1\n" in out
+    assert ("\nhomology,2,contains 0,Mimura-Toda [shifted 3 loops from degree 5]; "
+            "hurewicz isomorphism (first nonvanishing degree)\n") in out
     dims = [line.split(",")[2] for line in out.splitlines() if line.startswith("cohomology_dim,")]
-    assert dims == ["1", ">=0", ">=0", "0", "0", ">=1"]
+    assert dims == ["1", "0", ">=0", ">=0", "0", ">=1"]
     code, out, err = run_cli("--config", str(cfg), "einfty", "--set", "eps=1")
     assert code == 1 and not out
-    assert err.startswith("error: fibre degree 1 is only bounded below")
+    assert err.startswith("error: fibre degree 2 is only bounded below")
+
 
 def test_extra_fibre_class_without_declarable_image(tmp_path):
     # d_4 (0,8) -> (4,5) is admissible, and no config syntax declares it

@@ -207,6 +207,13 @@ def test_connectivity_explicit_small_table():
     assert connectivity(table) == 2
 
 
+def test_connectivity_stops_at_an_inexact_zero():
+    table = HomotopyTable({
+        1: TableEntry(ZERO), 2: TableEntry(ZERO, False), 3: TableEntry(ZERO),
+    })
+    assert connectivity(table) == 1
+
+
 def test_connectivity_incomplete_table_raises():
     table = HomotopyTable.from_groups({1: ZERO, 2: ZERO})
     with pytest.raises(IncompleteTableError):
@@ -276,20 +283,34 @@ def test_hurewicz_needs_a_simply_connected_table_only_from_window_top_one():
 
 
 
-def test_an_inexact_zero_below_the_connectivity_stays_inexact():
+def test_an_inexact_zero_in_degree_one_is_refused_as_a_nonzero_group_is():
+    # "contains 0" may hide 2-torsion, so the table is not proven simply connected
     table = HomotopyTable({
         1: TableEntry(ZERO, False, "pi_1"), 2: TableEntry(ZERO, True, "pi_2"),
         3: TableEntry(Z, True, "pi_3"), 4: TableEntry(ZERO), 5: TableEntry(ZERO),
     })
+    assert connectivity(table) == 0
+    with pytest.raises(ValidationError, match="^hurewicz transfer needs a 1-connected table$"):
+        hurewicz_homology(table, 3)
+    with pytest.raises(ValidationError, match="^hurewicz transfer needs a 1-connected table$"):
+        fibre_truncation_dims(table)
+
+
+def test_an_inexact_zero_above_an_exact_one_is_the_classical_degree_and_stays_inexact():
+    table = HomotopyTable({
+        1: TableEntry(ZERO, True, "pi_1"), 2: TableEntry(ZERO, False, "pi_2"),
+        3: TableEntry(Z, True, "pi_3"), 4: TableEntry(ZERO), 5: TableEntry(ZERO),
+    })
     homology = hurewicz_homology(table, 3)
     assert [(str(e), e.exact, e.citation) for e in homology.values()] == [
-        ("contains 0", False, "zero below connectivity 2"),
-        ("0", True, "zero below connectivity 2"),
-        ("Z", True, "pi_3; hurewicz isomorphism (first nonvanishing degree)"),
+        ("0", True, "zero below connectivity 1"),
+        ("contains 0", False, "pi_2; hurewicz isomorphism (first nonvanishing degree)"),
+        ("Z", True, "pi_3; hurewicz transfer in degree 3: asserted window beyond the "
+                    "classical degree 2"),
     ]
     dims = fibre_truncation_dims(table)
     assert [str(dims.entry(j)) for j in range(FIBRE_TOP + 1)] == [
-        "1", ">=0", ">=0", "1", "0", "0"
+        "1", "0", ">=0", ">=1", "0", "0"
     ]
 
 

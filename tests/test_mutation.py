@@ -69,6 +69,18 @@ def test_a_module_with_a_test_file_runs_it_first_and_one_without_goes_to_tier1(
     assert len(timed) == 1
 
 
+def test_a_module_in_the_first_stage_table_runs_its_named_file_first(monkeypatch, tmp_path):
+    mutation = load_mutation()
+    monkeypatch.setattr(mutation, "run_pytest", lambda copy, timeout, *paths: ("passed", 2.0))
+    (tmp_path / "tests").mkdir()
+    for module, named in mutation.FIRST_STAGE.items():
+        (tmp_path / named).write_text("")
+        assert mutation.stages(tmp_path, module, 15.0) == [((named,), 8.0), ((), 60.0)]
+    assert mutation.FIRST_STAGE == {
+        "fibration": "tests/test_specseq.py", "configio": "tests/test_config.py",
+    }
+
+
 @pytest.mark.parametrize("own, tier1, runs, verdict", [
     ("failed", None, 1, "failed"),
     ("timed out", None, 1, "timed out"),
